@@ -22,6 +22,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .baseline import IpcConfig, run_ipc
+from .gaussian import NotPositiveDefinite
 from .moments import mean_square_error
 from .sampler import MixtureProposal, PaimConfig, RunRecord, run_paim
 from .targets import (
@@ -59,7 +60,7 @@ def make_target(name: str, params: Optional[dict] = None) -> TargetDensity:
             return make_gaussian_mixture_target(
                 params["means"], params["covs"], params.get("weights")
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, NotPositiveDefinite) as exc:
         raise ConfigError(f"bad parameters for target {name!r}: {exc}") from exc
     raise ConfigError(f"unknown target {name!r} (expected banana, gaussian, or gaussian_mixture)")
 

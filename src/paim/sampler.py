@@ -104,7 +104,6 @@ class ChainState:
     index: int
     current: np.ndarray
     iterations: int = 0
-    active: bool = True
 
 
 def mh_step(
@@ -169,21 +168,31 @@ def refreshed_proposals(
     global_moments: RunningMoments,
     clusters: Sequence[RunningMoments],
     epsilon: float,
+    previous: Optional[Sequence[MixtureProposal]] = None,
+    built_counts: Optional[Sequence[int]] = None,
 ) -> list[MixtureProposal]:
-    """Rebuild every chain's proposal from the current accumulators.
+    """Refit every chain's proposal to the current accumulators.
 
-    All chains receive the same global component object; local
-    components come from each chain's own cluster. Factors are
-    recomputed here, once per update, never per draw.
+    All chains receive the same, newly built global component object.
+    Chain j's local component is rebuilt from its own cluster, unless
+    ``previous`` is given and the cluster's count still equals
+    ``built_counts[j]``, the count ``previous[j]``'s local component was
+    fitted to; then that component object is reused. The reuse is exact:
+    :meth:`RunningMoments.push` is the only way a cluster changes and it
+    always increments the count, so an unchanged count means an
+    unchanged mean and scatter, and a rebuild would reproduce the same
+    bits. Without ``previous`` every local component is rebuilt. Factors
+    are computed here, once per rebuilt component, never per draw.
     """
     shared = make_component(global_moments.mean.copy(), global_moments.covariance(epsilon))
-    return [
-        MixtureProposal(
-            global_component=shared,
-            local_component=make_component(acc.mean.copy(), acc.covariance(epsilon)),
-        )
-        for acc in clusters
-    ]
+    refreshed = []
+    for j, acc in enumerate(clusters):
+        if previous is not None and acc.count == built_counts[j]:
+            local = previous[j].local_component
+        else:
+            local = make_component(acc.mean.copy(), acc.covariance(epsilon))
+        refreshed.append(MixtureProposal(global_component=shared, local_component=local))
+    return refreshed
 
 
 def activation(counts, rule: str = "floor") -> np.ndarray:
@@ -375,6 +384,11 @@ def run_paim(
         # is defined before the first assignment.
         clusters[j].push(config.init_states[j])
     active = np.ones(n, dtype=bool)
+    # Cluster count each local component in ``proposals`` was fitted to.
+    # The initial local components come from ``init_means``, not from
+    # the clusters, so start from a count no cluster can have: the first
+    # refresh then rebuilds every one of them.
+    built_counts = np.full(n, -1, dtype=np.int64)
 
     samples = np.empty((total, dim))
     sample_step = np.empty(total, dtype=np.int64)
@@ -434,16 +448,17 @@ def run_paim(
             assign(fresh, local_means, clusters)
 
         if config.t_train < t < config.t_stop:
-            proposals = refreshed_proposals(global_moments, clusters, config.epsilon)
-            log_prop_cache = [None] * n
             counts = np.array([c.count for c in clusters], dtype=np.int64)
+            proposals = refreshed_proposals(global_moments, clusters, config.epsilon, proposals, built_counts)
+            built_counts = counts
+            # The global component changed, so every chain's cached
+            # mixture density at its current state is stale.
+            log_prop_cache = [None] * n
             active = activation(counts, config.activation_rule)
             if not active.any():
                 # Cannot happen with the rules above (the largest count
                 # always rounds to a nonzero share); kept as insurance.
                 active[int(np.argmax(counts))] = True
-            for j in range(n):
-                chains[j].active = bool(active[j])
 
         if on_step is not None:
             state.step = t

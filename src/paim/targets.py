@@ -14,6 +14,7 @@ summation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -30,8 +31,13 @@ class TargetDensity:
     """Unnormalized log-density on R^dim.
 
     The point evaluator must return a finite float or ``-inf`` for any
-    finite input, never NaN. A vectorized evaluator over (n, dim) arrays
-    may be supplied; otherwise batch calls fall back to a point loop.
+    finite input. A NaN is rejected here, at the boundary, with a
+    ``ValueError`` naming the point: the acceptance rule would otherwise
+    treat it as an always-accepted move. ``+inf`` is passed through
+    unchanged: a chain that reaches such a point never moves back to a
+    point of finite density. A
+    vectorized evaluator over (n, dim) arrays may be supplied; otherwise
+    batch calls fall back to a point loop.
     """
 
     def __init__(
@@ -45,13 +51,22 @@ class TargetDensity:
         self._batch = log_density_batch
 
     def log_density(self, x) -> float:
-        return float(self._point(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        value = float(self._point(x))
+        if math.isnan(value):
+            raise ValueError(f"target log-density is NaN at {x.tolist()}")
+        return value
 
     def log_density_batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if self._batch is not None:
-            return np.asarray(self._batch(xs), dtype=float)
-        return np.array([float(self._point(row)) for row in xs])
+            values = np.asarray(self._batch(xs), dtype=float)
+        else:
+            values = np.array([float(self._point(row)) for row in xs])
+        nan = np.isnan(values)
+        if nan.any():
+            raise ValueError(f"target log-density is NaN at {xs[np.argmax(nan)].tolist()}")
+        return values
 
 
 @dataclass(frozen=True)

@@ -259,6 +259,36 @@ class TestRefreshedProposals:
                 p.local_component.cov, dev.T @ dev / (len(sub) - 1) + eps * np.eye(2), rtol=1e-10
             )
 
+    def test_unchanged_clusters_reuse_their_component(self):
+        rng = np.random.default_rng(52)
+        g = RunningMoments(2)
+        clusters = [RunningMoments(2) for _ in range(4)]
+        for i, c in enumerate(clusters):
+            for _ in range(i + 2):
+                x = rng.standard_normal(2)
+                c.push(x)
+                g.push(x)
+        first = refreshed_proposals(g, clusters, 0.4)
+        built = [c.count for c in clusters]
+        for j in (1, 3):
+            x = rng.standard_normal(2)
+            clusters[j].push(x)
+            g.push(x)
+        second = refreshed_proposals(g, clusters, 0.4, first, built)
+        for j in (0, 2):
+            assert second[j].local_component is first[j].local_component
+        for j in (1, 3):
+            fresh = make_component(clusters[j].mean.copy(), clusters[j].covariance(0.4))
+            local = second[j].local_component
+            assert local is not first[j].local_component
+            for field in ("mean", "cov"):
+                np.testing.assert_array_equal(getattr(local, field), getattr(fresh, field))
+            np.testing.assert_array_equal(local.factor.lower, fresh.factor.lower)
+            assert local.factor.log_det_half == fresh.factor.log_det_half
+        assert second[0].global_component is not first[0].global_component
+        for p in second[1:]:
+            assert p.global_component is second[0].global_component
+
     def test_accumulator_mutation_does_not_leak(self):
         g = RunningMoments(2)
         g.push(np.zeros(2))
@@ -480,6 +510,31 @@ class TestRunPaim:
             ran = record.activity[:, j].sum()
             # the final partial step may schedule a chain that never runs
             assert record.budgets[j] in (ran, ran - 1)
+
+    def test_first_refresh_replaces_initial_local_components(self):
+        rng = np.random.default_rng(74)
+        cfg = small_config(
+            n_chains=20,
+            total_samples=400,
+            t_train=2,
+            init_means=rng.uniform(-15, 15, (20, 2, 2)),
+            init_states=rng.uniform(-15, 15, (20, 2)),
+        )
+        first = {}
+
+        def watch(state):
+            if state.step == cfg.t_train + 1:
+                first["counts"] = [c.count for c in state.clusters]
+                first["proposals"] = state.proposals
+
+        run_paim(cfg, self.banana(), on_step=watch)
+        untouched = [j for j, count in enumerate(first["counts"]) if count == 1]
+        assert untouched, "some cluster should still hold only its initial state"
+        for j in untouched:
+            local = first["proposals"][j].local_component
+            np.testing.assert_array_equal(local.mean, cfg.init_states[j])
+            assert not np.array_equal(local.mean, cfg.init_means[j, 1])
+            np.testing.assert_array_equal(local.cov, cfg.epsilon * np.eye(2))
 
     def test_mismatched_target_dim(self):
         with pytest.raises(ValueError, match="dim"):

@@ -130,3 +130,47 @@ class TestGridExpectation:
             grid_expectation(tgt, [1.0, -1.0], [1.0, 1.0], 11)
         with pytest.raises(ValueError):
             grid_expectation(tgt, [-1.0, -1.0], [1.0, 1.0], 1)
+
+
+def nan_right_half():
+    """NaN wherever x1 > 0, a Gaussian bump elsewhere."""
+
+    def point(x):
+        return float("nan") if x[0] > 0 else -0.5 * float(x @ x)
+
+    return TargetDensity(2, point)
+
+
+class TestTargetBoundary:
+    def test_nan_point_rejected_with_location(self):
+        with pytest.raises(ValueError, match=r"NaN at \[1\.5, -2\.0\]"):
+            nan_right_half().log_density([1.5, -2.0])
+
+    def test_nan_in_batch_rejected_with_location(self):
+        xs = np.array([[-1.0, 0.0], [2.5, 1.0], [3.0, 0.0]])
+        with pytest.raises(ValueError, match=r"NaN at \[2\.5, 1\.0\]"):
+            nan_right_half().log_density_batch(xs)
+        vectorized = TargetDensity(2, lambda x: 0.0, lambda xs: np.where(xs[:, 0] > 0, np.nan, 0.0))
+        with pytest.raises(ValueError, match=r"NaN at \[2\.5, 1\.0\]"):
+            vectorized.log_density_batch(xs)
+
+    def test_infinities_pass_through(self):
+        target = TargetDensity(1, lambda x: np.inf if x[0] > 0 else -np.inf)
+        assert target.log_density([1.0]) == np.inf
+        assert target.log_density([-1.0]) == -np.inf
+        assert target.log_density_batch([[1.0], [-1.0]]).tolist() == [np.inf, -np.inf]
+
+    def test_nan_target_stops_a_run(self):
+        from paim.sampler import PaimConfig, run_paim
+
+        rng = np.random.default_rng(8)
+        cfg = PaimConfig(
+            n_chains=4,
+            total_samples=400,
+            t_train=1,
+            init_means=rng.uniform(-5, 5, (4, 2, 2)),
+            init_states=-rng.uniform(1, 5, (4, 2)),
+            init_sigma=5.0,
+        )
+        with pytest.raises(ValueError, match="NaN at"):
+            run_paim(cfg, nan_right_half())
