@@ -32,7 +32,7 @@ from .harness import (
 )
 from .moments import RunningMoments, mean_square_error
 from .sampler import (
-    ChainState,
+    ChainEnsemble,
     GaussianComponent,
     MixtureProposal,
     PaimConfig,
@@ -42,7 +42,6 @@ from .sampler import (
     assign,
     log_accept_ratio,
     make_component,
-    mh_step,
     mixture_log_pdf,
     refreshed_proposals,
     run_paim,
@@ -62,7 +61,7 @@ from .targets import (
 __all__ = [
     "AllZeroMass",
     "BananaParams",
-    "ChainState",
+    "ChainEnsemble",
     "CholeskyFactor",
     "ConfigError",
     "ExperimentConfig",
@@ -93,7 +92,6 @@ __all__ = [
     "make_gaussian_target",
     "make_target",
     "mean_square_error",
-    "mh_step",
     "mixture_log_pdf",
     "random_init",
     "refreshed_proposals",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import ChainState, RunRecord, chain_streams, initial_proposals, mh_step
+from .sampler import ChainEnsemble, RunRecord, chain_streams, initial_proposals
 from .targets import TargetDensity
 
 
@@ -33,7 +33,6 @@ class IpcConfig:
     init_states: np.ndarray
     init_sigma: float
     seed: int = 0
-    discard_burn_in: bool = False
 
     def __post_init__(self):
         self.init_means = np.asarray(self.init_means, dtype=float)
@@ -52,7 +51,6 @@ class IpcConfig:
             init_states=config.init_states,
             init_sigma=config.init_sigma,
             seed=config.seed,
-            discard_burn_in=config.discard_burn_in,
         )
 
     def validate(self) -> None:
@@ -99,9 +97,8 @@ def run_ipc(config: IpcConfig, target: TargetDensity) -> RunRecord:
     total = config.total_samples
     budgets = ipc_budgets(total, n)
 
-    rngs = chain_streams(config.seed, n)
     proposals = initial_proposals(config)
-    chains = [ChainState(index=j, current=config.init_states[j].copy()) for j in range(n)]
+    chains = ChainEnsemble(config.init_states, proposals, chain_streams(config.seed, n))
 
     samples = np.empty((total, config.dim))
     sample_step = np.empty(total, dtype=np.int64)
@@ -110,29 +107,21 @@ def run_ipc(config: IpcConfig, target: TargetDensity) -> RunRecord:
     sample_accepted = np.empty(total, dtype=bool)
     activity_rows: list[np.ndarray] = []
 
-    log_target_cache = [None] * n
-    log_prop_cache = [None] * n
-
     drawn = 0
     t = -1
     while drawn < total:
         t += 1
-        remaining = np.array([chains[j].iterations < budgets[j] for j in range(n)])
+        remaining = chains.iterations < budgets
         activity_rows.append(remaining)
-        for j in range(n):
-            if not remaining[j]:
-                continue
-            accepted, lt, lp = mh_step(
-                chains[j], proposals[j], target, rngs[j], log_target_cache[j], log_prop_cache[j]
-            )
-            log_target_cache[j] = lt
-            log_prop_cache[j] = lp
-            samples[drawn] = chains[j].current
-            sample_step[drawn] = t
-            sample_chain[drawn] = j
-            sample_iteration[drawn] = chains[j].iterations
-            sample_accepted[drawn] = accepted
-            drawn += 1
+        run = np.flatnonzero(remaining)
+        accepted = chains.advance(run, target)
+        end = drawn + run.size
+        samples[drawn:end] = chains.current[run]
+        sample_step[drawn:end] = t
+        sample_chain[drawn:end] = run
+        sample_iteration[drawn:end] = chains.iterations[run]
+        sample_accepted[drawn:end] = accepted
+        drawn = end
 
     return RunRecord(
         samples=samples,
@@ -141,7 +130,7 @@ def run_ipc(config: IpcConfig, target: TargetDensity) -> RunRecord:
         sample_iteration=sample_iteration,
         sample_accepted=sample_accepted,
         activity=np.stack(activity_rows),
-        budgets=np.array([c.iterations for c in chains], dtype=np.int64),
+        budgets=chains.iterations.copy(),
         proposals=proposals,
         global_mean=None,
         global_cov=None,

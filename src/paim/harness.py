@@ -319,7 +319,6 @@ def replicate(config: ExperimentConfig) -> SummaryReport:
                     init_states=init.states,
                     init_sigma=init.sigma,
                     seed=seed,
-                    discard_burn_in=config.discard_burn_in,
                 ),
                 target,
             )
@@ -335,7 +334,6 @@ def replicate(config: ExperimentConfig) -> SummaryReport:
                     init_states=init.states,
                     init_sigma=init.sigma,
                     seed=seed,
-                    discard_burn_in=config.discard_burn_in,
                 ),
                 target,
             )

@@ -17,6 +17,13 @@ cluster holds a small share of the assigned states is suspended, which
 reallocates its iterations to better-placed chains; its local mean
 keeps competing for new states, so it is revived as soon as its share
 grows back.
+
+Both this sampler and the fixed-proposal baseline advance a step's
+chains together through :meth:`ChainEnsemble.advance`: each chain draws
+from its own random stream, then one batched call scores all candidates
+under the target and one under the chains' stacked mixture proposals.
+A chain's records are bit-identical to advancing it alone, so they do
+not depend on how many other chains are active.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gaussian import CholeskyFactor, cholesky, log_gaussian_pdf, sample_gaussian
+from .gaussian import CholeskyFactor, cholesky, log_gaussian_pdf_stacked, sample_gaussian
 from .moments import RunningMoments
 from .targets import TargetDensity
 
@@ -61,13 +68,33 @@ class MixtureProposal:
         return self.global_component.factor.dim
 
 
+def component_arrays(proposals: Sequence[MixtureProposal]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack the proposals' components: means (n, 2, d), Cholesky factors
+    (n, 2, d, d) and half log-determinants (n, 2); column 0 holds the
+    global component, column 1 the local one."""
+    comps = [(p.global_component, p.local_component) for p in proposals]
+    means = np.array([[c.mean for c in pair] for pair in comps], dtype=float)
+    lowers = np.array([[c.factor.lower for c in pair] for pair in comps], dtype=float)
+    log_det_halves = np.array([[c.factor.log_det_half for c in pair] for pair in comps], dtype=float)
+    return means, lowers, log_det_halves
+
+
+def stacked_mixture_log_pdf(xs, means, lowers, log_det_halves) -> np.ndarray:
+    """Mixture log-density of each row of ``xs`` (m, d) under its own proposal.
+
+    Row r's proposal is ``means[r]`` (2, d), ``lowers[r]`` (2, d, d) and
+    ``log_det_halves[r]`` (2,), as laid out by :func:`component_arrays`.
+    Each value is log(0.5*q1(x) + 0.5*q2(x)), evaluated without leaving
+    log space, and is bit-identical to the value its row gets alone.
+    """
+    comp = log_gaussian_pdf_stacked(xs[:, None, :] - means, lowers, log_det_halves)
+    return LOG_HALF + np.logaddexp(comp[:, 0], comp[:, 1])
+
+
 def mixture_log_pdf(proposal: MixtureProposal, x: np.ndarray) -> float:
-    """log(0.5*q1(x) + 0.5*q2(x)), evaluated without leaving log space."""
-    a = proposal.global_component
-    b = proposal.local_component
-    la = log_gaussian_pdf(x, a.mean, a.factor)
-    lb = log_gaussian_pdf(x, b.mean, b.factor)
-    return LOG_HALF + float(np.logaddexp(la, lb))
+    """log(0.5*q1(x) + 0.5*q2(x)) at one point."""
+    x = np.asarray(x, dtype=float)
+    return float(stacked_mixture_log_pdf(x[None], *component_arrays([proposal]))[0])
 
 
 def sample_mixture(proposal: MixtureProposal, rng: np.random.Generator) -> np.ndarray:
@@ -99,49 +126,114 @@ def log_accept_ratio(
     return min(0.0, (log_target_new - log_target_cur) + (log_prop_cur - log_prop_new))
 
 
-@dataclass
-class ChainState:
-    index: int
-    current: np.ndarray
-    iterations: int = 0
+class ChainEnsemble:
+    """The N chains of one run: states, streams, cached densities, proposals.
 
-
-def mh_step(
-    chain: ChainState,
-    proposal: MixtureProposal,
-    target: TargetDensity,
-    rng: np.random.Generator,
-    log_target_current: Optional[float] = None,
-    log_proposal_current: Optional[float] = None,
-) -> tuple[bool, float, float]:
-    """One independence-MH iteration; mutates ``chain`` in place.
-
-    ``log_target_current`` / ``log_proposal_current`` are optional
-    cached densities at ``chain.current``; pass them back in across
-    calls to skip re-evaluating an unchanged state. Returns
-    ``(accepted, log_target, log_proposal)`` for the post-move state.
-    The candidate and acceptance draws always consume the same number of
-    variates, so a chain's random stream does not depend on the
-    accept/reject outcomes.
+    Row j of every array belongs to chain j: ``current`` (n, d) is its
+    state and ``iterations`` its iteration count. ``log_target[j]`` and
+    ``log_proposal[j]`` cache the target and mixture log-densities at its
+    state, or are None when not yet computed. ``means``, ``lowers`` and
+    ``log_det_halves`` hold its proposal's parameters as laid out by
+    :func:`component_arrays`. ``rngs[j]`` is its random stream.
     """
-    if log_target_current is None:
-        log_target_current = target.log_density(chain.current)
-    if log_proposal_current is None:
-        log_proposal_current = mixture_log_pdf(proposal, chain.current)
 
-    candidate = sample_mixture(proposal, rng)
-    log_target_new = target.log_density(candidate)
-    log_prop_new = mixture_log_pdf(proposal, candidate)
-    log_alpha = log_accept_ratio(log_target_new, log_target_current, log_prop_new, log_proposal_current)
+    def __init__(self, init_states, proposals: Sequence[MixtureProposal], rngs: Sequence[np.random.Generator]):
+        self.current = np.array(init_states, dtype=float)
+        n = self.current.shape[0]
+        self.rngs = list(rngs)
+        self.iterations = np.zeros(n, dtype=np.int64)
+        self.log_target: list[Optional[float]] = [None] * n
+        self.log_proposal: list[Optional[float]] = [None] * n
+        self.means, self.lowers, self.log_det_halves = component_arrays(proposals)
 
-    u = rng.random()
-    accepted = (math.log(u) if u > 0.0 else -math.inf) < log_alpha
-    if accepted:
-        chain.current = candidate
-        log_target_current = log_target_new
-        log_proposal_current = log_prop_new
-    chain.iterations += 1
-    return accepted, log_target_current, log_proposal_current
+    def refresh(self, proposals: Sequence[MixtureProposal], rebuilt: np.ndarray) -> None:
+        """Adopt the output of :func:`refreshed_proposals`.
+
+        Its global component, shared by every chain, is copied into every
+        row; a local component is copied only where ``rebuilt`` is set,
+        the other rows already hold it. Every cached mixture density goes
+        stale, since the global component changed.
+        """
+        shared = proposals[0].global_component
+        self.means[:, 0] = shared.mean
+        self.lowers[:, 0] = shared.factor.lower
+        self.log_det_halves[:, 0] = shared.factor.log_det_half
+        for j in np.flatnonzero(rebuilt):
+            local = proposals[j].local_component
+            self.means[j, 1] = local.mean
+            self.lowers[j, 1] = local.factor.lower
+            self.log_det_halves[j, 1] = local.factor.log_det_half
+        self.log_proposal = [None] * len(self.log_proposal)
+
+    def advance(self, run: np.ndarray, target: TargetDensity) -> np.ndarray:
+        """One independence-MH iteration for each chain in ``run``, together.
+
+        ``run`` holds chain indices. Chain j draws from ``rngs[j]``, in
+        this order: a uniform that picks the component (global below
+        0.5), ``d`` standard normals for the candidate ``mean + L @ z``,
+        and the acceptance uniform. The draws do not depend on
+        accept/reject outcomes or on which other chains run, so a chain's
+        results are bit-identical whether it is advanced alone or with
+        others. One ``target.log_density_batch`` call scores every
+        candidate plus the current states without a cached value; one
+        :func:`stacked_mixture_log_pdf` call does the same for the
+        proposal. The accept test is :func:`log_accept_ratio` against
+        ``math.log(u)``, one chain at a time. Returns the acceptance flag
+        of each chain in ``run``.
+        """
+        chains = run.tolist()
+        d = self.current.shape[1]
+        comp = []
+        z = np.empty((len(chains), d))
+        uniforms = []
+        for r, j in enumerate(chains):
+            rng = self.rngs[j]
+            comp.append(0 if rng.random() < 0.5 else 1)
+            z[r] = rng.standard_normal(d)
+            uniforms.append(rng.random())
+        # A stacked matmul gives each row the bits of ``L @ z`` alone;
+        # np.vecdot over the rows of L would not.
+        candidates = self.means[run, comp] + (self.lowers[run, comp] @ z[..., None])[..., 0]
+
+        def target_values(rows, xs):
+            return target.log_density_batch(xs)
+
+        def proposal_values(rows, xs):
+            return stacked_mixture_log_pdf(xs, self.means[rows], self.lowers[rows], self.log_det_halves[rows])
+
+        log_target_new = self._score(self.log_target, chains, candidates, target_values)
+        log_prop_new = self._score(self.log_proposal, chains, candidates, proposal_values)
+
+        log_target, log_proposal = self.log_target, self.log_proposal
+        accepted = []
+        moved = []
+        for r, (j, u, lt_new, lp_new) in enumerate(zip(chains, uniforms, log_target_new, log_prop_new)):
+            log_alpha = log_accept_ratio(lt_new, log_target[j], lp_new, log_proposal[j])
+            # math.log, not np.log: the two differ in the last bit for some u.
+            ok = (math.log(u) if u > 0.0 else -math.inf) < log_alpha
+            if ok:
+                log_target[j] = lt_new
+                log_proposal[j] = lp_new
+                moved.append(r)
+            accepted.append(ok)
+        if moved:
+            self.current[run[moved]] = candidates[moved]
+        self.iterations[run] += 1
+        return np.array(accepted, dtype=bool)
+
+    def _score(self, cache: list, chains: list[int], candidates: np.ndarray, score) -> list[float]:
+        """Values of ``score(rows, points)`` at the candidates of ``chains``.
+
+        The same call also scores the current state of every chain whose
+        ``cache`` entry is None and fills that entry; ``rows`` names the
+        chain each point belongs to.
+        """
+        stale = [j for j in chains if cache[j] is None]
+        points = np.concatenate((self.current[stale], candidates)) if stale else candidates
+        values = score(stale + chains, points).tolist()
+        for j, value in zip(stale, values):
+            cache[j] = value
+        return values[len(stale) :]
 
 
 # ----------------------- assignment and adaptation -----------------------
@@ -242,7 +334,6 @@ class PaimConfig:
     epsilon: float = 0.4
     activation_rule: str = "floor"
     seed: int = 0
-    discard_burn_in: bool = False
 
     def __post_init__(self):
         self.init_means = np.asarray(self.init_means, dtype=float)
@@ -290,7 +381,7 @@ class SchedulerState:
     global_moments: RunningMoments
     clusters: list[RunningMoments]
     active: np.ndarray
-    chains: list[ChainState]
+    chains: ChainEnsemble
     proposals: list[MixtureProposal]
     fresh: list[np.ndarray] = field(default_factory=list)
 
@@ -360,11 +451,12 @@ def run_paim(
 ) -> RunRecord:
     """Run the adaptive parallel sampler until ``total_samples`` states exist.
 
-    Within a step, chains run in ascending index order, which fixes the
-    output ordering and the stop point. The stop check runs after every
-    single chain iteration, so exactly ``total_samples`` samples are
-    produced and recorded. ``on_step`` (if given) is invoked after each
-    completed step, once assignment and any adaptation are done.
+    Within a step, samples are recorded in ascending chain index, which
+    fixes the output ordering and the stop point: the last
+    step runs only the first ``total_samples - drawn`` active chains, so
+    exactly ``total_samples`` samples are produced and recorded.
+    ``on_step`` (if given) is invoked after each completed step, once
+    assignment and any adaptation are done.
     """
     config.validate()
     if target.dim != config.dim:
@@ -374,9 +466,8 @@ def run_paim(
     total = config.total_samples
     dim = config.dim
 
-    rngs = chain_streams(config.seed, n)
     proposals = initial_proposals(config)
-    chains = [ChainState(index=j, current=config.init_states[j].copy()) for j in range(n)]
+    chains = ChainEnsemble(config.init_states, proposals, chain_streams(config.seed, n))
     global_moments = RunningMoments(dim)
     clusters = [RunningMoments(dim) for _ in range(n)]
     for j in range(n):
@@ -397,9 +488,6 @@ def run_paim(
     sample_accepted = np.empty(total, dtype=bool)
     activity_rows: list[np.ndarray] = []
 
-    log_target_cache: list[Optional[float]] = [None] * n
-    log_prop_cache: list[Optional[float]] = [None] * n
-
     state = SchedulerState(
         step=-1,
         total_drawn=0,
@@ -417,43 +505,34 @@ def run_paim(
     while True:
         t += 1
         activity_rows.append(active.copy())
+        # The last step runs only as many chains as samples are missing.
+        run = np.flatnonzero(active)[: total - drawn]
+        accepted = chains.advance(run, target)
+        new = chains.current[run]
+        end = drawn + run.size
+        samples[drawn:end] = new
+        sample_step[drawn:end] = t
+        sample_chain[drawn:end] = run
+        sample_iteration[drawn:end] = chains.iterations[run]
+        sample_accepted[drawn:end] = accepted
+        drawn = end
         fresh: list[np.ndarray] = []
-        filled = False
-        for j in range(n):
-            if not active[j]:
-                continue
-            accepted, lt, lp = mh_step(
-                chains[j], proposals[j], target, rngs[j], log_target_cache[j], log_prop_cache[j]
-            )
-            log_target_cache[j] = lt
-            log_prop_cache[j] = lp
-            x = chains[j].current
-            samples[drawn] = x
-            sample_step[drawn] = t
-            sample_chain[drawn] = j
-            sample_iteration[drawn] = chains[j].iterations
-            sample_accepted[drawn] = accepted
-            drawn += 1
-            if t < config.t_stop:
+        if t < config.t_stop:
+            fresh = list(new)
+            for x in fresh:
                 global_moments.push(x)
-                fresh.append(x)
-            if drawn == total:
-                filled = True
-                break
-        if filled:
+        if drawn == total:
             break
 
-        if t < config.t_stop and fresh:
+        if fresh:
             local_means = np.stack([p.local_component.mean for p in proposals])
             assign(fresh, local_means, clusters)
 
         if config.t_train < t < config.t_stop:
             counts = np.array([c.count for c in clusters], dtype=np.int64)
             proposals = refreshed_proposals(global_moments, clusters, config.epsilon, proposals, built_counts)
+            chains.refresh(proposals, counts != built_counts)
             built_counts = counts
-            # The global component changed, so every chain's cached
-            # mixture density at its current state is stale.
-            log_prop_cache = [None] * n
             active = activation(counts, config.activation_rule)
             if not active.any():
                 # Cannot happen with the rules above (the largest count
@@ -475,7 +554,7 @@ def run_paim(
         sample_iteration=sample_iteration,
         sample_accepted=sample_accepted,
         activity=np.stack(activity_rows),
-        budgets=np.array([c.iterations for c in chains], dtype=np.int64),
+        budgets=chains.iterations.copy(),
         proposals=proposals,
         global_mean=global_moments.mean.copy() if global_moments.count > 0 else None,
         global_cov=global_moments.covariance(config.epsilon) if global_moments.count > 0 else None,

@@ -1,5 +1,8 @@
 import json
 
+import numpy as np
+import pytest
+
 from paim.cli import main
 
 
@@ -19,3 +22,61 @@ def test_oracle_prints_expectation(capsys):
     assert line.startswith("E[X]: ")
     x1, x2 = (float(v) for v in line.split()[1:])
     assert abs(x1 - 1.0) < 1e-6 and abs(x2 + 2.0) < 1e-6
+
+
+def test_run_both_algorithms_writes_files_that_agree_with_the_summary(tmp_path, capsys):
+    config = {
+        "algorithm": "both",
+        "target": {
+            "name": "gaussian_mixture",
+            "params": {
+                "means": [[-4.0, -4.0], [4.0, 3.0]],
+                "covs": [[[1.0, 0.3], [0.3, 1.0]], [[1.5, 0.0], [0.0, 0.5]]],
+            },
+        },
+        "sampler": {"n_chains": 4, "total_samples": 300, "t_train": 2, "t_stop": 10},
+        "init": {"box_lower": [-8.0, -8.0], "box_upper": [8.0, 8.0], "sigma": 5.0},
+        "replications": 2,
+        "base_seed": 7,
+        "truth": [0.0, -0.5],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    listed = set(capsys.readouterr().out.split())
+    files = ("samples.csv", "activity.csv", "params.json", "summary.json", "ellipses.csv")
+    assert listed == {str(out / name / f) for name in ("paim", "ipc") for f in files}
+
+    for name in ("paim", "ipc"):
+        summary = json.loads((out / name / "summary.json").read_text(encoding="utf-8"))
+        assert summary["replications"] == 2
+        report = summary[name]
+        with open(out / name / "samples.csv", encoding="utf-8") as fh:
+            assert fh.readline().strip() == "t,chain,k_n,x_1,x_2,accepted"
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with open(out / name / "activity.csv", encoding="utf-8") as fh:
+            assert fh.readline().strip() == "t,chain,active"
+            activity = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+
+        # the files hold the first replication
+        assert rows.shape == (300, 6)
+        np.testing.assert_allclose(report["estimates"][0], rows[:, 3:5].mean(axis=0), rtol=0, atol=1e-12)
+        budgets = np.bincount(rows[:, 1].astype(np.int64), minlength=4)
+        assert budgets.tolist() == report["budgets"][0]
+        assert sum(report["budgets"][0]) == 300
+        steps = activity.shape[0] // 4
+        assert activity.shape == (4 * steps, 3)
+        assert steps == report["t_total"][0] == int(rows[:, 0].max()) + 1
+        assert report["acceptance_rates"][0] == rows[:, 5].mean()
+        active = activity[:, 2].reshape(steps, 4)
+        assert report["final_active"][0] == int(active[-1].sum())
+        # a chain's k_n column counts its own iterations
+        for j in range(4):
+            k_n = rows[rows[:, 1] == j, 2]
+            assert k_n.tolist() == list(range(1, budgets[j] + 1))
+        mse = np.mean([np.mean((np.array(e) - [0.0, -0.5]) ** 2) for e in report["estimates"]])
+        assert report["mse"] == pytest.approx(mse, rel=1e-12)
+    paim = json.loads((out / "paim" / "summary.json").read_text(encoding="utf-8"))
+    ipc_mse, paim_mse = paim["ipc"]["mse"], paim["paim"]["mse"]
+    assert paim["reduction_pct"] == pytest.approx(100.0 * (ipc_mse - paim_mse) / ipc_mse)

@@ -9,6 +9,7 @@ from paim.gaussian import (
     cholesky,
     log_gaussian_pdf,
     log_gaussian_pdf_batch,
+    log_gaussian_pdf_stacked,
     regularize,
     sample_gaussian,
 )
@@ -136,13 +137,31 @@ class TestLogGaussianPdf:
 
     def test_batch_matches_pointwise(self):
         rng = np.random.default_rng(3)
-        cov = np.array([[1.5, -0.4], [-0.4, 0.9]])
-        mean = np.array([0.3, 1.1])
-        f = cholesky(cov)
-        xs = rng.standard_normal((200, 2)) * 3
-        batch = log_gaussian_pdf_batch(xs, mean, f)
-        point = np.array([log_gaussian_pdf(x, mean, f) for x in xs])
-        np.testing.assert_allclose(batch, point, rtol=1e-12)
+        for d in (1, 2, 3, 4):
+            a = rng.standard_normal((d, d))
+            mean = rng.standard_normal(d)
+            f = cholesky(a @ a.T + 0.3 * np.eye(d))
+            xs = rng.standard_normal((200, d)) * 3
+            batch = log_gaussian_pdf_batch(xs, mean, f)
+            point = np.array([log_gaussian_pdf(x, mean, f) for x in xs])
+            np.testing.assert_array_equal(batch, point)
+
+    def test_stacked_rows_match_their_own_factor(self):
+        # every row solved against its own factor, as the sampler scores
+        # candidates of many chains in one call
+        rng = np.random.default_rng(4)
+        d = 3
+        factors = []
+        for _ in range(5):
+            a = rng.standard_normal((d, d))
+            factors.append(cholesky(a @ a.T + 0.3 * np.eye(d)))
+        means = rng.standard_normal((5, d))
+        xs = rng.standard_normal((5, d)) * 3
+        stacked = log_gaussian_pdf_stacked(
+            xs - means, np.stack([f.lower for f in factors]), np.array([f.log_det_half for f in factors])
+        )
+        point = [log_gaussian_pdf(x, m, f) for x, m, f in zip(xs, means, factors)]
+        np.testing.assert_array_equal(stacked, point)
 
     def test_integrates_to_one_on_grid(self):
         # quadrature of exp(logpdf) over [-10s, 10s]^2

@@ -34,14 +34,14 @@ def record_digest(record) -> str:
     return h.hexdigest()
 
 
-def spread_config(n, total, t_train, init_seed, **overrides):
+def spread_config(n, total, t_train, init_seed, dim=2, **overrides):
     rng = np.random.default_rng(init_seed)
     return PaimConfig(
         n_chains=n,
         total_samples=total,
         t_train=t_train,
-        init_means=rng.uniform(-15, 15, (n, 2, 2)),
-        init_states=rng.uniform(-15, 15, (n, 2)),
+        init_means=rng.uniform(-15, 15, (n, 2, dim)),
+        init_states=rng.uniform(-15, 15, (n, dim)),
         init_sigma=10.0,
         **overrides,
     )
@@ -53,6 +53,17 @@ def three_modes():
     )
 
 
+def correlated_pair_3d():
+    return make_gaussian_mixture_target(
+        [[-6.0, -5.0, 2.0], [5.0, 4.0, -3.0]],
+        [
+            [[2.0, 0.9, -0.5], [0.9, 1.5, 0.4], [-0.5, 0.4, 1.0]],
+            [[1.0, -0.6, 0.3], [-0.6, 2.5, 0.8], [0.3, 0.8, 1.2]],
+        ],
+        [0.6, 0.4],
+    )
+
+
 CASES = {
     # 20 spread-out chains on the banana: the floor rule suspends most of them.
     "suspending": (lambda: spread_config(20, 400, 2, 74, seed=99), make_banana_target),
@@ -61,6 +72,8 @@ CASES = {
     "single-chain": (lambda: spread_config(1, 150, 1, 77, seed=5), make_banana_target),
     # ceil rule: every chain with an assigned state stays active
     "ceil-rule": (lambda: spread_config(8, 800, 10, 78, activation_rule="ceil", seed=11), make_banana_target),
+    # two correlated modes in R^3, adaptation frozen at step 30
+    "3d-finite-t_stop": (lambda: spread_config(6, 900, 2, 79, dim=3, t_stop=30, seed=23), correlated_pair_3d),
 }
 
 GOLDEN = {
@@ -79,6 +92,10 @@ GOLDEN = {
     "ceil-rule": (
         "aeb9d5e1b6d96f5de66490644fc046a84255f8805d11f0a2df584d6f5f8ef4c5",
         "123cb1ae92083b668131e99c052191703f86f14e7ca3eeff1519bfd59470b102",
+    ),
+    "3d-finite-t_stop": (
+        "aee897b9d022d7c993a21e4f71b84f24fe52dd5f84eac953b775b7adbbf9d7e6",
+        "f9e4e2cba0f8cd8df2dc424b695a3fda342dca263c09d0c79c85bce8b7170367",
     ),
 }
 

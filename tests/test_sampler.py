@@ -6,20 +6,21 @@ import pytest
 from paim.gaussian import log_gaussian_pdf
 from paim.moments import RunningMoments
 from paim.sampler import (
-    ChainState,
+    ChainEnsemble,
     MixtureProposal,
     PaimConfig,
     activation,
     assign,
+    chain_streams,
+    component_arrays,
     log_accept_ratio,
     make_component,
-    mh_step,
     mixture_log_pdf,
     refreshed_proposals,
     run_paim,
     sample_mixture,
 )
-from paim.targets import make_banana_target, make_gaussian_target
+from paim.targets import TargetDensity, make_banana_target, make_gaussian_target
 
 
 class ScriptedRng:
@@ -134,18 +135,25 @@ class TestLogAcceptRatio:
             assert -math.inf <= log_alpha <= 0.0
 
 
+def one_chain(proposal, start, rng) -> ChainEnsemble:
+    return ChainEnsemble(np.array([start], dtype=float), [proposal], [rng])
+
+
+ONLY = np.array([0])
+
+
 class TestMhStep:
     def target(self):
         return make_gaussian_target([0.0, 0.0], np.eye(2))
 
     def test_proposing_current_state_accepts(self):
         psi = proposal_from([1.0, 1.0], np.eye(2), [1.0, 1.0], np.eye(2))
-        chain = ChainState(index=0, current=np.array([1.0, 1.0]))
         # candidate exactly equals the current state; acceptance draw 0.999
         rng = ScriptedRng(uniforms=[0.2, 0.999], normals=[(0.0, 0.0)])
-        accepted, _, _ = mh_step(chain, psi, self.target(), rng)
+        chain = one_chain(psi, [1.0, 1.0], rng)
+        (accepted,) = chain.advance(ONLY, self.target())
         assert accepted
-        assert chain.iterations == 1
+        assert chain.iterations.tolist() == [1]
         assert rng.calls == ["random", "standard_normal(2)", "random"]
 
     def test_rejection_keeps_state(self):
@@ -153,33 +161,153 @@ class TestMhStep:
         # has log target ratio -200 against a +50 proposal correction
         psi = proposal_from([0.0, 0.0], 4.0 * np.eye(2), [0.0, 0.0], 4.0 * np.eye(2))
         start = np.array([0.0, 0.0])
-        chain = ChainState(index=0, current=start.copy())
-        rng = ScriptedRng(uniforms=[0.2, 0.5], normals=[(10.0, 0.0)])
-        accepted, _, _ = mh_step(chain, psi, self.target(), rng)
+        chain = one_chain(psi, start, ScriptedRng(uniforms=[0.2, 0.5], normals=[(10.0, 0.0)]))
+        (accepted,) = chain.advance(ONLY, self.target())
         assert not accepted
-        assert np.array_equal(chain.current, start)
-        assert chain.iterations == 1
+        np.testing.assert_array_equal(chain.current[0], start)
+        assert chain.iterations.tolist() == [1]
 
     def test_cached_values_do_not_change_outcome(self):
         psi = proposal_from([0.5, 0.0], np.eye(2), [-0.5, 0.0], 2.0 * np.eye(2))
         target = self.target()
-        a = ChainState(index=0, current=np.array([2.0, -1.0]))
-        b = ChainState(index=0, current=np.array([2.0, -1.0]))
-        rng_a, rng_b = np.random.default_rng(55), np.random.default_rng(55)
-        lt = lp = None
+        a = one_chain(psi, [2.0, -1.0], np.random.default_rng(55))
+        b = one_chain(psi, [2.0, -1.0], np.random.default_rng(55))
         for _ in range(200):
-            acc_a, lt, lp = mh_step(a, psi, target, rng_a, lt, lp)
-            acc_b, _, _ = mh_step(b, psi, target, rng_b)
-            assert acc_a == acc_b
+            b.log_target = [None]
+            b.log_proposal = [None]
+            assert a.advance(ONLY, target) == b.advance(ONLY, target)
             np.testing.assert_array_equal(a.current, b.current)
+            np.testing.assert_array_equal(a.log_target, b.log_target)
+            np.testing.assert_array_equal(a.log_proposal, b.log_proposal)
 
     def test_acceptance_rate_reasonable(self):
         # proposal equals the target: every candidate accepted
         psi = proposal_from([0.0, 0.0], np.eye(2), [0.0, 0.0], np.eye(2))
-        chain = ChainState(index=0, current=np.zeros(2))
-        rng = np.random.default_rng(60)
-        accepts = [mh_step(chain, psi, self.target(), rng)[0] for _ in range(2000)]
+        chain = one_chain(psi, np.zeros(2), np.random.default_rng(60))
+        accepts = [chain.advance(ONLY, self.target())[0] for _ in range(2000)]
         assert all(accepts)
+
+
+def random_proposals(rng, n, d):
+    def comp():
+        a = rng.standard_normal((d, d))
+        return make_component(rng.uniform(-5, 5, d), a @ a.T + 0.5 * np.eye(d))
+
+    return [MixtureProposal(global_component=comp(), local_component=comp()) for _ in range(n)]
+
+
+class TestAdvanceTogether:
+    """Advancing chains together is bit-identical to advancing each alone,
+    and each chain keeps the one-chain stream and acceptance contract."""
+
+    def test_together_matches_alone_across_refreshes(self):
+        cov3 = [[2.0, 0.5, 0.2], [0.5, 1.0, -0.3], [0.2, -0.3, 1.5]]
+        for d, target in (
+            (1, make_gaussian_target([0.5], [[2.0]])),
+            (2, make_banana_target()),
+            (3, make_gaussian_target([1.0, -1.0, 0.0], cov3)),
+        ):
+            rng = np.random.default_rng(80 + d)
+            n = 7
+            proposals = random_proposals(rng, n, d)
+            starts = rng.uniform(-6, 6, (n, d))
+            together = ChainEnsemble(starts, proposals, chain_streams(9, n))
+            alone = ChainEnsemble(starts, proposals, chain_streams(9, n))
+            for step in range(60):
+                run = np.flatnonzero(rng.random(n) < 0.7)
+                if run.size == 0:
+                    continue
+                accepted = together.advance(run, target)
+                for r, j in enumerate(run):
+                    assert alone.advance(np.array([j]), target)[0] == accepted[r]
+                if step % 10 == 9:
+                    # a new shared global component, new local components for some chains
+                    fresh = random_proposals(rng, n, d)
+                    shared = fresh[0].global_component
+                    rebuilt = rng.random(n) < 0.5
+                    proposals = [
+                        MixtureProposal(shared, f.local_component if rebuilt[j] else p.local_component)
+                        for j, (f, p) in enumerate(zip(fresh, proposals))
+                    ]
+                    together.refresh(proposals, rebuilt)
+                    alone.refresh(proposals, rebuilt)
+                    np.testing.assert_array_equal(together.means, component_arrays(proposals)[0])
+                    np.testing.assert_array_equal(together.lowers, component_arrays(proposals)[1])
+                    np.testing.assert_array_equal(together.log_det_halves, component_arrays(proposals)[2])
+                np.testing.assert_array_equal(together.current, alone.current)
+                np.testing.assert_array_equal(together.iterations, alone.iterations)
+                assert together.log_target == alone.log_target
+                assert together.log_proposal == alone.log_proposal
+            assert together.iterations.sum() > 0
+
+    def test_cached_densities_are_the_one_point_values(self):
+        rng = np.random.default_rng(85)
+        target = make_banana_target()
+        proposals = random_proposals(rng, 5, 2)
+        chains = ChainEnsemble(rng.uniform(-6, 6, (5, 2)), proposals, chain_streams(4, 5))
+        for _ in range(30):
+            chains.advance(np.arange(5), target)
+            for j in range(5):
+                assert chains.log_target[j] == target.log_density(chains.current[j])
+                assert chains.log_proposal[j] == mixture_log_pdf(proposals[j], chains.current[j])
+
+    def test_each_chain_draws_in_order_from_its_own_stream(self):
+        psi = proposal_from([0.0, 0.0], np.eye(2), [3.0, 3.0], np.eye(2))
+        rngs = [ScriptedRng(uniforms=[0.1 * (j + 1), 0.5], normals=[(j, -j)]) for j in range(4)]
+        chains = ChainEnsemble(np.zeros((4, 2)), [psi] * 4, rngs)
+        chains.advance(np.array([0, 2, 3]), make_gaussian_target([0.0, 0.0], np.eye(2)))
+        for j in (0, 2, 3):
+            assert rngs[j].calls == ["random", "standard_normal(2)", "random"]
+        assert rngs[1].calls == []
+        assert chains.iterations.tolist() == [1, 0, 1, 1]
+
+    def test_candidate_is_the_one_proposal_draw(self):
+        # zero target density everywhere accepts every candidate, so the
+        # state after each step is the candidate itself
+        rng = np.random.default_rng(86)
+        proposals = random_proposals(rng, 3, 2)
+        chains = ChainEnsemble(np.zeros((3, 2)), proposals, chain_streams(12, 3))
+        reference = chain_streams(12, 3)
+        target = TargetDensity(2, lambda x: -math.inf, lambda xs: np.full(len(xs), -math.inf))
+        for _ in range(50):
+            assert chains.advance(np.arange(3), target).all()
+            for j in range(3):
+                np.testing.assert_array_equal(chains.current[j], sample_mixture(proposals[j], reference[j]))
+                reference[j].random()
+
+    def scalar_rule(self, u, lt_new, lt_cur, lp_new, lp_cur):
+        return (math.log(u) if u > 0.0 else -math.inf) < log_accept_ratio(lt_new, lt_cur, lp_new, lp_cur)
+
+    def test_zero_uniform_follows_the_scalar_rule(self):
+        # chain 0: candidate has zero target density, so even u == 0 rejects;
+        # chain 1: candidate has positive density, so u == 0 accepts
+        target = TargetDensity(2, lambda x: -math.inf if x[0] > 1.0 else -float(x @ x))
+        psi = proposal_from([5.0, 0.0], np.eye(2), [0.0, 0.0], np.eye(2))
+        rngs = [ScriptedRng(uniforms=[0.2, 0.0], normals=[(0.0, 0.0)]),
+                ScriptedRng(uniforms=[0.9, 0.0], normals=[(0.5, 0.0)])]
+        chains = ChainEnsemble(np.zeros((2, 2)), [psi, psi], rngs)
+        accepted = chains.advance(np.arange(2), target)
+        assert accepted.tolist() == [False, True]
+        cur, lp_cur = target.log_density([0.0, 0.0]), mixture_log_pdf(psi, np.zeros(2))
+        for j, cand in enumerate(([5.0, 0.0], [0.5, 0.0])):
+            cand = np.array(cand)
+            assert accepted[j] == self.scalar_rule(0.0, target.log_density(cand), cur,
+                                                   mixture_log_pdf(psi, cand), lp_cur)
+
+    @pytest.mark.parametrize("value", [-math.inf, math.inf])
+    def test_infinite_density_at_both_states_follows_the_scalar_rule(self, value):
+        target = TargetDensity(2, lambda x: value, lambda xs: np.full(len(xs), value))
+        psi = proposal_from([1.0, 0.0], np.eye(2), [-1.0, 0.0], np.eye(2))
+        uniforms = [0.999, 0.5, 1e-300]
+        rngs = [ScriptedRng(uniforms=[0.2, u], normals=[(0.3, -0.3)]) for u in uniforms]
+        chains = ChainEnsemble(np.zeros((3, 2)), [psi] * 3, rngs)
+        accepted = chains.advance(np.arange(3), target)
+        cand = np.array([1.3, -0.3])
+        lp_new, lp_cur = mixture_log_pdf(psi, cand), mixture_log_pdf(psi, np.zeros(2))
+        expected = [self.scalar_rule(u, value, value, lp_new, lp_cur) for u in uniforms]
+        assert accepted.tolist() == expected
+        assert all(expected)
+        assert chains.log_target == [value] * 3
 
 
 class TestAssign:
