@@ -9,12 +9,11 @@ attributable to the adaptation alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import ChainEnsemble, RunRecord, chain_streams, initial_proposals
+from .sampler import RunRecord, initial_ensemble
 from .targets import TargetDensity
 
 
@@ -24,7 +23,8 @@ class IpcConfig:
 
     Mirrors :class:`paim.sampler.PaimConfig` minus the adaptation knobs.
     The budget splits as evenly as possible: each chain receives
-    ``ceil(total/n)`` iterations until the remainder runs out.
+    ``total // n`` iterations and the first ``total % n`` chains one
+    more, so every chain runs at least once.
     """
 
     n_chains: int
@@ -71,14 +71,10 @@ class IpcConfig:
 
 
 def ipc_budgets(total_samples: int, n_chains: int) -> np.ndarray:
-    """Per-chain iteration counts: ceil(total/n) each, clipped so the sum
-    is exactly ``total_samples``."""
-    share = math.ceil(total_samples / n_chains)
-    budgets = np.empty(n_chains, dtype=np.int64)
-    remaining = total_samples
-    for j in range(n_chains):
-        budgets[j] = min(share, remaining)
-        remaining -= budgets[j]
+    """Per-chain iteration counts summing to ``total_samples``: an even
+    split, plus one for each of the first ``total % n`` chains."""
+    budgets = np.full(n_chains, total_samples // n_chains, dtype=np.int64)
+    budgets[: total_samples % n_chains] += 1
     return budgets
 
 
@@ -97,8 +93,7 @@ def run_ipc(config: IpcConfig, target: TargetDensity) -> RunRecord:
     total = config.total_samples
     budgets = ipc_budgets(total, n)
 
-    proposals = initial_proposals(config)
-    chains = ChainEnsemble(config.init_states, proposals, chain_streams(config.seed, n))
+    chains = initial_ensemble(config)
 
     samples = np.empty((total, config.dim))
     sample_step = np.empty(total, dtype=np.int64)
@@ -131,7 +126,7 @@ def run_ipc(config: IpcConfig, target: TargetDensity) -> RunRecord:
         sample_accepted=sample_accepted,
         activity=np.stack(activity_rows),
         budgets=chains.iterations.copy(),
-        proposals=proposals,
+        proposals=chains.proposals(),
         global_mean=None,
         global_cov=None,
     )

@@ -37,21 +37,21 @@ class NotPositiveDefinite(Exception):
 
 
 def regularize(scatter: np.ndarray, epsilon: float) -> np.ndarray:
-    """Return ``scatter + epsilon * I``.
+    """Return ``scatter + epsilon * I`` for one matrix or a stack (..., d, d).
 
-    ``scatter`` must be square and symmetric to within 1e-12 absolute;
+    Every matrix must be square and symmetric to within 1e-12 absolute;
     the result is positive definite whenever ``scatter`` is PSD and
     ``epsilon`` > 0.
     """
     a = np.asarray(scatter, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    asym = np.abs(a - a.T).max() if a.size else 0.0
+    asym = np.abs(a - a.swapaxes(-1, -2)).max() if a.size else 0.0
     if asym > SYMMETRY_ATOL:
         raise ValueError(f"matrix is asymmetric by {asym:.3e} (tolerance {SYMMETRY_ATOL:.0e})")
-    return a + epsilon * np.eye(a.shape[0])
+    return a + epsilon * np.eye(a.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,9 @@ class CholeskyFactor:
     """Lower-triangular factor L with L @ L.T equal to the source matrix.
 
     ``log_det_half`` is half the log-determinant of the source matrix,
-    i.e. the sum of the logs of the diagonal of L.
+    i.e. the sum of the logs of the diagonal of L. For a stack of
+    matrices, ``lower`` is (..., d, d) and ``log_det_half`` an array (...);
+    for one matrix it is a float.
     """
 
     dim: int
@@ -68,23 +70,40 @@ class CholeskyFactor:
 
 
 def cholesky(cov: np.ndarray) -> CholeskyFactor:
-    """Factor a symmetric positive definite matrix.
+    """Factor one symmetric positive definite matrix or a stack (..., d, d).
 
-    Raises :class:`NotPositiveDefinite` if any pivot is at or below
-    ``PIVOT_FLOOR``, which signals a missing or too-small regularizer.
+    Every matrix is factored column by column with the same arithmetic,
+    so a matrix gets the same bits in a stack as alone; one matrix is
+    the one-row case. Raises :class:`NotPositiveDefinite` if any pivot
+    is at or below ``PIVOT_FLOOR``, which signals a missing or too-small
+    regularizer.
     """
     a = np.asarray(cov, dtype=float)
-    d = a.shape[0]
-    lower = np.zeros((d, d))
+    d = a.shape[-1]
+    stack = a.reshape(-1, d, d)
+    lower = np.zeros(stack.shape)
     for j in range(d):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if not pivot > PIVOT_FLOOR:
-            raise NotPositiveDefinite(f"pivot {pivot:.3e} at column {j} (floor {PIVOT_FLOOR:.0e})")
-        ljj = math.sqrt(pivot)
-        lower[j, j] = ljj
+        # Column 0 has no products to subtract (x - 0.0 is x). After it,
+        # np.vecdot reduces like the 1-D ``row @ row`` of one matrix, and
+        # the column update needs a stacked matmul to match its 2-D
+        # ``rows @ row``.
+        row = lower[:, j, :j]
+        pivot = stack[:, j, j] - np.vecdot(row, row) if j else stack[:, 0, 0]
+        # min() propagates NaN, which fails the test like a small pivot.
+        if not pivot.min() > PIVOT_FLOOR:
+            bad = pivot[np.argmin(pivot > PIVOT_FLOOR)]
+            raise NotPositiveDefinite(f"pivot {bad:.3e} at column {j} (floor {PIVOT_FLOOR:.0e})")
+        ljj = np.sqrt(pivot)
+        lower[:, j, j] = ljj
         if j + 1 < d:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / ljj
-    return CholeskyFactor(dim=d, lower=lower, log_det_half=float(np.log(lower.diagonal()).sum()))
+            column = stack[:, j + 1 :, j]
+            if j:
+                column = column - (lower[:, j + 1 :, :j] @ row[..., None])[..., 0]
+            lower[:, j + 1 :, j] = column / ljj[:, None]
+    log_det_half = np.log(lower.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+    if a.ndim == 2:
+        return CholeskyFactor(dim=d, lower=lower[0], log_det_half=float(log_det_half[0]))
+    return CholeskyFactor(dim=d, lower=lower.reshape(a.shape), log_det_half=log_det_half.reshape(a.shape[:-2]))
 
 
 def sample_gaussian(mean: np.ndarray, factor: CholeskyFactor, rng: np.random.Generator) -> np.ndarray:

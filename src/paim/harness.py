@@ -16,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Union
 
 import numpy as np
@@ -359,8 +360,30 @@ def replicate(config: ExperimentConfig) -> SummaryReport:
 
 # ----------------------------- file outputs -----------------------------
 
+# 17 significant digits write every double so that it reads back exactly.
+FLOAT_FORMAT = "%.17g"
+
+# Rows formatted per string operation in _write_rows; bounds the memory
+# of one block's text.
+ROWS_PER_BLOCK = 1024
+
+
 def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+    return FLOAT_FORMAT % value
+
+
+def _write_rows(fh, row_format: str, n_rows: int, columns) -> None:
+    """Write ``n_rows`` lines, one per row of a table given by columns.
+
+    ``columns(start, stop)`` returns the 1-D columns of rows ``start`` to
+    ``stop - 1``; ``row_format`` is a %-format for one line (newline
+    included) with one field per column. Whole blocks of rows are
+    formatted by one string operation, not one per row, and only one
+    block's columns exist at a time.
+    """
+    for start in range(0, n_rows, ROWS_PER_BLOCK):
+        block = [column.tolist() for column in columns(start, min(start + ROWS_PER_BLOCK, n_rows))]
+        fh.write((row_format * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
 
 
 def emit_outputs(record: RunRecord, report: Optional[SummaryReport], out_dir: str) -> list[str]:
@@ -380,20 +403,26 @@ def emit_outputs(record: RunRecord, report: Optional[SummaryReport], out_dir: st
     with open(path, "w", encoding="utf-8", newline="") as fh:
         coords = ",".join(f"x_{i + 1}" for i in range(dim))
         fh.write(f"t,chain,k_n,{coords},accepted\n")
-        for i in range(record.samples.shape[0]):
-            xs = ",".join(_fmt(v) for v in record.samples[i])
-            fh.write(
-                f"{record.sample_step[i]},{record.sample_chain[i]},"
-                f"{record.sample_iteration[i]},{xs},{int(record.sample_accepted[i])}\n"
-            )
+        columns = (record.sample_step, record.sample_chain, record.sample_iteration, *record.samples.T,
+                   record.sample_accepted)
+        _write_rows(
+            fh,
+            "%d,%d,%d," + ",".join([FLOAT_FORMAT] * dim) + ",%d\n",
+            record.samples.shape[0],
+            lambda start, stop: [column[start:stop] for column in columns],
+        )
     written.append(path)
 
     path = os.path.join(out_dir, "activity.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,chain,active\n")
-        for t in range(record.t_total):
-            for j in range(record.n_chains):
-                fh.write(f"{t},{j},{int(record.activity[t, j])}\n")
+        active = record.activity.ravel()
+
+        def activity_columns(start, stop):
+            index = np.arange(start, stop)
+            return [index // record.n_chains, index % record.n_chains, active[start:stop]]
+
+        _write_rows(fh, "%d,%d,%d\n", active.size, activity_columns)
     written.append(path)
 
     path = os.path.join(out_dir, "params.json")

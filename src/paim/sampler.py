@@ -24,18 +24,30 @@ from its own random stream, then one batched call scores all candidates
 under the target and one under the chains' stacked mixture proposals.
 A chain's records are bit-identical to advancing it alone, so they do
 not depend on how many other chains are active.
+
+The adaptation state is stacked the same way. The N clusters are one
+:class:`~paim.moments.MomentStack`; :func:`assign` finds every new
+state's nearest local mean with one distance matrix, then pushes the
+states into their clusters in generation order. A refresh computes the
+covariances of the global fit and of every cluster that changed in one
+stacked step and factors them with one stacked :func:`cholesky` call,
+writing the results straight into the :class:`ChainEnsemble`, the only
+holder of proposal parameters. :class:`MixtureProposal` objects are
+built from those arrays only for the run record and the ``on_step``
+view.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .gaussian import CholeskyFactor, cholesky, log_gaussian_pdf_stacked, sample_gaussian
-from .moments import RunningMoments
+from .moments import MomentStack, RunningMoments, stacked_covariance
 from .targets import TargetDensity
 
 LOG_HALF = math.log(0.5)
@@ -132,38 +144,72 @@ class ChainEnsemble:
     Row j of every array belongs to chain j: ``current`` (n, d) is its
     state and ``iterations`` its iteration count. ``log_target[j]`` and
     ``log_proposal[j]`` cache the target and mixture log-densities at its
-    state, or are None when not yet computed. ``means``, ``lowers`` and
-    ``log_det_halves`` hold its proposal's parameters as laid out by
-    :func:`component_arrays`. ``rngs[j]`` is its random stream.
+    state, or are None when not yet computed. ``rngs[j]`` is its random
+    stream.
+
+    The ensemble is the only holder of the proposal parameters: means
+    ``means`` (n, 2, d), covariances ``covs`` (n, 2, d, d), their
+    Cholesky factors ``lowers`` (n, 2, d, d) and half log-determinants
+    ``log_det_halves`` (n, 2), with column 0 the global component and
+    column 1 the local one, as laid out by :func:`component_arrays`.
+    :meth:`refit` replaces them; :meth:`proposals` copies them out as
+    objects.
     """
 
-    def __init__(self, init_states, proposals: Sequence[MixtureProposal], rngs: Sequence[np.random.Generator]):
+    def __init__(self, init_states, means, covs, rngs: Sequence[np.random.Generator]):
+        """``means`` and ``covs`` broadcast to (n, 2, d) and (n, 2, d, d)."""
         self.current = np.array(init_states, dtype=float)
-        n = self.current.shape[0]
+        n, d = self.current.shape
         self.rngs = list(rngs)
         self.iterations = np.zeros(n, dtype=np.int64)
         self.log_target: list[Optional[float]] = [None] * n
         self.log_proposal: list[Optional[float]] = [None] * n
-        self.means, self.lowers, self.log_det_halves = component_arrays(proposals)
+        self.means = np.array(np.broadcast_to(means, (n, 2, d)), dtype=float)
+        self.covs = np.array(np.broadcast_to(covs, (n, 2, d, d)), dtype=float)
+        factor = cholesky(self.covs)
+        self.lowers, self.log_det_halves = factor.lower, factor.log_det_half
+        # Set once a refit gives every chain the same global component.
+        self.shared_global = False
 
-    def refresh(self, proposals: Sequence[MixtureProposal], rebuilt: np.ndarray) -> None:
-        """Adopt the output of :func:`refreshed_proposals`.
+    def refit(self, means: np.ndarray, covs: np.ndarray, rows: np.ndarray) -> None:
+        """Install a new global component and new local components.
 
-        Its global component, shared by every chain, is copied into every
-        row; a local component is copied only where ``rebuilt`` is set,
-        the other rows already hold it. Every cached mixture density goes
-        stale, since the global component changed.
+        Row 0 of ``means`` (k+1, d) and ``covs`` (k+1, d, d) is the global
+        component, which every chain receives; row i+1 is the local
+        component of chain ``rows[i]``. The other chains keep their local
+        component. All k+1 covariances are factored by one stacked
+        :func:`cholesky` call. Every cached mixture density goes stale,
+        since the global component changed.
         """
-        shared = proposals[0].global_component
-        self.means[:, 0] = shared.mean
-        self.lowers[:, 0] = shared.factor.lower
-        self.log_det_halves[:, 0] = shared.factor.log_det_half
-        for j in np.flatnonzero(rebuilt):
-            local = proposals[j].local_component
-            self.means[j, 1] = local.mean
-            self.lowers[j, 1] = local.factor.lower
-            self.log_det_halves[j, 1] = local.factor.log_det_half
+        factor = cholesky(covs)
+        for held, values in (
+            (self.means, means),
+            (self.covs, covs),
+            (self.lowers, factor.lower),
+            (self.log_det_halves, factor.log_det_half),
+        ):
+            held[:, 0] = values[0]
+            held[rows, 1] = values[1:]
+        self.shared_global = True
         self.log_proposal = [None] * len(self.log_proposal)
+
+    def proposals(self) -> list[MixtureProposal]:
+        """Copies of the chains' proposals, as :class:`MixtureProposal` objects.
+
+        After a :meth:`refit` every chain's global component is one
+        shared object, as every chain holds the same parameters.
+        """
+        n, d = self.current.shape
+
+        def component(j: int, c: int) -> GaussianComponent:
+            factor = CholeskyFactor(d, self.lowers[j, c].copy(), float(self.log_det_halves[j, c]))
+            return GaussianComponent(mean=self.means[j, c].copy(), cov=self.covs[j, c].copy(), factor=factor)
+
+        if self.shared_global:
+            globals_ = [component(0, 0)] * n
+        else:
+            globals_ = [component(j, 0) for j in range(n)]
+        return [MixtureProposal(global_component=g, local_component=component(j, 1)) for j, g in enumerate(globals_)]
 
     def advance(self, run: np.ndarray, target: TargetDensity) -> np.ndarray:
         """One independence-MH iteration for each chain in ``run``, together.
@@ -238,53 +284,49 @@ class ChainEnsemble:
 
 # ----------------------- assignment and adaptation -----------------------
 
-def assign(fresh: Sequence[np.ndarray], local_means: np.ndarray, clusters: list[RunningMoments]) -> np.ndarray:
+def assign(fresh, local_means: np.ndarray, clusters: MomentStack) -> np.ndarray:
     """Push each new state into the cluster with the nearest local mean.
 
-    Euclidean distance, ties to the lowest chain index. Means of
-    suspended chains take part as well; that is what lets a suspended
-    chain accumulate states and come back. Returns the chosen cluster
-    index per state.
+    ``fresh`` holds the new states (m, d) in generation order and
+    ``local_means`` (n, d) the chains' local means. One (m, n) matrix of
+    squared Euclidean distances picks every state's cluster, ties to the
+    lowest chain index; then the states are pushed into their clusters
+    in generation order. Means of suspended chains take part as well;
+    that is what lets a suspended chain accumulate states and come back.
+    Returns the chosen cluster index per state.
     """
-    means = np.asarray(local_means, dtype=float)
-    chosen = np.empty(len(fresh), dtype=np.int64)
-    for r, z in enumerate(fresh):
-        diff = means - z
-        n_star = int(np.argmin(np.einsum("nd,nd->n", diff, diff)))
-        clusters[n_star].push(z)
-        chosen[r] = n_star
+    fresh = np.asarray(fresh, dtype=float)
+    diff = np.asarray(local_means, dtype=float) - fresh[:, None, :]
+    chosen = np.argmin(np.einsum("mnd,mnd->mn", diff, diff), axis=1)
+    clusters.push(chosen.tolist(), fresh)
     return chosen
 
 
 def refreshed_proposals(
     global_moments: RunningMoments,
-    clusters: Sequence[RunningMoments],
+    clusters: MomentStack,
     epsilon: float,
-    previous: Optional[Sequence[MixtureProposal]] = None,
-    built_counts: Optional[Sequence[int]] = None,
-) -> list[MixtureProposal]:
-    """Refit every chain's proposal to the current accumulators.
+    chains: ChainEnsemble,
+    dirty: np.ndarray,
+) -> None:
+    """Refit the chains' proposals to the current accumulators, in place.
 
-    All chains receive the same, newly built global component object.
-    Chain j's local component is rebuilt from its own cluster, unless
-    ``previous`` is given and the cluster's count still equals
-    ``built_counts[j]``, the count ``previous[j]``'s local component was
-    fitted to; then that component object is reused. The reuse is exact:
-    :meth:`RunningMoments.push` is the only way a cluster changes and it
-    always increments the count, so an unchanged count means an
-    unchanged mean and scatter, and a rebuild would reproduce the same
-    bits. Without ``previous`` every local component is rebuilt. Factors
-    are computed here, once per rebuilt component, never per draw.
+    Every chain receives the global fit as its global component. Chain
+    j's local component is refitted to its cluster where ``dirty[j]`` is
+    set; the others keep theirs. Passing
+    ``dirty = clusters.count != built_counts``, the counts the local
+    components were fitted to, is exact: a push is the only way a
+    cluster changes and it always increments the count, so an unchanged
+    count means an unchanged mean and scatter, and a refit would
+    reproduce the same bits. The global fit and the refitted clusters go
+    through one stacked covariance step and, in :meth:`ChainEnsemble.refit`,
+    one stacked Cholesky factorization.
     """
-    shared = make_component(global_moments.mean.copy(), global_moments.covariance(epsilon))
-    refreshed = []
-    for j, acc in enumerate(clusters):
-        if previous is not None and acc.count == built_counts[j]:
-            local = previous[j].local_component
-        else:
-            local = make_component(acc.mean.copy(), acc.covariance(epsilon))
-        refreshed.append(MixtureProposal(global_component=shared, local_component=local))
-    return refreshed
+    rows = np.flatnonzero(dirty)
+    count = np.concatenate(([global_moments.count], clusters.count[rows]))
+    means = np.concatenate((global_moments.mean[None], clusters.mean[rows]))
+    scatter = np.concatenate((global_moments.scatter[None], clusters.scatter[rows]))
+    chains.refit(means, stacked_covariance(count, scatter, epsilon), rows)
 
 
 def activation(counts, rule: str = "floor") -> np.ndarray:
@@ -373,17 +415,27 @@ class SchedulerState:
     ``samples`` is the preallocated output array; rows up to
     ``total_drawn`` are valid. ``active`` holds the set that the *next*
     step will use (adaptation updates it in place at the end of a step).
+    ``global_moments`` and the rows of ``clusters`` read the live
+    accumulators. ``proposals`` copies the chains' proposals out of
+    ``chains`` at its first access in a step, so a callback that never
+    reads it costs nothing.
     """
 
     step: int
     total_drawn: int
     samples: np.ndarray
     global_moments: RunningMoments
-    clusters: list[RunningMoments]
+    clusters: MomentStack
     active: np.ndarray
     chains: ChainEnsemble
-    proposals: list[MixtureProposal]
     fresh: list[np.ndarray] = field(default_factory=list)
+    _proposals: tuple = field(default=(None, []), repr=False)
+
+    @property
+    def proposals(self) -> list[MixtureProposal]:
+        if self._proposals[0] != self.step:
+            self._proposals = (self.step, self.chains.proposals())
+        return self._proposals[1]
 
 
 @dataclass
@@ -433,15 +485,11 @@ def chain_streams(seed: int, n_chains: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in children[:n_chains]]
 
 
-def initial_proposals(config) -> list[MixtureProposal]:
+def initial_ensemble(config) -> ChainEnsemble:
+    """The chains at ``init_states``, proposing from ``init_means`` with
+    covariance ``init_sigma**2 * I``, on the streams of ``config.seed``."""
     cov = config.init_sigma**2 * np.eye(config.dim)
-    return [
-        MixtureProposal(
-            global_component=make_component(config.init_means[n, 0], cov),
-            local_component=make_component(config.init_means[n, 1], cov),
-        )
-        for n in range(config.n_chains)
-    ]
+    return ChainEnsemble(config.init_states, config.init_means, cov, chain_streams(config.seed, config.n_chains))
 
 
 def run_paim(
@@ -466,19 +514,17 @@ def run_paim(
     total = config.total_samples
     dim = config.dim
 
-    proposals = initial_proposals(config)
-    chains = ChainEnsemble(config.init_states, proposals, chain_streams(config.seed, n))
+    chains = initial_ensemble(config)
     global_moments = RunningMoments(dim)
-    clusters = [RunningMoments(dim) for _ in range(n)]
-    for j in range(n):
-        # The initial state seeds chain j's cluster, so every local mean
-        # is defined before the first assignment.
-        clusters[j].push(config.init_states[j])
+    clusters = MomentStack(n, dim)
+    # The initial state seeds chain j's cluster, so every local mean
+    # is defined before the first assignment.
+    clusters.push(range(n), config.init_states)
     active = np.ones(n, dtype=bool)
-    # Cluster count each local component in ``proposals`` was fitted to.
-    # The initial local components come from ``init_means``, not from
-    # the clusters, so start from a count no cluster can have: the first
-    # refresh then rebuilds every one of them.
+    # Cluster count each chain's local component was fitted to. The
+    # initial local components come from ``init_means``, not from the
+    # clusters, so start from a count no cluster can have: the first
+    # refresh then refits every one of them.
     built_counts = np.full(n, -1, dtype=np.int64)
 
     samples = np.empty((total, dim))
@@ -496,7 +542,6 @@ def run_paim(
         clusters=clusters,
         active=active,
         chains=chains,
-        proposals=proposals,
         fresh=[],
     )
 
@@ -516,22 +561,18 @@ def run_paim(
         sample_iteration[drawn:end] = chains.iterations[run]
         sample_accepted[drawn:end] = accepted
         drawn = end
-        fresh: list[np.ndarray] = []
-        if t < config.t_stop:
-            fresh = list(new)
-            for x in fresh:
-                global_moments.push(x)
+        adapting = t < config.t_stop
+        if adapting:
+            global_moments.stack.push(repeat(global_moments.row), new)
         if drawn == total:
             break
 
-        if fresh:
-            local_means = np.stack([p.local_component.mean for p in proposals])
-            assign(fresh, local_means, clusters)
+        if adapting:
+            assign(new, chains.means[:, 1], clusters)
 
         if config.t_train < t < config.t_stop:
-            counts = np.array([c.count for c in clusters], dtype=np.int64)
-            proposals = refreshed_proposals(global_moments, clusters, config.epsilon, proposals, built_counts)
-            chains.refresh(proposals, counts != built_counts)
+            counts = clusters.count.copy()
+            refreshed_proposals(global_moments, clusters, config.epsilon, chains, counts != built_counts)
             built_counts = counts
             active = activation(counts, config.activation_rule)
             if not active.any():
@@ -543,8 +584,7 @@ def run_paim(
             state.step = t
             state.total_drawn = drawn
             state.active = active
-            state.proposals = proposals
-            state.fresh = fresh
+            state.fresh = list(new) if adapting else []
             on_step(state)
 
     return RunRecord(
@@ -555,7 +595,7 @@ def run_paim(
         sample_accepted=sample_accepted,
         activity=np.stack(activity_rows),
         budgets=chains.iterations.copy(),
-        proposals=proposals,
+        proposals=chains.proposals(),
         global_mean=global_moments.mean.copy() if global_moments.count > 0 else None,
         global_cov=global_moments.covariance(config.epsilon) if global_moments.count > 0 else None,
     )

@@ -16,7 +16,9 @@ class TestBudgets:
         assert ipc_budgets(5000, 10).tolist() == [500] * 10
 
     def test_truncated_last_chain(self):
-        assert ipc_budgets(10, 4).tolist() == [3, 3, 3, 1]
+        assert ipc_budgets(10, 4).tolist() == [3, 3, 2, 2]
+        assert ipc_budgets(6, 5).tolist() == [2, 1, 1, 1, 1]
+        assert (ipc_budgets(52, 50) >= 1).all()
 
     def test_sum_is_exact(self):
         rng = np.random.default_rng(1)
@@ -25,7 +27,8 @@ class TestBudgets:
             total = int(rng.integers(n, 500))
             b = ipc_budgets(total, n)
             assert b.sum() == total
-            assert b.min() >= 0
+            assert b.min() >= 1
+            assert b.max() - b.min() <= 1
 
 
 class TestRunIpc:

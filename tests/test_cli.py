@@ -80,3 +80,30 @@ def test_run_both_algorithms_writes_files_that_agree_with_the_summary(tmp_path, 
     paim = json.loads((out / "paim" / "summary.json").read_text(encoding="utf-8"))
     ipc_mse, paim_mse = paim["ipc"]["mse"], paim["paim"]["mse"]
     assert paim["reduction_pct"] == pytest.approx(100.0 * (ipc_mse - paim_mse) / ipc_mse)
+
+
+def test_benchmark_table1_prints_cells_and_table_and_writes_summaries(tmp_path, capsys):
+    out = tmp_path / "bench"
+    args = ["benchmark", "table1", "--n", "5", "--ttrain", "1", "--reps", "2", "--samples", "200", "--out", str(out)]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads((out / "ttrain1_n5" / "summary.json").read_text(encoding="utf-8"))
+    assert summary["replications"] == 2 and summary["target"] == "banana"
+    assert [len(b) for b in summary["paim"]["budgets"]] == [5, 5]
+    reduction = summary["reduction_pct"]
+    assert lines[0] == f"cell t_train=1 n=5: reduction {reduction:.2f}%"
+    assert lines[1] == ""
+    assert lines[2] == "MSE reduction (%) of adaptive vs fixed proposals, banana target, L=200, R=2"
+    assert lines[3].split() == ["t_train", "N=5"]
+    assert lines[4].split() == ["1", f"{reduction:.2f}"]
+    assert len(lines) == 5
+
+
+def test_benchmark_table1_without_replications_exits_2(capsys):
+    args = ["benchmark", "table1", "--n", "5", "--ttrain", "1", "--reps", "0", "--samples", "200"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0] == "error: replications must be at least 1"

@@ -75,6 +75,64 @@ class TestCholesky:
             cholesky(regularize(scatter, 1e-8))
 
 
+def one_matrix_cholesky(a):
+    """Textbook column loop for one matrix, with 1-D and 2-D-by-1-D products."""
+    d = a.shape[0]
+    lower = np.zeros((d, d))
+    for j in range(d):
+        ljj = math.sqrt(a[j, j] - lower[j, :j] @ lower[j, :j])
+        lower[j, j] = ljj
+        if j + 1 < d:
+            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / ljj
+    return lower, float(np.log(lower.diagonal()).sum())
+
+
+class TestStackedCholesky:
+    def random_covs(self, rng, k, d):
+        a = rng.standard_normal((k, d, d)) * rng.uniform(0.1, 10.0, (k, 1, 1))
+        covs = a @ a.swapaxes(-1, -2) + 0.3 * np.eye(d)
+        return 0.5 * (covs + covs.swapaxes(-1, -2))
+
+    def test_rows_match_factoring_alone(self):
+        rng = np.random.default_rng(13)
+        for d in range(1, 7):
+            covs = self.random_covs(rng, 300, d)
+            stacked = cholesky(covs)
+            assert stacked.dim == d
+            assert stacked.lower.shape == (300, d, d) and stacked.log_det_half.shape == (300,)
+            for cov, lower, log_det_half in zip(covs, stacked.lower, stacked.log_det_half):
+                alone = cholesky(cov)
+                np.testing.assert_array_equal(lower, alone.lower)
+                assert log_det_half == alone.log_det_half
+                assert isinstance(alone.log_det_half, float)
+                ref_lower, ref_log_det_half = one_matrix_cholesky(cov)
+                np.testing.assert_array_equal(lower, ref_lower)
+                assert log_det_half == ref_log_det_half
+
+    def test_leading_axes_kept(self):
+        covs = self.random_covs(np.random.default_rng(14), 12, 3).reshape(4, 3, 3, 3)
+        f = cholesky(covs)
+        assert f.lower.shape == (4, 3, 3, 3) and f.log_det_half.shape == (4, 3)
+        np.testing.assert_array_equal(f.lower[2, 1], cholesky(covs[2, 1]).lower)
+
+    def test_non_pd_row_rejected(self):
+        covs = self.random_covs(np.random.default_rng(15), 5, 2)
+        covs[3] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(NotPositiveDefinite, match=r"pivot -3.000e\+00 at column 1 \(floor 1e-300\)"):
+            cholesky(covs)
+        covs[3] = [[np.nan, 0.0], [0.0, 1.0]]
+        with pytest.raises(NotPositiveDefinite, match="pivot nan at column 0"):
+            cholesky(covs)
+
+    def test_regularize_stack(self):
+        scatter = np.stack([np.zeros((2, 2)), np.array([[2.0, 1.0], [1.0, 2.0]])])
+        out = regularize(scatter, 0.5)
+        np.testing.assert_array_equal(out, [np.diag([0.5, 0.5]), [[2.5, 1.0], [1.0, 2.5]]])
+        scatter[1, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="asymmetric"):
+            regularize(scatter, 0.5)
+
+
 class TestSampleGaussian:
     def test_zero_noise_passthrough(self):
         class ZeroRng:

@@ -2,7 +2,8 @@
 
 Each case runs ``run_paim`` and ``run_ipc`` on one fixed config and pins
 a SHA-256 over ``samples``, ``sample_accepted``, ``activity``,
-``budgets`` and the final proposals' means and covariances. A change
+``budgets`` and the final proposals' means and covariances; a second
+test pins the adaptive run's final ``global_mean`` and ``global_cov``. A change
 that is meant to leave the records bit-identical (a speed-up, a
 refactor) must keep every digest; a change that moves them must say so
 and show that the Table-1 MSEs did not move statistically.
@@ -31,6 +32,13 @@ def record_digest(record) -> str:
         for comp in (p.global_component, p.local_component):
             h.update(np.ascontiguousarray(comp.mean, dtype=np.float64).tobytes())
             h.update(np.ascontiguousarray(comp.cov, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def global_moments_digest(record) -> str:
+    h = hashlib.sha256()
+    for values in (record.global_mean, record.global_cov):
+        h.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())
     return h.hexdigest()
 
 
@@ -74,6 +82,8 @@ CASES = {
     "ceil-rule": (lambda: spread_config(8, 800, 10, 78, activation_rule="ceil", seed=11), make_banana_target),
     # two correlated modes in R^3, adaptation frozen at step 30
     "3d-finite-t_stop": (lambda: spread_config(6, 900, 2, 79, dim=3, t_stop=30, seed=23), correlated_pair_3d),
+    # 50 chains on the banana, adapting from step 2: many clusters, many refits per step
+    "many-chains": (lambda: spread_config(50, 2500, 1, 80, seed=31), make_banana_target),
 }
 
 GOLDEN = {
@@ -97,6 +107,21 @@ GOLDEN = {
         "aee897b9d022d7c993a21e4f71b84f24fe52dd5f84eac953b775b7adbbf9d7e6",
         "f9e4e2cba0f8cd8df2dc424b695a3fda342dca263c09d0c79c85bce8b7170367",
     ),
+    "many-chains": (
+        "d839e937e137efb47932131476a65d1df08ee6003cd9bab8fd6c6a64786b57d4",
+        "e0d3f74fad5aab8b2dbff0743a3db632c12a77fccb2a3d17e404e26c57883f77",
+    ),
+}
+
+# SHA-256 over the adaptive run's final ``global_mean`` and ``global_cov``,
+# which ``record_digest`` does not cover.
+GOLDEN_GLOBAL_MOMENTS = {
+    "suspending": "6e1328008a2b7fad8f414ba088ea2d1ec00b4eabf896c29469ef99517f968a6b",
+    "finite-t_stop": "77381a9f4b9e1b0c6aafc035bb8e1e67224a3f40bce0f4a3300be36257b6d3db",
+    "single-chain": "7ff9404a90b5c57ee8e7dd1a54d7c9e7bb85ccb7f757e2e774e9dc406bc74ba4",
+    "ceil-rule": "0b31feed9a9567e379bc9e0143becf271f2792f1ab8bc9ea655ad987cd6d94f2",
+    "3d-finite-t_stop": "3d05396f2c3b4a75bc4bf6c9c19fa9dde99d51e2683699ed2776412dd0fabd7b",
+    "many-chains": "fa5343f34a7c0f771d6e695ca32174b203aa220b02e80c80f8b9d0cde046277a",
 }
 
 
@@ -108,3 +133,10 @@ def test_records_match_golden_digests(name):
     ipc = run_ipc(IpcConfig.from_paim(config), make_target())
     assert (record_digest(paim), record_digest(ipc)) == GOLDEN[name]
 
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_global_moments_match_golden_digests(name):
+    make_config, make_target = CASES[name]
+    record = run_paim(make_config(), make_target())
+    assert global_moments_digest(record) == GOLDEN_GLOBAL_MOMENTS[name]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from paim.moments import RunningMoments, mean_square_error
+from paim.gaussian import regularize
+from paim.moments import MomentStack, RunningMoments, mean_square_error, stacked_covariance
 
 
 def block_moments(points):
@@ -98,6 +99,61 @@ class TestCovariance:
                 acc.push(np.array([u, 2.0 * u]))
             eigs = np.linalg.eigvalsh(acc.covariance(0.4))
             assert eigs.min() > 0.0
+
+
+def welford_push(count, mean, scatter, x):
+    """One Welford update of a single accumulator, returning the new state."""
+    delta = x - mean
+    count += 1
+    mean = mean + delta / count
+    scatter = scatter + np.outer(delta, delta) * ((count - 1) / count)
+    return count, mean, scatter
+
+
+class TestMomentStack:
+    def test_rows_match_sequential_single_pushes(self):
+        rng = np.random.default_rng(41)
+        for d in (1, 2, 3):
+            stack = MomentStack(4, d)
+            alone = [(0, np.zeros(d), np.zeros((d, d))) for _ in range(4)]
+            for _ in range(30):
+                # several states of one step, often landing in the same row
+                rows = rng.integers(0, 4, int(rng.integers(1, 9)))
+                xs = rng.standard_normal((rows.size, d)) * 5.0
+                stack.push(rows.tolist(), xs)
+                for j, x in zip(rows, xs):
+                    alone[j] = welford_push(*alone[j], x)
+            for j, (count, mean, scatter) in enumerate(alone):
+                assert stack.count[j] == count
+                np.testing.assert_array_equal(stack.mean[j], mean)
+                np.testing.assert_array_equal(stack.scatter[j], scatter)
+
+    def test_running_moments_is_a_row_view(self):
+        stack = MomentStack(3, 2)
+        stack.push([1, 1], [np.array([1.0, 2.0]), np.array([3.0, 4.0])])
+        row = stack[1]
+        assert row.count == 2 and stack[0].count == 0
+        np.testing.assert_array_equal(row.mean, [2.0, 3.0])
+        row.push(np.array([5.0, 6.0]))
+        assert stack.count.tolist() == [0, 3, 0]
+        assert [m.count for m in stack] == [0, 3, 0]
+        with pytest.raises(IndexError):
+            stack[3]
+
+    def test_stacked_covariance_matches_rows(self):
+        rng = np.random.default_rng(43)
+        stack = MomentStack(5, 3)
+        for j, n_points in enumerate((0, 1, 2, 7, 40)):
+            stack.push([j] * n_points, rng.standard_normal((n_points, 3)))
+        covs = stacked_covariance(stack.count, stack.scatter, 0.4)
+        for j in range(5):
+            count = int(stack.count[j])
+            sample = stack.scatter[j] / (count - 1) if count >= 2 else np.zeros((3, 3))
+            np.testing.assert_array_equal(covs[j], regularize(sample, 0.4))
+            np.testing.assert_array_equal(covs[j], stack[j].covariance(0.4))
+        np.testing.assert_array_equal(
+            stacked_covariance(stack.count[[4, 0]], stack.scatter[[4, 0]], 0.4), covs[[4, 0]]
+        )
 
 
 class TestMeanSquareError:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paim.gaussian import log_gaussian_pdf
-from paim.moments import RunningMoments
+from paim.moments import MomentStack, RunningMoments
 from paim.sampler import (
     ChainEnsemble,
     MixtureProposal,
@@ -135,8 +135,16 @@ class TestLogAcceptRatio:
             assert -math.inf <= log_alpha <= 0.0
 
 
+def ensemble(starts, proposals, rngs) -> ChainEnsemble:
+    """Chains at ``starts`` holding the parameters of ``proposals``."""
+    pairs = [(p.global_component, p.local_component) for p in proposals]
+    means = [[c.mean for c in pair] for pair in pairs]
+    covs = [[c.cov for c in pair] for pair in pairs]
+    return ChainEnsemble(starts, means, covs, rngs)
+
+
 def one_chain(proposal, start, rng) -> ChainEnsemble:
-    return ChainEnsemble(np.array([start], dtype=float), [proposal], [rng])
+    return ensemble(np.array([start], dtype=float), [proposal], [rng])
 
 
 ONLY = np.array([0])
@@ -211,8 +219,8 @@ class TestAdvanceTogether:
             n = 7
             proposals = random_proposals(rng, n, d)
             starts = rng.uniform(-6, 6, (n, d))
-            together = ChainEnsemble(starts, proposals, chain_streams(9, n))
-            alone = ChainEnsemble(starts, proposals, chain_streams(9, n))
+            together = ensemble(starts, proposals, chain_streams(9, n))
+            alone = ensemble(starts, proposals, chain_streams(9, n))
             for step in range(60):
                 run = np.flatnonzero(rng.random(n) < 0.7)
                 if run.size == 0:
@@ -229,11 +237,18 @@ class TestAdvanceTogether:
                         MixtureProposal(shared, f.local_component if rebuilt[j] else p.local_component)
                         for j, (f, p) in enumerate(zip(fresh, proposals))
                     ]
-                    together.refresh(proposals, rebuilt)
-                    alone.refresh(proposals, rebuilt)
+                    rows = np.flatnonzero(rebuilt)
+                    means = np.array([shared.mean] + [fresh[j].local_component.mean for j in rows])
+                    covs = np.array([shared.cov] + [fresh[j].local_component.cov for j in rows])
+                    together.refit(means, covs, rows)
+                    alone.refit(means, covs, rows)
                     np.testing.assert_array_equal(together.means, component_arrays(proposals)[0])
                     np.testing.assert_array_equal(together.lowers, component_arrays(proposals)[1])
                     np.testing.assert_array_equal(together.log_det_halves, component_arrays(proposals)[2])
+                    np.testing.assert_array_equal(
+                        together.covs, [[p.global_component.cov, p.local_component.cov] for p in proposals]
+                    )
+                    assert together.log_proposal == [None] * n
                 np.testing.assert_array_equal(together.current, alone.current)
                 np.testing.assert_array_equal(together.iterations, alone.iterations)
                 assert together.log_target == alone.log_target
@@ -244,7 +259,7 @@ class TestAdvanceTogether:
         rng = np.random.default_rng(85)
         target = make_banana_target()
         proposals = random_proposals(rng, 5, 2)
-        chains = ChainEnsemble(rng.uniform(-6, 6, (5, 2)), proposals, chain_streams(4, 5))
+        chains = ensemble(rng.uniform(-6, 6, (5, 2)), proposals, chain_streams(4, 5))
         for _ in range(30):
             chains.advance(np.arange(5), target)
             for j in range(5):
@@ -254,7 +269,7 @@ class TestAdvanceTogether:
     def test_each_chain_draws_in_order_from_its_own_stream(self):
         psi = proposal_from([0.0, 0.0], np.eye(2), [3.0, 3.0], np.eye(2))
         rngs = [ScriptedRng(uniforms=[0.1 * (j + 1), 0.5], normals=[(j, -j)]) for j in range(4)]
-        chains = ChainEnsemble(np.zeros((4, 2)), [psi] * 4, rngs)
+        chains = ensemble(np.zeros((4, 2)), [psi] * 4, rngs)
         chains.advance(np.array([0, 2, 3]), make_gaussian_target([0.0, 0.0], np.eye(2)))
         for j in (0, 2, 3):
             assert rngs[j].calls == ["random", "standard_normal(2)", "random"]
@@ -266,7 +281,7 @@ class TestAdvanceTogether:
         # state after each step is the candidate itself
         rng = np.random.default_rng(86)
         proposals = random_proposals(rng, 3, 2)
-        chains = ChainEnsemble(np.zeros((3, 2)), proposals, chain_streams(12, 3))
+        chains = ensemble(np.zeros((3, 2)), proposals, chain_streams(12, 3))
         reference = chain_streams(12, 3)
         target = TargetDensity(2, lambda x: -math.inf, lambda xs: np.full(len(xs), -math.inf))
         for _ in range(50):
@@ -285,7 +300,7 @@ class TestAdvanceTogether:
         psi = proposal_from([5.0, 0.0], np.eye(2), [0.0, 0.0], np.eye(2))
         rngs = [ScriptedRng(uniforms=[0.2, 0.0], normals=[(0.0, 0.0)]),
                 ScriptedRng(uniforms=[0.9, 0.0], normals=[(0.5, 0.0)])]
-        chains = ChainEnsemble(np.zeros((2, 2)), [psi, psi], rngs)
+        chains = ensemble(np.zeros((2, 2)), [psi, psi], rngs)
         accepted = chains.advance(np.arange(2), target)
         assert accepted.tolist() == [False, True]
         cur, lp_cur = target.log_density([0.0, 0.0]), mixture_log_pdf(psi, np.zeros(2))
@@ -300,7 +315,7 @@ class TestAdvanceTogether:
         psi = proposal_from([1.0, 0.0], np.eye(2), [-1.0, 0.0], np.eye(2))
         uniforms = [0.999, 0.5, 1e-300]
         rngs = [ScriptedRng(uniforms=[0.2, u], normals=[(0.3, -0.3)]) for u in uniforms]
-        chains = ChainEnsemble(np.zeros((3, 2)), [psi] * 3, rngs)
+        chains = ensemble(np.zeros((3, 2)), [psi] * 3, rngs)
         accepted = chains.advance(np.arange(3), target)
         cand = np.array([1.3, -0.3])
         lp_new, lp_cur = mixture_log_pdf(psi, cand), mixture_log_pdf(psi, np.zeros(2))
@@ -310,15 +325,24 @@ class TestAdvanceTogether:
         assert chains.log_target == [value] * 3
 
 
+def per_state_assignment(fresh, means):
+    """Nearest local mean of each state on its own, one distance vector each."""
+    chosen = []
+    for z in fresh:
+        diff = means - z
+        chosen.append(int(np.argmin(np.einsum("nd,nd->n", diff, diff))))
+    return chosen
+
+
 class TestAssign:
     def test_nearest(self):
-        clusters = [RunningMoments(2), RunningMoments(2)]
+        clusters = MomentStack(2, 2)
         chosen = assign([np.array([1.0, 1.0])], np.array([[0.0, 0.0], [5.0, 5.0]]), clusters)
         assert chosen.tolist() == [0]
         assert clusters[0].count == 1 and clusters[1].count == 0
 
     def test_tie_breaks_to_lowest_index(self):
-        clusters = [RunningMoments(2), RunningMoments(2)]
+        clusters = MomentStack(2, 2)
         chosen = assign([np.array([1.0, 0.0])], np.array([[0.0, 0.0], [2.0, 0.0]]), clusters)
         assert chosen.tolist() == [0]
 
@@ -327,12 +351,61 @@ class TestAssign:
         for _ in range(20):
             means = rng.uniform(-10, 10, size=(10, 2))
             fresh = list(rng.uniform(-10, 10, size=(100, 2)))
-            clusters = [RunningMoments(2) for _ in range(10)]
+            clusters = MomentStack(10, 2)
             chosen = assign(fresh, means, clusters)
             for z, got in zip(fresh, chosen):
                 dists = [float(np.hypot(*(m - z))) for m in means]
                 assert got == int(np.argmin(dists))
             assert sum(c.count for c in clusters) == 100
+
+    def test_one_distance_matrix_matches_per_state_assignment(self):
+        rng = np.random.default_rng(45)
+        for d in (1, 2, 3, 4):
+            for _ in range(30):
+                n = int(rng.integers(1, 30))
+                means = rng.uniform(-10, 10, size=(n, d))
+                # repeated means and points on a small integer grid make exact ties
+                means[rng.integers(0, n, n // 3)] = means[0]
+                if rng.random() < 0.5:
+                    means = np.round(means)
+                fresh = rng.uniform(-10, 10, size=(int(rng.integers(1, 40)), d))
+                fresh[::2] = np.round(fresh[::2])
+                chosen = assign(fresh, means, MomentStack(n, d))
+                assert chosen.tolist() == per_state_assignment(fresh, means)
+            for _ in range(100):
+                # means mirrored around a state are equally far from it in
+                # exact arithmetic, so rounding decides between them
+                z = rng.uniform(-10, 10, d)
+                v = rng.uniform(-5, 5, (6, d))
+                means = rng.permutation(np.concatenate([z + v, z + v[:, ::-1], z - v]))
+                fresh = np.concatenate([z[None], z + rng.normal(0.0, 1e-13, (5, d))])
+                chosen = assign(fresh, means, MomentStack(len(means), d))
+                assert chosen.tolist() == per_state_assignment(fresh, means)
+
+    def test_pushes_states_in_generation_order(self):
+        rng = np.random.default_rng(46)
+        means = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+        fresh = rng.normal(0.0, 3.0, size=(40, 2)) + means[rng.integers(0, 3, 40)]
+        clusters = MomentStack(3, 2)
+        chosen = assign(fresh, means, clusters)
+        alone = [RunningMoments(2) for _ in range(3)]
+        for z, j in zip(fresh, chosen):
+            alone[j].push(z)
+        for j in range(3):
+            assert clusters[j].count == alone[j].count
+            np.testing.assert_array_equal(clusters[j].mean, alone[j].mean)
+            np.testing.assert_array_equal(clusters[j].scatter, alone[j].scatter)
+
+
+def refit_ensemble(global_moments, clusters, epsilon, dirty=None, chains=None) -> ChainEnsemble:
+    """Apply ``refreshed_proposals`` to ``chains`` (default: fresh chains
+    with unit-covariance proposals at the origin) and return them;
+    ``dirty`` defaults to every chain."""
+    n, d = clusters.mean.shape
+    if chains is None:
+        chains = ChainEnsemble(np.zeros((n, d)), np.zeros((n, 2, d)), np.eye(d), chain_streams(0, n))
+    refreshed_proposals(global_moments, clusters, epsilon, chains, np.ones(n, dtype=bool) if dirty is None else dirty)
+    return chains
 
 
 class TestRefreshedProposals:
@@ -341,23 +414,26 @@ class TestRefreshedProposals:
         g = RunningMoments(2)
         for _ in range(40):
             g.push(rng.standard_normal(2))
-        clusters = [RunningMoments(2) for _ in range(4)]
-        for i, c in enumerate(clusters):
+        clusters = MomentStack(4, 2)
+        for i in range(4):
             for _ in range(i + 1):
-                c.push(rng.standard_normal(2))
-        props = refreshed_proposals(g, clusters, 0.4)
+                clusters[i].push(rng.standard_normal(2))
+        chains = refit_ensemble(g, clusters, 0.4)
+        props = chains.proposals()
         first = props[0].global_component
         for p in props[1:]:
             assert p.global_component is first
+        for held in (chains.means, chains.covs, chains.lowers, chains.log_det_halves):
+            assert (held[:, 0] == held[0, 0]).all()
 
     def test_single_point_cluster(self):
         g = RunningMoments(2)
         g.push(np.array([1.0, 2.0]))
         g.push(np.array([3.0, 0.0]))
-        cluster = RunningMoments(2)
+        cluster = MomentStack(1, 2)
         s = np.array([7.0, -7.0])
-        cluster.push(s)
-        (p,) = refreshed_proposals(g, [cluster], 0.4)
+        cluster[0].push(s)
+        (p,) = refit_ensemble(g, cluster, 0.4).proposals()
         np.testing.assert_array_equal(p.local_component.mean, s)
         np.testing.assert_allclose(p.local_component.cov, 0.4 * np.eye(2))
 
@@ -366,12 +442,12 @@ class TestRefreshedProposals:
         states = rng.uniform(-5, 5, size=(20, 2))
         labels = rng.integers(0, 3, size=20)
         g = RunningMoments(2)
-        clusters = [RunningMoments(2) for _ in range(3)]
+        clusters = MomentStack(3, 2)
         for x, lab in zip(states, labels):
             g.push(x)
             clusters[lab].push(x)
         eps = 0.4
-        props = refreshed_proposals(g, clusters, eps)
+        props = refit_ensemble(g, clusters, eps).proposals()
 
         g_mean = states.mean(axis=0)
         g_dev = states - g_mean
@@ -390,41 +466,74 @@ class TestRefreshedProposals:
     def test_unchanged_clusters_reuse_their_component(self):
         rng = np.random.default_rng(52)
         g = RunningMoments(2)
-        clusters = [RunningMoments(2) for _ in range(4)]
-        for i, c in enumerate(clusters):
+        clusters = MomentStack(4, 2)
+        for i in range(4):
             for _ in range(i + 2):
                 x = rng.standard_normal(2)
-                c.push(x)
+                clusters[i].push(x)
                 g.push(x)
-        first = refreshed_proposals(g, clusters, 0.4)
-        built = [c.count for c in clusters]
+        chains = refit_ensemble(g, clusters, 0.4)
+        first = chains.proposals()
+        built = clusters.count.copy()
         for j in (1, 3):
             x = rng.standard_normal(2)
             clusters[j].push(x)
             g.push(x)
-        second = refreshed_proposals(g, clusters, 0.4, first, built)
+        # Mark the local parameters of the unchanged chains: a refit of
+        # them would overwrite the marks.
+        for held in (chains.means, chains.covs, chains.lowers, chains.log_det_halves):
+            held[[0, 2], 1] = 123.0
+        refit_ensemble(g, clusters, 0.4, clusters.count != built, chains)
+        second = chains.proposals()
         for j in (0, 2):
-            assert second[j].local_component is first[j].local_component
+            local = second[j].local_component
+            assert (local.mean == 123.0).all() and (local.cov == 123.0).all()
+            assert (local.factor.lower == 123.0).all() and local.factor.log_det_half == 123.0
         for j in (1, 3):
             fresh = make_component(clusters[j].mean.copy(), clusters[j].covariance(0.4))
             local = second[j].local_component
-            assert local is not first[j].local_component
+            assert not np.array_equal(local.mean, first[j].local_component.mean)
             for field in ("mean", "cov"):
                 np.testing.assert_array_equal(getattr(local, field), getattr(fresh, field))
             np.testing.assert_array_equal(local.factor.lower, fresh.factor.lower)
             assert local.factor.log_det_half == fresh.factor.log_det_half
-        assert second[0].global_component is not first[0].global_component
+        assert not np.array_equal(second[0].global_component.mean, first[0].global_component.mean)
         for p in second[1:]:
             assert p.global_component is second[0].global_component
+
+    def test_refit_components_match_make_component(self):
+        rng = np.random.default_rng(53)
+        for d in (1, 2, 3, 5):
+            g = RunningMoments(d)
+            clusters = MomentStack(6, d)
+            for _ in range(60):
+                x = rng.standard_normal(d) * rng.uniform(0.5, 4.0, d)
+                g.push(x)
+                clusters[int(rng.integers(0, 5))].push(x)  # row 5 stays empty
+            props = refit_ensemble(g, clusters, 0.3).proposals()
+            shared = make_component(g.mean.copy(), g.covariance(0.3))
+            for j, p in enumerate(props):
+                fresh = make_component(clusters[j].mean.copy(), clusters[j].covariance(0.3))
+                for got, want in ((p.global_component, shared), (p.local_component, fresh)):
+                    np.testing.assert_array_equal(got.mean, want.mean)
+                    np.testing.assert_array_equal(got.cov, want.cov)
+                    np.testing.assert_array_equal(got.factor.lower, want.factor.lower)
+                    assert got.factor.log_det_half == want.factor.log_det_half
 
     def test_accumulator_mutation_does_not_leak(self):
         g = RunningMoments(2)
         g.push(np.zeros(2))
         g.push(np.ones(2))
-        (p,) = refreshed_proposals(g, [g.copy()], 0.1)
+        clusters = MomentStack(1, 2)
+        clusters.push([0, 0], [np.zeros(2), np.ones(2)])
+        chains = refit_ensemble(g, clusters, 0.1)
+        (p,) = chains.proposals()
         before = p.global_component.mean.copy()
         g.push(np.array([100.0, 100.0]))
+        clusters.push([0], [np.array([100.0, 100.0])])
         np.testing.assert_array_equal(p.global_component.mean, before)
+        np.testing.assert_array_equal(chains.means[0, 0], before)
+        np.testing.assert_array_equal(chains.means[0, 1], before)
 
 
 class TestActivation:
