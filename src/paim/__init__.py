@@ -8,7 +8,6 @@ fixed-proposal baseline and a replicated-experiment harness are
 included for benchmarking.
 """
 
-from .baseline import IpcConfig, ipc_budgets, run_ipc
 from .gaussian import (
     CholeskyFactor,
     NotPositiveDefinite,
@@ -44,6 +43,7 @@ from .sampler import (
     make_component,
     mixture_log_pdf,
     refreshed_proposals,
+    run_ipc,
     run_paim,
     sample_mixture,
 )
@@ -68,7 +68,6 @@ __all__ = [
     "GaussianComponent",
     "GridSpec",
     "InitSpec",
-    "IpcConfig",
     "MixtureProposal",
     "NotPositiveDefinite",
     "PaimConfig",
@@ -82,7 +81,6 @@ __all__ = [
     "cholesky",
     "emit_outputs",
     "grid_expectation",
-    "ipc_budgets",
     "log_accept_ratio",
     "log_banana",
     "log_gaussian_pdf",

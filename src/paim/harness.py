@@ -22,10 +22,9 @@ from typing import Optional, Union
 import numpy as np
 from scipy.stats import chi2
 
-from .baseline import IpcConfig, run_ipc
 from .gaussian import NotPositiveDefinite
 from .moments import mean_square_error
-from .sampler import MixtureProposal, PaimConfig, RunRecord, run_paim
+from .sampler import MixtureProposal, PaimConfig, RunRecord, run_ipc, run_paim
 from .targets import (
     BananaParams,
     TargetDensity,
@@ -84,10 +83,12 @@ def random_init(n_chains, box_lower, box_upper, sigma, rng) -> InitSpec:
     upper = np.asarray(box_upper, dtype=float)
     if lower.shape != upper.shape or lower.ndim != 1:
         raise ValueError("box bounds must be 1-D vectors of equal length")
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise ValueError("initialization box bounds must be finite")
     if not np.all(lower < upper):
         raise ValueError("initialization box is degenerate (lower >= upper somewhere)")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     dim = lower.shape[0]
     means = rng.uniform(lower, upper, size=(n_chains, 2, dim))
     states = rng.uniform(lower, upper, size=(n_chains, dim))
@@ -121,7 +122,7 @@ class ExperimentConfig:
     replications: int = 1
     base_seed: int = 0
     output_dir: str = "out"
-    truth: Union[np.ndarray, GridSpec, None] = None
+    truth: Union[np.ndarray, GridSpec, str, None] = None  # "grid": the default grid box
 
     def __post_init__(self):
         self.box_lower = np.asarray(self.box_lower, dtype=float)
@@ -174,11 +175,9 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
 
-def _parse_truth(raw) -> Union[np.ndarray, GridSpec, None]:
-    if raw is None:
-        return None
-    if raw == "grid":
-        return GridSpec(lower=np.array([]), upper=np.array([]), points_per_axis=0)
+def _parse_truth(raw) -> Union[np.ndarray, GridSpec, str, None]:
+    if raw is None or raw == "grid":
+        return raw
     if isinstance(raw, dict) and "grid" in raw:
         g = raw["grid"]
         return GridSpec(
@@ -194,14 +193,11 @@ def resolve_truth(config: ExperimentConfig, target: TargetDensity) -> np.ndarray
     truth = config.truth
     if truth is None:
         raise ConfigError("no ground truth: give a truth vector or a grid directive")
+    if isinstance(truth, str) and truth == "grid":
+        d = target.dim
+        truth = GridSpec(np.full(d, -15.0), np.full(d, 15.0), 2001 if d <= 2 else 201)
     if isinstance(truth, GridSpec):
-        if truth.points_per_axis == 0:
-            lower = np.full(target.dim, -15.0)
-            upper = np.full(target.dim, 15.0)
-            points = 2001 if target.dim <= 2 else 201
-        else:
-            lower, upper, points = truth.lower, truth.upper, truth.points_per_axis
-        return grid_expectation(target, lower, upper, points)
+        return grid_expectation(target, truth.lower, truth.upper, truth.points_per_axis)
     truth = np.asarray(truth, dtype=float)
     if truth.shape != (target.dim,):
         raise ConfigError(f"truth vector must have shape ({target.dim},), got {truth.shape}")
@@ -284,11 +280,11 @@ def _summarize(records_estimates, truth) -> AlgorithmSummary:
 def replicate(config: ExperimentConfig) -> SummaryReport:
     """Run R seeded replications of the requested algorithm(s).
 
-    Within a replication the adaptive and baseline samplers share the
-    same initialization draw and the same sampling seed, so the only
-    thing separating them is the adaptation itself. The first
-    replication's full records are kept on the report (``records``) for
-    file emission.
+    Within a replication the adaptive and baseline samplers run the
+    same :class:`PaimConfig`, so they share the initialization draw and
+    the sampling seed, and the only thing separating them is the
+    adaptation itself. The first replication's full records are kept on
+    the report (``records``) for file emission.
     """
     target = make_target(config.target_name, config.target_params)
     truth = resolve_truth(config, target)
@@ -305,39 +301,26 @@ def replicate(config: ExperimentConfig) -> SummaryReport:
             config.n_chains, config.box_lower, config.box_upper, config.sigma,
             np.random.default_rng(init_ss),
         )
-        seed = int(sample_ss.generate_state(1, dtype=np.uint64)[0])
+        run_config = PaimConfig(
+            n_chains=config.n_chains,
+            total_samples=config.total_samples,
+            t_train=config.t_train,
+            t_stop=config.t_stop,
+            epsilon=config.epsilon,
+            activation_rule=config.activation_rule,
+            init_means=init.means,
+            init_states=init.states,
+            init_sigma=init.sigma,
+            seed=int(sample_ss.generate_state(1, dtype=np.uint64)[0]),
+        )
 
         if want_paim:
-            record = run_paim(
-                PaimConfig(
-                    n_chains=config.n_chains,
-                    total_samples=config.total_samples,
-                    t_train=config.t_train,
-                    t_stop=config.t_stop,
-                    epsilon=config.epsilon,
-                    activation_rule=config.activation_rule,
-                    init_means=init.means,
-                    init_states=init.states,
-                    init_sigma=init.sigma,
-                    seed=seed,
-                ),
-                target,
-            )
+            record = run_paim(run_config, target)
             paim_runs[0].append(record)
             paim_runs[1].append(sample_mean_estimate(record, config.discard_burn_in))
             first_records.setdefault("paim", record)
         if want_ipc:
-            record = run_ipc(
-                IpcConfig(
-                    n_chains=config.n_chains,
-                    total_samples=config.total_samples,
-                    init_means=init.means,
-                    init_states=init.states,
-                    init_sigma=init.sigma,
-                    seed=seed,
-                ),
-                target,
-            )
+            record = run_ipc(run_config, target)
             ipc_runs[0].append(record)
             ipc_runs[1].append(sample_mean_estimate(record, config.discard_burn_in))
             first_records.setdefault("ipc", record)

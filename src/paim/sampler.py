@@ -18,12 +18,13 @@ reallocates its iterations to better-placed chains; its local mean
 keeps competing for new states, so it is revived as soon as its share
 grows back.
 
-Both this sampler and the fixed-proposal baseline advance a step's
-chains together through :meth:`ChainEnsemble.advance`: each chain draws
-from its own random stream, then one batched call scores all candidates
-under the target and one under the chains' stacked mixture proposals.
-A chain's records are bit-identical to advancing it alone, so they do
-not depend on how many other chains are active.
+The fixed-proposal baseline, :func:`run_ipc`, is this same driver with
+adaptation off. A step's chains advance together through
+:meth:`ChainEnsemble.advance`: each chain draws from its own random
+stream, then one batched call scores all candidates under the target
+and one under the chains' stacked mixture proposals. A chain's records
+are bit-identical to advancing it alone, so they do not depend on how
+many other chains are active.
 
 The adaptation state is stacked the same way. The N clusters are one
 :class:`~paim.moments.MomentStack`; :func:`assign` finds every new
@@ -40,7 +41,7 @@ view.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Callable, Optional, Sequence
 
@@ -392,10 +393,10 @@ class PaimConfig:
             raise ValueError("total_samples must be at least n_chains")
         if not self.t_train < self.t_stop:
             raise ValueError("t_train must be strictly below t_stop")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.init_sigma <= 0.0:
-            raise ValueError("init_sigma must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0.0 < self.init_sigma < math.inf:
+            raise ValueError(f"init_sigma must be positive and finite, got {self.init_sigma}")
         if self.activation_rule not in ("floor", "ceil"):
             raise ValueError(f"unknown activation rule {self.activation_rule!r}")
         if self.init_means.shape != (self.n_chains, 2, self.dim):
@@ -447,7 +448,8 @@ class RunRecord:
     sample_chain: np.ndarray       # (L,) chain index of each sample
     sample_iteration: np.ndarray   # (L,) per-chain iteration number, 1-based
     sample_accepted: np.ndarray    # (L,) whether the candidate was accepted
-    activity: np.ndarray           # (t_total, n_chains) active flags per executed step
+    activity: np.ndarray           # (t_total, n_chains) active set per step; the last step
+                                   # runs only its first L - drawn active chains
     budgets: np.ndarray            # (n_chains,) final per-chain iteration counts
     proposals: list[MixtureProposal]
     global_mean: Optional[np.ndarray]
@@ -485,13 +487,6 @@ def chain_streams(seed: int, n_chains: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in children[:n_chains]]
 
 
-def initial_ensemble(config) -> ChainEnsemble:
-    """The chains at ``init_states``, proposing from ``init_means`` with
-    covariance ``init_sigma**2 * I``, on the streams of ``config.seed``."""
-    cov = config.init_sigma**2 * np.eye(config.dim)
-    return ChainEnsemble(config.init_states, config.init_means, cov, chain_streams(config.seed, config.n_chains))
-
-
 def run_paim(
     config: PaimConfig,
     target: TargetDensity,
@@ -514,7 +509,8 @@ def run_paim(
     total = config.total_samples
     dim = config.dim
 
-    chains = initial_ensemble(config)
+    cov = config.init_sigma**2 * np.eye(dim)
+    chains = ChainEnsemble(config.init_states, config.init_means, cov, chain_streams(config.seed, n))
     global_moments = RunningMoments(dim)
     clusters = MomentStack(n, dim)
     # The initial state seeds chain j's cluster, so every local mean
@@ -599,3 +595,15 @@ def run_paim(
         global_mean=global_moments.mean.copy() if global_moments.count > 0 else None,
         global_cov=global_moments.covariance(config.epsilon) if global_moments.count > 0 else None,
     )
+
+
+def run_ipc(config: PaimConfig, target: TargetDensity) -> RunRecord:
+    """Run the fixed-proposal baseline: :func:`run_paim` with adaptation off.
+
+    Same chains, same initial mixture proposals, same random streams as
+    the adaptive run of ``config``, but the proposals are never updated
+    and no chain is ever suspended, so the chains share the budget
+    round-robin. Any accuracy gap against :func:`run_paim` on the same
+    config is therefore attributable to the adaptation alone.
+    """
+    return run_paim(replace(config, t_train=-1, t_stop=0), target)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from paim.baseline import IpcConfig, ipc_budgets, run_ipc
-from paim.sampler import PaimConfig, run_paim
+from paim.sampler import PaimConfig, run_ipc, run_paim
 from paim.targets import make_banana_target, make_gaussian_target
 
 
@@ -11,21 +10,33 @@ def random_inits(n, seed):
     return rng.uniform(-15, 15, (n, 2, 2)), rng.uniform(-15, 15, (n, 2))
 
 
+def ipc_config(n, total, means, states, sigma, seed=0, t_train=1):
+    """A config for ``run_ipc``; it runs with adaptation off whatever ``t_train`` is."""
+    return PaimConfig(n_chains=n, total_samples=total, t_train=t_train, init_means=means,
+                      init_states=states, init_sigma=sigma, seed=seed)
+
+
+def baseline_budgets(total, n):
+    """Final per-chain iteration counts of a baseline run."""
+    means, states = random_inits(n, 0)
+    return run_ipc(ipc_config(n, total, means, states, 10.0), make_gaussian_target([0.0, 0.0], np.eye(2))).budgets
+
+
 class TestBudgets:
     def test_even_split(self):
-        assert ipc_budgets(5000, 10).tolist() == [500] * 10
+        assert baseline_budgets(5000, 10).tolist() == [500] * 10
 
     def test_truncated_last_chain(self):
-        assert ipc_budgets(10, 4).tolist() == [3, 3, 2, 2]
-        assert ipc_budgets(6, 5).tolist() == [2, 1, 1, 1, 1]
-        assert (ipc_budgets(52, 50) >= 1).all()
+        assert baseline_budgets(10, 4).tolist() == [3, 3, 2, 2]
+        assert baseline_budgets(6, 5).tolist() == [2, 1, 1, 1, 1]
+        assert (baseline_budgets(52, 50) >= 1).all()
 
     def test_sum_is_exact(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             n = int(rng.integers(1, 20))
             total = int(rng.integers(n, 500))
-            b = ipc_budgets(total, n)
+            b = baseline_budgets(total, n)
             assert b.sum() == total
             assert b.min() >= 1
             assert b.max() - b.min() <= 1
@@ -34,9 +45,7 @@ class TestBudgets:
 class TestRunIpc:
     def test_proposals_never_change(self):
         means, states = random_inits(4, 3)
-        cfg = IpcConfig(n_chains=4, total_samples=200, init_means=means,
-                        init_states=states, init_sigma=10.0, seed=5)
-        record = run_ipc(cfg, make_banana_target())
+        record = run_ipc(ipc_config(4, 200, means, states, 10.0, seed=5), make_banana_target())
         for j, p in enumerate(record.proposals):
             np.testing.assert_array_equal(p.global_component.mean, means[j, 0])
             np.testing.assert_array_equal(p.local_component.mean, means[j, 1])
@@ -45,45 +54,59 @@ class TestRunIpc:
 
     def test_sample_count_and_budgets(self):
         means, states = random_inits(3, 7)
-        cfg = IpcConfig(n_chains=3, total_samples=100, init_means=means,
-                        init_states=states, init_sigma=10.0, seed=5)
-        record = run_ipc(cfg, make_banana_target())
+        record = run_ipc(ipc_config(3, 100, means, states, 10.0, seed=5), make_banana_target())
         assert record.samples.shape == (100, 2)
-        assert record.budgets.tolist() == ipc_budgets(100, 3).tolist()
+        assert record.budgets.tolist() == [34, 33, 33]
 
     def test_proposal_matching_target_accepts_everything(self):
         # single chain whose both components equal the Gaussian target
         means = np.zeros((1, 2, 2))
         states = np.zeros((1, 2))
-        cfg = IpcConfig(n_chains=1, total_samples=500, init_means=means,
-                        init_states=states, init_sigma=1.0, seed=11)
         target = make_gaussian_target([0.0, 0.0], np.eye(2))
-        record = run_ipc(cfg, target)
+        record = run_ipc(ipc_config(1, 500, means, states, 1.0, seed=11), target)
         assert record.sample_accepted.all()
 
     def test_all_chains_active_with_even_budgets(self):
         means, states = random_inits(4, 9)
-        cfg = IpcConfig(n_chains=4, total_samples=200, init_means=means,
-                        init_states=states, init_sigma=10.0, seed=13)
-        record = run_ipc(cfg, make_banana_target())
+        record = run_ipc(ipc_config(4, 200, means, states, 10.0, seed=13), make_banana_target())
         assert record.activity.all()
         assert record.t_total == 50
 
+    def test_activity_is_the_active_set_when_chains_do_not_divide_the_budget(self):
+        # the baseline never suspends a chain, so the last step's row is
+        # all True although only its first L % N chains run
+        target = make_banana_target()
+        for n, total in ((4, 10), (5, 6), (50, 52), (7, 1000)):
+            means, states = random_inits(n, n)
+            record = run_ipc(ipc_config(n, total, means, states, 10.0, seed=n + total), target)
+            assert record.activity.all()
+            assert record.activity.shape == (-(-total // n), n)
+            assert record.final_active_count == n
+            last = record.sample_step == record.t_total - 1
+            assert record.sample_chain[last].tolist() == list(range(total % n))
+
     def test_seed_matched_equivalence_with_frozen_adaptive_run(self):
         # adaptation disabled entirely: the adaptive sampler must reduce
-        # to the baseline sample for sample
-        means, states = random_inits(4, 15)
+        # to the baseline field for field, whatever t_train and t_stop say
         target = make_banana_target()
-        paim_cfg = PaimConfig(n_chains=4, total_samples=200, t_train=-1, t_stop=0.0,
-                              init_means=means, init_states=states, init_sigma=10.0, seed=17)
-        ipc_cfg = IpcConfig.from_paim(paim_cfg)
-        a = run_paim(paim_cfg, target)
-        b = run_ipc(ipc_cfg, target)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        np.testing.assert_array_equal(a.sample_chain, b.sample_chain)
-        np.testing.assert_array_equal(a.sample_accepted, b.sample_accepted)
-        np.testing.assert_array_equal(a.activity, b.activity)
-        np.testing.assert_array_equal(a.budgets, b.budgets)
+        for n, total in ((4, 200), (4, 10), (5, 6), (50, 52), (3, 100)):
+            means, states = random_inits(n, 15 + n)
+            paim_cfg = PaimConfig(n_chains=n, total_samples=total, t_train=-1, t_stop=0.0,
+                                  init_means=means, init_states=states, init_sigma=10.0, seed=17)
+            a = run_paim(paim_cfg, target)
+            b = run_ipc(ipc_config(n, total, means, states, 10.0, seed=17, t_train=5), target)
+            for name in ("samples", "sample_step", "sample_chain", "sample_iteration", "sample_accepted",
+                         "activity", "budgets"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+            assert len(a.proposals) == len(b.proposals) == n
+            for pa, pb in zip(a.proposals, b.proposals):
+                for ca, cb in ((pa.global_component, pb.global_component), (pa.local_component, pb.local_component)):
+                    np.testing.assert_array_equal(ca.mean, cb.mean)
+                    np.testing.assert_array_equal(ca.cov, cb.cov)
+                    np.testing.assert_array_equal(ca.factor.lower, cb.factor.lower)
+                    assert ca.factor.log_det_half == cb.factor.log_det_half
+            assert a.global_mean is None and b.global_mean is None
+            assert a.global_cov is None and b.global_cov is None
 
     def test_chain_permutation_leaves_pooled_samples_alone(self):
         # permuting chains permutes per-chain outputs; with per-chain
@@ -91,8 +114,7 @@ class TestRunIpc:
         # leaves the pooled multiset unchanged
         means = np.zeros((3, 2, 2))
         states = np.zeros((3, 2))
-        cfg = IpcConfig(n_chains=3, total_samples=90, init_means=means,
-                        init_states=states, init_sigma=5.0, seed=19)
+        cfg = ipc_config(3, 90, means, states, 5.0, seed=19)
         target = make_banana_target()
         record = run_ipc(cfg, target)
         by_chain = {
@@ -105,7 +127,5 @@ class TestRunIpc:
 
     def test_validation(self):
         means, states = random_inits(4, 21)
-        cfg = IpcConfig(n_chains=4, total_samples=2, init_means=means,
-                        init_states=states, init_sigma=10.0)
-        with pytest.raises(ValueError):
-            cfg.validate()
+        with pytest.raises(ValueError, match="total_samples"):
+            run_ipc(ipc_config(4, 2, means, states, 10.0), make_banana_target())

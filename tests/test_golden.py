@@ -3,7 +3,9 @@
 Each case runs ``run_paim`` and ``run_ipc`` on one fixed config and pins
 a SHA-256 over ``samples``, ``sample_accepted``, ``activity``,
 ``budgets`` and the final proposals' means and covariances; a second
-test pins the adaptive run's final ``global_mean`` and ``global_cov``. A change
+test pins the adaptive run's final ``global_mean`` and ``global_cov``, and
+a third the baseline's samples when the chain count does not divide the
+sample budget. A change
 that is meant to leave the records bit-identical (a speed-up, a
 refactor) must keep every digest; a change that moves them must say so
 and show that the Table-1 MSEs did not move statistically.
@@ -14,8 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from paim.baseline import IpcConfig, run_ipc
-from paim.sampler import PaimConfig, run_paim
+from paim.sampler import PaimConfig, run_ipc, run_paim
 from paim.targets import make_banana_target, make_gaussian_mixture_target
 
 
@@ -130,9 +131,8 @@ def test_records_match_golden_digests(name):
     make_config, make_target = CASES[name]
     config = make_config()
     paim = run_paim(config, make_target())
-    ipc = run_ipc(IpcConfig.from_paim(config), make_target())
+    ipc = run_ipc(config, make_target())
     assert (record_digest(paim), record_digest(ipc)) == GOLDEN[name]
-
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -140,3 +140,32 @@ def test_global_moments_match_golden_digests(name):
     make_config, make_target = CASES[name]
     record = run_paim(make_config(), make_target())
     assert global_moments_digest(record) == GOLDEN_GLOBAL_MOMENTS[name]
+
+
+def ipc_samples_digest(record) -> str:
+    h = hashlib.sha256()
+    for values, dtype in (
+        (record.samples, np.float64),
+        (record.sample_accepted, np.bool_),
+        (record.sample_iteration, np.int64),
+        (record.budgets, np.int64),
+    ):
+        h.update(np.ascontiguousarray(values, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+# (n_chains, total_samples, init seed, seed): N does not divide L, so the
+# last step runs only the first L % N chains. The digests were pinned on
+# a separate baseline loop that recorded only those chains in the last
+# ``activity`` row, so they leave ``activity`` out.
+UNEVEN_IPC = {
+    (7, 1000, 81, 37): "fc7bc5065ff928789a97848cd221e0c7eeaf464b3563cfa76ab6e9f638f8971e",
+    (50, 52, 82, 41): "3dc919dfa4baeec83fb0aeb462fc8fe0aab87afa7d7ff41063b078a415ed3dcf",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNEVEN_IPC))
+def test_ipc_samples_with_uneven_budgets_match_golden_digests(case):
+    n, total, init_seed, seed = case
+    record = run_ipc(spread_config(n, total, 1, init_seed, seed=seed), make_banana_target())
+    assert ipc_samples_digest(record) == UNEVEN_IPC[case]

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 
-from paim.harness import emit_outputs
+from paim.harness import ExperimentConfig, emit_outputs, make_target, resolve_truth
 from paim.sampler import PaimConfig, RunRecord, run_paim
-from paim.targets import make_gaussian_target
+from paim.targets import grid_expectation, make_gaussian_target
 
 
 def row_by_row_csvs(record) -> dict[str, str]:
@@ -64,3 +64,30 @@ def test_csvs_match_row_by_row_formatting_for_edge_values(tmp_path):
         global_cov=None,
     )
     assert_csvs_match_row_by_row(record, tmp_path)
+
+
+def experiment_with_truth(truth, dim):
+    return ExperimentConfig.from_dict({
+        "target": {"name": "gaussian", "params": {"mean": [0.2] * dim, "sigma": 1.0}},
+        "sampler": {"n_chains": 2, "total_samples": 10, "t_train": 1},
+        "init": {"box_lower": [-1.0] * dim, "box_upper": [1.0] * dim, "sigma": 1.0},
+        "truth": truth,
+    })
+
+
+def test_grid_truth_runs_the_oracle_on_the_default_box():
+    config = experiment_with_truth("grid", 1)
+    assert config.truth == "grid"
+    target = make_target(config.target_name, config.target_params)
+    truth = resolve_truth(config, target)
+    np.testing.assert_array_equal(truth, grid_expectation(target, [-15.0], [15.0], 2001))
+    assert abs(truth[0] - 0.2) < 1e-9
+
+
+def test_explicit_grid_truth_runs_the_oracle_on_its_own_box():
+    config = experiment_with_truth({"grid": {"lower": [0, 0], "upper": [1, 1], "points_per_axis": 101}}, 2)
+    target = make_target(config.target_name, config.target_params)
+    truth = resolve_truth(config, target)
+    np.testing.assert_array_equal(truth, grid_expectation(target, [0.0, 0.0], [1.0, 1.0], 101))
+    # the mean of N(0.2, 1) truncated to [0, 1], not the untruncated 0.2
+    np.testing.assert_allclose(truth, [0.4754, 0.4754], atol=1e-4)

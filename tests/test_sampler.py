@@ -598,6 +598,12 @@ class TestPaimConfig:
         with pytest.raises(ValueError, match="epsilon"):
             small_config(epsilon=0.0).validate()
 
+    @pytest.mark.parametrize("field", ["epsilon", "init_sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            small_config(**{field: value}).validate()
+
     def test_budget_at_least_one_per_chain(self):
         with pytest.raises(ValueError, match="total_samples"):
             small_config(total_samples=3).validate()
