@@ -24,7 +24,7 @@ from scipy.stats import chi2
 
 from .gaussian import NotPositiveDefinite
 from .moments import mean_square_error
-from .sampler import MixtureProposal, PaimConfig, RunRecord, run_ipc, run_paim
+from .sampler import PaimConfig, RunRecord, run_ipc, run_paim
 from .targets import (
     BananaParams,
     TargetDensity,
