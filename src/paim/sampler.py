@@ -18,7 +18,7 @@ reallocates its iterations to better-placed chains; its local mean
 keeps competing for new states, so it is revived as soon as its share
 grows back.
 
-The fixed-proposal baseline, :func:`run_ipc`, is this same driver with
+The fixed-proposal baseline, :func:`run_ipc`, is this same sampler with
 adaptation off. A step's chains advance together through
 :meth:`ChainEnsemble.advance`: each chain draws from its own random
 stream, then one batched call scores all candidates under the target
