@@ -1,9 +1,11 @@
-"""Dense SPD linear algebra and multivariate normal sampling.
+"""Dense SPD linear algebra for Gaussian proposals and targets.
 
-Every proposal component is stored as (mean, covariance, Cholesky
-factor). The factor is computed once per parameter update and reused
-for both sampling and density evaluation, so a draw costs O(d^2) and a
-log-density costs one triangular solve.
+A Gaussian is held as plain arrays: a mean, a covariance and the
+covariance's Cholesky factor ``(lower, log_det_half)`` from
+:func:`cholesky`, for one matrix or a stack of them. The factor is
+computed once per parameter update and reused for both sampling and
+density evaluation, so a draw costs O(d^2) and a log-density costs one
+triangular solve.
 
 All Gaussian log-densities go through one kernel,
 :func:`log_gaussian_pdf_stacked`: a forward substitution over rows of
@@ -17,8 +19,6 @@ single point is the one-row case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -54,29 +54,17 @@ def regularize(scatter: np.ndarray, epsilon: float) -> np.ndarray:
     return a + epsilon * np.eye(a.shape[-1])
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor L with L @ L.T equal to the source matrix.
-
-    ``log_det_half`` is half the log-determinant of the source matrix,
-    i.e. the sum of the logs of the diagonal of L. For a stack of
-    matrices, ``lower`` is (..., d, d) and ``log_det_half`` an array (...);
-    for one matrix it is a float.
-    """
-
-    dim: int
-    lower: np.ndarray
-    log_det_half: float
-
-
-def cholesky(cov: np.ndarray) -> CholeskyFactor:
+def cholesky(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor one symmetric positive definite matrix or a stack (..., d, d).
 
-    Every matrix is factored column by column with the same arithmetic,
-    so a matrix gets the same bits in a stack as alone; one matrix is
-    the one-row case. Raises :class:`NotPositiveDefinite` if any pivot
-    is at or below ``PIVOT_FLOOR``, which signals a missing or too-small
-    regularizer.
+    Returns ``(lower, log_det_half)``: the lower-triangular factors L
+    (..., d, d) with L @ L.T equal to the source matrices, and half the
+    log-determinant of each, the sum of the logs of L's diagonal, with
+    shape (...); for one matrix that is a float. Every matrix is
+    factored column by column with the same arithmetic, so a matrix gets
+    the same bits in a stack as alone; one matrix is the one-row case.
+    Raises :class:`NotPositiveDefinite` if any pivot is at or below
+    ``PIVOT_FLOOR``, which signals a missing or too-small regularizer.
     """
     a = np.asarray(cov, dtype=float)
     d = a.shape[-1]
@@ -101,18 +89,8 @@ def cholesky(cov: np.ndarray) -> CholeskyFactor:
                 column = column - (lower[:, j + 1 :, :j] @ row[..., None])[..., 0]
             lower[:, j + 1 :, j] = column / ljj[:, None]
     log_det_half = np.log(lower.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
-    if a.ndim == 2:
-        return CholeskyFactor(dim=d, lower=lower[0], log_det_half=float(log_det_half[0]))
-    return CholeskyFactor(dim=d, lower=lower.reshape(a.shape), log_det_half=log_det_half.reshape(a.shape[:-2]))
-
-
-def sample_gaussian(mean: np.ndarray, factor: CholeskyFactor, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``mean + L @ z`` with z standard normal.
-
-    Consumes exactly ``factor.dim`` normal variates from ``rng``.
-    """
-    z = rng.standard_normal(factor.dim)
-    return mean + factor.lower @ z
+    # Indexing with () turns the 0-d result of one matrix into a scalar.
+    return lower.reshape(a.shape), log_det_half.reshape(a.shape[:-2])[()]
 
 
 def log_gaussian_pdf_stacked(diff: np.ndarray, lower: np.ndarray, log_det_half) -> np.ndarray:
@@ -131,12 +109,3 @@ def log_gaussian_pdf_stacked(diff: np.ndarray, lower: np.ndarray, log_det_half) 
         w[..., i] = (diff[..., i] - np.vecdot(w[..., :i], lower[..., i, :i])) / lower[..., i, i]
     return -0.5 * d * LOG_TWO_PI - log_det_half - 0.5 * np.vecdot(w, w)
 
-
-def log_gaussian_pdf_batch(xs: np.ndarray, mean: np.ndarray, factor: CholeskyFactor) -> np.ndarray:
-    """Gaussian log-density for each row of ``xs``, shape (n, dim)."""
-    return log_gaussian_pdf_stacked(np.asarray(xs, dtype=float) - mean, factor.lower, factor.log_det_half)
-
-
-def log_gaussian_pdf(x: np.ndarray, mean: np.ndarray, factor: CholeskyFactor) -> float:
-    """Normalized Gaussian log-density at one point."""
-    return float(log_gaussian_pdf_batch(np.asarray(x, dtype=float)[None], mean, factor)[0])

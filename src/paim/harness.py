@@ -44,8 +44,10 @@ class ConfigError(Exception):
 # ----------------------------- targets by name -----------------------------
 
 def make_target(name: str, params: Optional[dict] = None) -> TargetDensity:
-    """Build a target density from its config-file name."""
-    params = dict(params or {})
+    """Build a target density from its config-file name and parameters."""
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise ConfigError("target params must be a JSON object")
     try:
         if name == "banana":
             return make_banana_target(BananaParams(**params))
@@ -54,7 +56,7 @@ def make_target(name: str, params: Optional[dict] = None) -> TargetDensity:
             if "cov" in params:
                 cov = np.asarray(params["cov"], dtype=float)
             else:
-                cov = float(params.get("sigma", 1.0)) ** 2 * np.eye(mean.shape[0])
+                cov = float(params.get("sigma", 1.0)) ** 2 * np.eye(mean.size)
             return make_gaussian_target(mean, cov)
         if name == "gaussian_mixture":
             return make_gaussian_mixture_target(
@@ -104,11 +106,20 @@ class GridSpec:
     points_per_axis: int
 
 
+# The keys of a config file, per section ("" is the top level).
+CONFIG_FIELDS = {
+    "": ("algorithm", "target", "sampler", "init", "replications", "base_seed", "output_dir", "truth"),
+    "target": ("name", "params"),
+    "sampler": ("n_chains", "total_samples", "t_train", "t_stop", "epsilon", "activation_rule"),
+    "init": ("box_lower", "box_upper", "sigma"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     algorithm: str                  # "paim", "ipc", or "both"
     target_name: str
-    target_params: dict
+    target_params: Optional[dict]
     n_chains: int
     total_samples: int
     t_train: int
@@ -118,7 +129,6 @@ class ExperimentConfig:
     t_stop: float = math.inf
     epsilon: float = 0.4
     activation_rule: str = "floor"
-    discard_burn_in: bool = False
     replications: int = 1
     base_seed: int = 0
     output_dir: str = "out"
@@ -134,6 +144,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Parse a config file's object; an unknown key is an error, so a
+        misspelt or retired field cannot be silently ignored."""
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
+        for section, fields in CONFIG_FIELDS.items():
+            values = raw.get(section, {}) if section else raw
+            if not isinstance(values, dict):
+                raise ConfigError(f"config field {section} must be a JSON object")
+            unknown = sorted(set(values) - set(fields))
+            if unknown:
+                raise ConfigError(f"unknown config field: {section + '.' if section else ''}{unknown[0]}")
         try:
             target = raw["target"]
             sampler = raw["sampler"]
@@ -142,14 +163,13 @@ class ExperimentConfig:
             return cls(
                 algorithm=raw.get("algorithm", "both"),
                 target_name=target["name"],
-                target_params=dict(target.get("params", {})),
+                target_params=target.get("params"),
                 n_chains=int(sampler["n_chains"]),
                 total_samples=int(sampler["total_samples"]),
                 t_train=int(sampler["t_train"]),
                 t_stop=math.inf if t_stop is None else float(t_stop),
                 epsilon=float(sampler.get("epsilon", 0.4)),
                 activation_rule=sampler.get("activation_rule", "floor"),
-                discard_burn_in=bool(sampler.get("discard_burn_in", False)),
                 box_lower=init["box_lower"],
                 box_upper=init["box_upper"],
                 sigma=float(init["sigma"]),
@@ -204,22 +224,6 @@ def resolve_truth(config: ExperimentConfig, target: TargetDensity) -> np.ndarray
     return truth
 
 
-# ----------------------------- estimation -----------------------------
-
-def sample_mean_estimate(record: RunRecord, discard_burn_in: bool = False) -> np.ndarray:
-    """E[X] estimate from one run: the mean of the recorded samples.
-
-    With ``discard_burn_in`` each chain's first ceil(K_n/5) samples are
-    dropped from the average (the record itself is untouched).
-    """
-    if not discard_burn_in:
-        return record.samples.mean(axis=0)
-    keep = record.sample_iteration > np.ceil(record.budgets[record.sample_chain] / 5)
-    if not keep.any():
-        return record.samples.mean(axis=0)
-    return record.samples[keep].mean(axis=0)
-
-
 # ----------------------------- replication -----------------------------
 
 @dataclass
@@ -265,8 +269,9 @@ class SummaryReport:
         }
 
 
-def _summarize(records_estimates, truth) -> AlgorithmSummary:
-    records, estimates = records_estimates
+def _summarize(records: list[RunRecord], truth) -> AlgorithmSummary:
+    # The E[X] estimate of a run is the mean of its recorded samples.
+    estimates = [r.samples.mean(axis=0) for r in records]
     return AlgorithmSummary(
         mse=mean_square_error(estimates, truth),
         estimates=[[float(v) for v in e] for e in estimates],
@@ -288,12 +293,10 @@ def replicate(config: ExperimentConfig) -> SummaryReport:
     """
     target = make_target(config.target_name, config.target_params)
     truth = resolve_truth(config, target)
-    want_paim = config.algorithm in ("paim", "both")
-    want_ipc = config.algorithm in ("ipc", "both")
-
-    paim_runs: tuple[list, list] = ([], [])
-    ipc_runs: tuple[list, list] = ([], [])
-    first_records: dict[str, RunRecord] = {}
+    runners = {"paim": run_paim, "ipc": run_ipc}
+    if config.algorithm != "both":
+        runners = {config.algorithm: runners[config.algorithm]}
+    records: dict[str, list[RunRecord]] = {name: [] for name in runners}
 
     for rep_ss in np.random.SeedSequence(config.base_seed).spawn(config.replications):
         init_ss, sample_ss = rep_ss.spawn(2)
@@ -313,30 +316,18 @@ def replicate(config: ExperimentConfig) -> SummaryReport:
             init_sigma=init.sigma,
             seed=int(sample_ss.generate_state(1, dtype=np.uint64)[0]),
         )
-
-        if want_paim:
-            record = run_paim(run_config, target)
-            paim_runs[0].append(record)
-            paim_runs[1].append(sample_mean_estimate(record, config.discard_burn_in))
-            first_records.setdefault("paim", record)
-        if want_ipc:
-            record = run_ipc(run_config, target)
-            ipc_runs[0].append(record)
-            ipc_runs[1].append(sample_mean_estimate(record, config.discard_burn_in))
-            first_records.setdefault("ipc", record)
+        for name, runner in runners.items():
+            records[name].append(runner(run_config, target))
 
     report = SummaryReport(
         algorithm=config.algorithm,
         target_name=config.target_name,
         replications=config.replications,
         truth=[float(v) for v in truth],
-        records=first_records,
+        records={name: runs[0] for name, runs in records.items()},
+        **{name: _summarize(runs, truth) for name, runs in records.items()},
     )
-    if want_paim:
-        report.paim = _summarize(paim_runs, truth)
-    if want_ipc:
-        report.ipc = _summarize(ipc_runs, truth)
-    if want_paim and want_ipc and report.ipc.mse > 0.0:
+    if report.paim is not None and report.ipc is not None and report.ipc.mse > 0.0:
         report.reduction_pct = 100.0 * (report.ipc.mse - report.paim.mse) / report.ipc.mse
     return report
 
@@ -430,18 +421,18 @@ def emit_outputs(record: RunRecord, report: Optional[SummaryReport], out_dir: st
 
 
 def _params_payload(record: RunRecord) -> dict:
-    def comp(c) -> dict:
-        return {"mean": c.mean.tolist(), "cov": c.cov.tolist()}
+    def comp(j: int, c: int) -> dict:
+        return {"mean": record.proposal_means[j, c].tolist(), "cov": record.proposal_covs[j, c].tolist()}
 
     return {
         "chains": [
             {
                 "index": j,
                 "active": bool(record.activity[-1, j]),
-                "global": comp(p.global_component),
-                "local": comp(p.local_component),
+                "global": comp(j, 0),
+                "local": comp(j, 1),
             }
-            for j, p in enumerate(record.proposals)
+            for j in range(record.proposal_means.shape[0])
         ],
         "shared": None
         if record.global_mean is None
@@ -465,10 +456,8 @@ def _ellipses_csv(record: RunRecord) -> str:
         vals = [_fmt(v) for v in mean] + [_fmt(v) for v in np.asarray(cov).ravel()]
         return f"{chain},{component}," + ",".join(vals) + f",{_fmt(radius)}"
 
-    for j, p in enumerate(record.proposals):
-        if record.activity[-1, j]:
-            c = p.local_component
-            lines.append(row(j, "local", c.mean, c.cov))
+    for j in np.flatnonzero(record.activity[-1]).tolist():
+        lines.append(row(j, "local", record.proposal_means[j, 1], record.proposal_covs[j, 1]))
     if record.global_mean is not None:
         lines.append(row(-1, "global", record.global_mean, record.global_cov))
     return "\n".join(lines) + "\n"

@@ -26,16 +26,18 @@ and one under the chains' stacked mixture proposals. A chain's records
 are bit-identical to advancing it alone, so they do not depend on how
 many other chains are active.
 
-The adaptation state is stacked the same way. The N clusters are one
-:class:`~paim.moments.MomentStack`; :func:`assign` finds every new
-state's nearest local mean with one distance matrix, then pushes the
-states into their clusters in generation order. A refresh computes the
-covariances of the global fit and of every cluster that changed in one
-stacked step and factors them with one stacked :func:`cholesky` call,
-writing the results straight into the :class:`ChainEnsemble`, the only
-holder of proposal parameters. :class:`MixtureProposal` objects are
-built from those arrays only for the run record and the ``on_step``
-view.
+The proposals are arrays, not objects. :class:`ChainEnsemble` holds
+every chain's mixture as stacked means (n, 2, d), covariances
+(n, 2, d, d) and their Cholesky factors, column 0 the global component
+and column 1 the local one; the run record and the ``on_step`` view
+read those arrays. The adaptation state is stacked the same way. The N
+clusters are one :class:`~paim.moments.MomentStack`; :func:`assign`
+finds every new state's nearest local mean with one distance matrix,
+then pushes the states into their clusters in generation order. A
+refresh computes the covariances of the global fit and of every
+cluster that changed in one stacked step and factors them with one
+stacked :func:`cholesky` call, writing the results straight into the
+ensemble.
 """
 
 from __future__ import annotations
@@ -47,79 +49,26 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gaussian import CholeskyFactor, cholesky, log_gaussian_pdf_stacked, sample_gaussian
+from .gaussian import cholesky, log_gaussian_pdf_stacked
 from .moments import MomentStack, RunningMoments, stacked_covariance
 from .targets import TargetDensity
 
 LOG_HALF = math.log(0.5)
 
 
-# ----------------------------- proposals -----------------------------
-
-@dataclass(frozen=True)
-class GaussianComponent:
-    mean: np.ndarray
-    cov: np.ndarray
-    factor: CholeskyFactor
-
-
-def make_component(mean, cov) -> GaussianComponent:
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    return GaussianComponent(mean=mean, cov=cov, factor=cholesky(cov))
-
-
-@dataclass(frozen=True)
-class MixtureProposal:
-    """Equal-weight two-component Gaussian mixture (weights are fixed)."""
-
-    global_component: GaussianComponent
-    local_component: GaussianComponent
-
-    @property
-    def dim(self) -> int:
-        return self.global_component.factor.dim
-
-
-def component_arrays(proposals: Sequence[MixtureProposal]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack the proposals' components: means (n, 2, d), Cholesky factors
-    (n, 2, d, d) and half log-determinants (n, 2); column 0 holds the
-    global component, column 1 the local one."""
-    comps = [(p.global_component, p.local_component) for p in proposals]
-    means = np.array([[c.mean for c in pair] for pair in comps], dtype=float)
-    lowers = np.array([[c.factor.lower for c in pair] for pair in comps], dtype=float)
-    log_det_halves = np.array([[c.factor.log_det_half for c in pair] for pair in comps], dtype=float)
-    return means, lowers, log_det_halves
-
+# ----------------------------- MH kernel -----------------------------
 
 def stacked_mixture_log_pdf(xs, means, lowers, log_det_halves) -> np.ndarray:
     """Mixture log-density of each row of ``xs`` (m, d) under its own proposal.
 
     Row r's proposal is ``means[r]`` (2, d), ``lowers[r]`` (2, d, d) and
-    ``log_det_halves[r]`` (2,), as laid out by :func:`component_arrays`.
+    ``log_det_halves[r]`` (2,), as laid out in :class:`ChainEnsemble`.
     Each value is log(0.5*q1(x) + 0.5*q2(x)), evaluated without leaving
     log space, and is bit-identical to the value its row gets alone.
     """
     comp = log_gaussian_pdf_stacked(xs[:, None, :] - means, lowers, log_det_halves)
     return LOG_HALF + np.logaddexp(comp[:, 0], comp[:, 1])
 
-
-def mixture_log_pdf(proposal: MixtureProposal, x: np.ndarray) -> float:
-    """log(0.5*q1(x) + 0.5*q2(x)) at one point."""
-    x = np.asarray(x, dtype=float)
-    return float(stacked_mixture_log_pdf(x[None], *component_arrays([proposal]))[0])
-
-
-def sample_mixture(proposal: MixtureProposal, rng: np.random.Generator) -> np.ndarray:
-    """Fair-coin component choice, then one Gaussian draw.
-
-    Consumes one uniform plus ``dim`` normal variates from ``rng``.
-    """
-    comp = proposal.global_component if rng.random() < 0.5 else proposal.local_component
-    return sample_gaussian(comp.mean, comp.factor, rng)
-
-
-# ----------------------------- MH kernel -----------------------------
 
 def log_accept_ratio(
     log_target_new: float,
@@ -152,9 +101,7 @@ class ChainEnsemble:
     ``means`` (n, 2, d), covariances ``covs`` (n, 2, d, d), their
     Cholesky factors ``lowers`` (n, 2, d, d) and half log-determinants
     ``log_det_halves`` (n, 2), with column 0 the global component and
-    column 1 the local one, as laid out by :func:`component_arrays`.
-    :meth:`refit` replaces them; :meth:`proposals` copies them out as
-    objects.
+    column 1 the local one. :meth:`refit` replaces them.
     """
 
     def __init__(self, init_states, means, covs, rngs: Sequence[np.random.Generator]):
@@ -167,10 +114,7 @@ class ChainEnsemble:
         self.log_proposal: list[Optional[float]] = [None] * n
         self.means = np.array(np.broadcast_to(means, (n, 2, d)), dtype=float)
         self.covs = np.array(np.broadcast_to(covs, (n, 2, d, d)), dtype=float)
-        factor = cholesky(self.covs)
-        self.lowers, self.log_det_halves = factor.lower, factor.log_det_half
-        # Set once a refit gives every chain the same global component.
-        self.shared_global = False
+        self.lowers, self.log_det_halves = cholesky(self.covs)
 
     def refit(self, means: np.ndarray, covs: np.ndarray, rows: np.ndarray) -> None:
         """Install a new global component and new local components.
@@ -182,35 +126,16 @@ class ChainEnsemble:
         :func:`cholesky` call. Every cached mixture density goes stale,
         since the global component changed.
         """
-        factor = cholesky(covs)
+        lowers, log_det_halves = cholesky(covs)
         for held, values in (
             (self.means, means),
             (self.covs, covs),
-            (self.lowers, factor.lower),
-            (self.log_det_halves, factor.log_det_half),
+            (self.lowers, lowers),
+            (self.log_det_halves, log_det_halves),
         ):
             held[:, 0] = values[0]
             held[rows, 1] = values[1:]
-        self.shared_global = True
         self.log_proposal = [None] * len(self.log_proposal)
-
-    def proposals(self) -> list[MixtureProposal]:
-        """Copies of the chains' proposals, as :class:`MixtureProposal` objects.
-
-        After a :meth:`refit` every chain's global component is one
-        shared object, as every chain holds the same parameters.
-        """
-        n, d = self.current.shape
-
-        def component(j: int, c: int) -> GaussianComponent:
-            factor = CholeskyFactor(d, self.lowers[j, c].copy(), float(self.log_det_halves[j, c]))
-            return GaussianComponent(mean=self.means[j, c].copy(), cov=self.covs[j, c].copy(), factor=factor)
-
-        if self.shared_global:
-            globals_ = [component(0, 0)] * n
-        else:
-            globals_ = [component(j, 0) for j in range(n)]
-        return [MixtureProposal(global_component=g, local_component=component(j, 1)) for j, g in enumerate(globals_)]
 
     def advance(self, run: np.ndarray, target: TargetDensity) -> np.ndarray:
         """One independence-MH iteration for each chain in ``run``, together.
@@ -417,9 +342,8 @@ class SchedulerState:
     ``total_drawn`` are valid. ``active`` holds the set that the *next*
     step will use (adaptation updates it in place at the end of a step).
     ``global_moments`` and the rows of ``clusters`` read the live
-    accumulators. ``proposals`` copies the chains' proposals out of
-    ``chains`` at its first access in a step, so a callback that never
-    reads it costs nothing.
+    accumulators, and ``chains.means`` and ``chains.covs`` the live
+    proposal parameters; copy what must outlive the callback.
     """
 
     step: int
@@ -430,13 +354,6 @@ class SchedulerState:
     active: np.ndarray
     chains: ChainEnsemble
     fresh: list[np.ndarray] = field(default_factory=list)
-    _proposals: tuple = field(default=(None, []), repr=False)
-
-    @property
-    def proposals(self) -> list[MixtureProposal]:
-        if self._proposals[0] != self.step:
-            self._proposals = (self.step, self.chains.proposals())
-        return self._proposals[1]
 
 
 @dataclass
@@ -451,7 +368,8 @@ class RunRecord:
     activity: np.ndarray           # (t_total, n_chains) active set per step; the last step
                                    # runs only its first L - drawn active chains
     budgets: np.ndarray            # (n_chains,) final per-chain iteration counts
-    proposals: list[MixtureProposal]
+    proposal_means: np.ndarray     # (n_chains, 2, dim) final global and local means
+    proposal_covs: np.ndarray      # (n_chains, 2, dim, dim) final global and local covariances
     global_mean: Optional[np.ndarray]
     global_cov: Optional[np.ndarray]
 
@@ -591,7 +509,8 @@ def run_paim(
         sample_accepted=sample_accepted,
         activity=np.stack(activity_rows),
         budgets=chains.iterations.copy(),
-        proposals=chains.proposals(),
+        proposal_means=chains.means,
+        proposal_covs=chains.covs,
         global_mean=global_moments.mean.copy() if global_moments.count > 0 else None,
         global_cov=global_moments.covariance(config.epsilon) if global_moments.count > 0 else None,
     )

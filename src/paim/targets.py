@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from numbers import Real
+from typing import Callable
 
 import numpy as np
 
-from .gaussian import CholeskyFactor, cholesky, log_gaussian_pdf, log_gaussian_pdf_batch
+from .gaussian import cholesky, log_gaussian_pdf_stacked
 
 
 class AllZeroMass(Exception):
@@ -28,41 +29,25 @@ class AllZeroMass(Exception):
 
 
 class TargetDensity:
-    """Unnormalized log-density on R^dim.
+    """Unnormalized log-density on R^dim, evaluated over rows of points.
 
-    The point evaluator must return a finite float or ``-inf`` for any
-    finite input. A NaN is rejected here, at the boundary, with a
-    ``ValueError`` naming the point: the acceptance rule would otherwise
-    treat it as an always-accepted move. ``+inf`` is passed through
-    unchanged: a chain that reaches such a point never moves back to a
-    point of finite density. A
-    vectorized evaluator over (n, dim) arrays may be supplied; otherwise
-    batch calls fall back to a point loop.
+    ``log_density_batch`` maps an (n, dim) array of points to their n
+    log-densities; a single point is the one-row case. Each value must
+    be a finite float or ``-inf`` for finite input. A NaN is rejected
+    here, at the boundary, with a ``ValueError`` naming the first point
+    that produced one: the acceptance rule would otherwise treat it as
+    an always-accepted move. ``+inf`` is passed through unchanged: a
+    chain that reaches such a point never moves back to a point of
+    finite density.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        log_density: Callable[[np.ndarray], float],
-        log_density_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    ):
+    def __init__(self, dim: int, log_density_batch: Callable[[np.ndarray], np.ndarray]):
         self.dim = dim
-        self._point = log_density
         self._batch = log_density_batch
-
-    def log_density(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        value = float(self._point(x))
-        if math.isnan(value):
-            raise ValueError(f"target log-density is NaN at {x.tolist()}")
-        return value
 
     def log_density_batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if self._batch is not None:
-            values = np.asarray(self._batch(xs), dtype=float)
-        else:
-            values = np.array([float(self._point(row)) for row in xs])
+        values = np.asarray(self._batch(xs), dtype=float)
         nan = np.isnan(values)
         if nan.any():
             raise ValueError(f"target log-density is NaN at {xs[np.argmax(nan)].tolist()}")
@@ -75,6 +60,7 @@ class BananaParams:
 
     ``b`` bends the ridge; the etas set the width of the ridge and the
     two quadratic envelopes. Defaults match the benchmark study setting.
+    All four must be finite real numbers and the etas positive.
     """
 
     b: float = 10.0
@@ -83,68 +69,53 @@ class BananaParams:
     eta3: float = 5.0
 
     def __post_init__(self):
+        for name in ("b", "eta1", "eta2", "eta3"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if min(self.eta1, self.eta2, self.eta3) <= 0.0:
             raise ValueError("eta1, eta2, eta3 must all be positive")
 
 
-def log_banana(x, params: BananaParams = BananaParams()) -> float:
-    """Banana log-density at a single 2-D point."""
-    x1, x2 = float(x[0]), float(x[1])
-    ridge = 4.0 - params.b * x1 - x2 * x2
-    return (
-        -ridge * ridge / (2.0 * params.eta1**2)
-        - x1 * x1 / (2.0 * params.eta2**2)
-        - x2 * x2 / (2.0 * params.eta3**2)
-    )
-
-
-def _log_banana_batch(xs: np.ndarray, params: BananaParams) -> np.ndarray:
-    x1, x2 = xs[:, 0], xs[:, 1]
-    ridge = 4.0 - params.b * x1 - x2 * x2
-    return (
-        -(ridge**2) / (2.0 * params.eta1**2)
-        - x1**2 / (2.0 * params.eta2**2)
-        - x2**2 / (2.0 * params.eta3**2)
-    )
-
-
 def make_banana_target(params: BananaParams = BananaParams()) -> TargetDensity:
-    return TargetDensity(
-        dim=2,
-        log_density=lambda x: log_banana(x, params),
-        log_density_batch=lambda xs: _log_banana_batch(xs, params),
-    )
+    def log_density(xs: np.ndarray) -> np.ndarray:
+        x1, x2 = xs[:, 0], xs[:, 1]
+        ridge = 4.0 - params.b * x1 - x2 * x2
+        return (
+            -(ridge**2) / (2.0 * params.eta1**2)
+            - x1**2 / (2.0 * params.eta2**2)
+            - x2**2 / (2.0 * params.eta3**2)
+        )
+
+    return TargetDensity(2, log_density)
 
 
 def make_gaussian_target(mean, cov) -> TargetDensity:
     """Gaussian target; rejects non-PD covariance at construction."""
     mean = np.asarray(mean, dtype=float)
-    factor = cholesky(np.asarray(cov, dtype=float))
-    return TargetDensity(
-        dim=mean.shape[0],
-        log_density=lambda x: log_gaussian_pdf(x, mean, factor),
-        log_density_batch=lambda xs: log_gaussian_pdf_batch(xs, mean, factor),
-    )
+    cov = np.asarray(cov, dtype=float)
+    if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
+        raise ValueError(f"a mean of shape {mean.shape} does not match a cov of shape {cov.shape}")
+    lower, log_det_half = cholesky(cov)
+    return TargetDensity(mean.shape[0], lambda xs: log_gaussian_pdf_stacked(xs - mean, lower, log_det_half))
 
 
 def make_gaussian_mixture_target(means, covs, weights=None) -> TargetDensity:
     """Finite Gaussian mixture target, evaluated in log space."""
-    means = [np.asarray(m, dtype=float) for m in means]
-    factors: list[CholeskyFactor] = [cholesky(np.asarray(c, dtype=float)) for c in covs]
-    k = len(means)
-    if weights is None:
-        weights = np.full(k, 1.0 / k)
-    log_w = np.log(np.asarray(weights, dtype=float))
+    means = np.asarray(means, dtype=float)
+    covs = np.asarray(covs, dtype=float)
+    k, d = means.shape
+    weights = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=float)
+    if covs.shape != (k, d, d) or weights.shape != (k,):
+        raise ValueError(f"{k} means of dimension {d} need covs of shape ({k}, {d}, {d}) and {k} weights")
+    lowers, log_det_halves = cholesky(covs)
+    log_w = np.log(weights)
 
-    def point(x: np.ndarray) -> float:
-        terms = np.array([lw + log_gaussian_pdf(x, m, f) for lw, m, f in zip(log_w, means, factors)])
-        return float(np.logaddexp.reduce(terms))
+    def log_density(xs: np.ndarray) -> np.ndarray:
+        terms = log_w + log_gaussian_pdf_stacked(xs[:, None, :] - means, lowers, log_det_halves)
+        return np.logaddexp.reduce(terms, axis=1)
 
-    def batch(xs: np.ndarray) -> np.ndarray:
-        terms = np.stack([lw + log_gaussian_pdf_batch(xs, m, f) for lw, m, f in zip(log_w, means, factors)])
-        return np.logaddexp.reduce(terms, axis=0)
-
-    return TargetDensity(dim=means[0].shape[0], log_density=point, log_density_batch=batch)
+    return TargetDensity(d, log_density)
 
 
 def grid_expectation(target: TargetDensity, lower, upper, points_per_axis: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from paim.gaussian import cholesky
 from paim.sampler import PaimConfig, run_ipc, run_paim
 from paim.targets import make_banana_target, make_gaussian_target
 
@@ -46,10 +47,10 @@ class TestRunIpc:
     def test_proposals_never_change(self):
         means, states = random_inits(4, 3)
         record = run_ipc(ipc_config(4, 200, means, states, 10.0, seed=5), make_banana_target())
-        for j, p in enumerate(record.proposals):
-            np.testing.assert_array_equal(p.global_component.mean, means[j, 0])
-            np.testing.assert_array_equal(p.local_component.mean, means[j, 1])
-            np.testing.assert_array_equal(p.global_component.cov, 100.0 * np.eye(2))
+        for j in range(4):
+            np.testing.assert_array_equal(record.proposal_means[j, 0], means[j, 0])
+            np.testing.assert_array_equal(record.proposal_means[j, 1], means[j, 1])
+            np.testing.assert_array_equal(record.proposal_covs[j, 0], 100.0 * np.eye(2))
         assert record.global_mean is None
 
     def test_sample_count_and_budgets(self):
@@ -98,13 +99,12 @@ class TestRunIpc:
             for name in ("samples", "sample_step", "sample_chain", "sample_iteration", "sample_accepted",
                          "activity", "budgets"):
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
-            assert len(a.proposals) == len(b.proposals) == n
-            for pa, pb in zip(a.proposals, b.proposals):
-                for ca, cb in ((pa.global_component, pb.global_component), (pa.local_component, pb.local_component)):
-                    np.testing.assert_array_equal(ca.mean, cb.mean)
-                    np.testing.assert_array_equal(ca.cov, cb.cov)
-                    np.testing.assert_array_equal(ca.factor.lower, cb.factor.lower)
-                    assert ca.factor.log_det_half == cb.factor.log_det_half
+            assert a.proposal_means.shape == b.proposal_means.shape == (n, 2, 2)
+            np.testing.assert_array_equal(a.proposal_means, b.proposal_means)
+            np.testing.assert_array_equal(a.proposal_covs, b.proposal_covs)
+            (lower_a, log_det_half_a), (lower_b, log_det_half_b) = cholesky(a.proposal_covs), cholesky(b.proposal_covs)
+            np.testing.assert_array_equal(lower_a, lower_b)
+            np.testing.assert_array_equal(log_det_half_a, log_det_half_b)
             assert a.global_mean is None and b.global_mean is None
             assert a.global_cov is None and b.global_cov is None
 

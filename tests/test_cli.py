@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -193,3 +194,123 @@ def test_benchmark_table1_without_replications_exits_2(capsys):
     err = captured.err.splitlines()
     assert len(err) == 1
     assert err[0] == "error: replications must be at least 1"
+
+
+def run_argv(edit):
+    """``paim run`` argv on ``small_config()`` after ``edit(config)``."""
+
+    def argv(tmp_path):
+        config = small_config()
+        edit(config)
+        return ["run", "--config", str(write_config(tmp_path, config)), "--out", str(tmp_path / "out")]
+
+    return argv
+
+
+def run_file_argv(text):
+    """``paim run`` argv on a config file holding ``text``, or on a missing
+    file when ``text`` is None."""
+
+    def argv(tmp_path):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        return ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+
+    return argv
+
+
+def banana(**params):
+    return lambda c: c.update(target={"name": "banana", "params": params})
+
+
+# id -> (argv builder, the start of the message after "error: ")
+BAD_INPUTS = {
+    "unknown-target": (run_argv(lambda c: c["target"].update(name="donut")), "unknown target 'donut'"),
+    "unknown-algorithm": (run_argv(lambda c: c.update(algorithm="mcmc")), "unknown algorithm 'mcmc'"),
+    "missing-field": (run_argv(lambda c: c["sampler"].pop("n_chains")), "missing config field: n_chains"),
+    "wrong-value-type": (run_argv(lambda c: c["sampler"].update(n_chains="four")), "bad config value:"),
+    "unreadable-file": (run_file_argv(None), "cannot read config"),
+    "invalid-json": (run_file_argv("{"), "config "),
+    "not-an-object": (run_file_argv("[1]"), "config must be a JSON object"),
+    "no-truth": (run_argv(lambda c: c.pop("truth")), "no ground truth"),
+    "truth-shape": (run_argv(lambda c: c.update(truth=[1.0, 2.0, 3.0])), "truth vector must have shape (2,)"),
+    "zero-replications": (run_argv(lambda c: c.update(replications=0)), "replications must be at least 1"),
+    "target-dim-not-box-dim": (
+        run_argv(lambda c: c["init"].update(box_lower=[-5.0] * 3, box_upper=[5.0] * 3)),
+        "target dim 2 does not match config dim 3",
+    ),
+    "unknown-top-level-key": (
+        run_argv(lambda c: c.update(discard_burn_in=True)),
+        "unknown config field: discard_burn_in",
+    ),
+    "unknown-sampler-key": (
+        run_argv(lambda c: c["sampler"].update(discard_burn_in=True, t_trian=5)),
+        "unknown config field: sampler.discard_burn_in",
+    ),
+    "unknown-target-key": (run_argv(lambda c: c["target"].update(parms={})), "unknown config field: target.parms"),
+    "unknown-init-key": (run_argv(lambda c: c["init"].update(sgima=1.0)), "unknown config field: init.sgima"),
+    "section-not-an-object": (run_argv(lambda c: c.update(sampler=[4, 302, 2])), "config field sampler must be"),
+    "banana-b-string": (run_argv(banana(b="x")), "bad parameters for target 'banana': b must be a finite real"),
+    "banana-b-null": (run_argv(banana(b=None)), "bad parameters for target 'banana': b must be a finite real"),
+    "banana-eta-nan": (run_argv(banana(eta2=math.nan)), "bad parameters for target 'banana': eta2 must be"),
+    "banana-eta-zero": (run_argv(banana(eta3=0.0)), "bad parameters for target 'banana': eta1, eta2, eta3"),
+    "gaussian-cov-shape": (
+        run_argv(lambda c: c["target"]["params"].update(cov=np.eye(3).tolist())),
+        "bad parameters for target 'gaussian': a mean of shape (2,) does not match a cov of shape (3, 3)",
+    ),
+    "target-params-list": (run_argv(lambda c: c["target"].update(params=[1])), "target params must be a JSON object"),
+    "oracle-params-list": (lambda _: ["oracle", "--params", "[1]"], "target params must be a JSON object"),
+    "oracle-params-number": (lambda _: ["oracle", "--params", "5"], "target params must be a JSON object"),
+    "oracle-params-string": (lambda _: ["oracle", "--params", '"x"'], "target params must be a JSON object"),
+    "oracle-gaussian-scalar-mean": (
+        lambda _: ["oracle", "--target", "gaussian", "--params", '{"mean": 1}'],
+        "bad parameters for target 'gaussian': a mean of shape () does not match a cov of shape (1, 1)",
+    ),
+    "oracle-banana-b-string": (lambda _: ["oracle", "--params", '{"b": "x"}'], "bad parameters for target 'banana'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case):
+    argv, message = BAD_INPUTS[case]
+    assert main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: " + message), err[0]
+    assert "Traceback" not in captured.err
+
+
+OUTPUT_FILES = ("samples.csv", "activity.csv", "params.json", "summary.json", "ellipses.csv")
+
+
+def banana_config():
+    """A tiny ``algorithm: both`` study on the banana target whose adaptive
+    run suspends chains."""
+    return small_config(
+        target={"name": "banana"},
+        sampler={"n_chains": 6, "total_samples": 300, "t_train": 2},
+        init={"box_lower": [-15.0, -15.0], "box_upper": [15.0, 15.0], "sigma": 10.0},
+        replications=2,
+        base_seed=5,
+        truth=[-1.0949, 0.0],
+    )
+
+
+def test_run_output_files_match_golden_digest(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, banana_config())), "--out", str(out)]) == 0
+    capsys.readouterr()
+    h = hashlib.sha256()
+    for name in ("paim", "ipc"):
+        for f in OUTPUT_FILES:
+            h.update(f"{name}/{f}\n".encode("utf-8"))
+            h.update((out / name / f).read_bytes())
+    assert h.hexdigest() == GOLDEN_RUN_FILES
+
+
+# SHA-256 over the names and bytes of the ten files above. The files must
+# not depend on how the run record holds the final proposals.
+GOLDEN_RUN_FILES = "67c9b8ffd7b923edb7f7568dd6308dc0d02655deb1dc73f8a7fc4ea19d753503"

@@ -2,7 +2,7 @@
 
 Each case runs ``run_paim`` and ``run_ipc`` on one fixed config and pins
 a SHA-256 over ``samples``, ``sample_accepted``, ``activity``,
-``budgets`` and the final proposals' means and covariances; a second
+``budgets`` and the final proposal means and covariances; a second
 test pins the adaptive run's final ``global_mean`` and ``global_cov``, and
 a third the baseline's samples when the chain count does not divide the
 sample budget. A change
@@ -29,10 +29,11 @@ def record_digest(record) -> str:
         (record.budgets, np.int64),
     ):
         h.update(np.ascontiguousarray(values, dtype=dtype).tobytes())
-    for p in record.proposals:
-        for comp in (p.global_component, p.local_component):
-            h.update(np.ascontiguousarray(comp.mean, dtype=np.float64).tobytes())
-            h.update(np.ascontiguousarray(comp.cov, dtype=np.float64).tobytes())
+    # per chain: global mean, global covariance, local mean, local covariance
+    for means, covs in zip(record.proposal_means, record.proposal_covs):
+        for c in (0, 1):
+            h.update(np.ascontiguousarray(means[c], dtype=np.float64).tobytes())
+            h.update(np.ascontiguousarray(covs[c], dtype=np.float64).tobytes())
     return h.hexdigest()
 
 

@@ -59,7 +59,8 @@ def test_csvs_match_row_by_row_formatting_for_edge_values(tmp_path):
         sample_accepted=np.arange(m) % 3 == 0,
         activity=np.ones((m, 1), dtype=bool),
         budgets=np.array([m], dtype=np.int64),
-        proposals=[],
+        proposal_means=np.zeros((1, 2, 1)),
+        proposal_covs=np.ones((1, 2, 1, 1)),
         global_mean=None,
         global_cov=None,
     )

@@ -3,24 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from paim.gaussian import log_gaussian_pdf
+from paim.gaussian import cholesky
 from paim.moments import MomentStack, RunningMoments
 from paim.sampler import (
     ChainEnsemble,
-    MixtureProposal,
     PaimConfig,
     activation,
     assign,
     chain_streams,
-    component_arrays,
     log_accept_ratio,
-    make_component,
-    mixture_log_pdf,
     refreshed_proposals,
     run_paim,
-    sample_mixture,
+    stacked_mixture_log_pdf,
 )
 from paim.targets import TargetDensity, make_banana_target, make_gaussian_target
+import reference
 
 
 class ScriptedRng:
@@ -40,24 +37,45 @@ class ScriptedRng:
         return np.asarray(self.normals.pop(0), dtype=float)
 
 
-def proposal_from(mean1, cov1, mean2, cov2) -> MixtureProposal:
-    return MixtureProposal(
-        global_component=make_component(mean1, cov1),
-        local_component=make_component(mean2, cov2),
-    )
+class Proposal:
+    """One chain's mixture proposal as arrays: ``means`` (2, d) and
+    ``covs`` (2, d, d), row 0 the global component, row 1 the local one,
+    with their Cholesky factors."""
+
+    def __init__(self, means, covs):
+        self.means = np.asarray(means, dtype=float)
+        self.covs = np.asarray(covs, dtype=float)
+        self.lowers, self.log_det_halves = cholesky(self.covs)
+
+    def log_pdf(self, x) -> float:
+        """The reference mixture log-density at one point."""
+        return reference.mixture_log_pdf(self.means, self.lowers, self.log_det_halves, x)
+
+    def component_log_pdf(self, c: int, x) -> float:
+        return reference.log_gaussian_pdf(x, self.means[c], self.lowers[c], self.log_det_halves[c])
+
+
+def proposal_from(mean1, cov1, mean2, cov2) -> Proposal:
+    return Proposal([mean1, mean2], [cov1, cov2])
+
+
+def mixture_log_pdf(psi: Proposal, x) -> float:
+    """The sampler's stacked mixture log-density at one point: the one-row case."""
+    x = np.asarray(x, dtype=float)
+    return float(stacked_mixture_log_pdf(x[None], psi.means[None], psi.lowers[None], psi.log_det_halves[None])[0])
 
 
 class TestMixtureLogPdf:
     def test_identical_components(self):
         psi = proposal_from([1.0, -1.0], np.eye(2), [1.0, -1.0], np.eye(2))
         x = np.array([0.3, 0.3])
-        single = log_gaussian_pdf(x, psi.global_component.mean, psi.global_component.factor)
+        single = psi.component_log_pdf(0, x)
         assert mixture_log_pdf(psi, x) == pytest.approx(single, abs=1e-14)
 
     def test_far_component_drops_out(self):
         psi = proposal_from([0.0, 0.0], np.eye(2), [1e8, 1e8], np.eye(2))
         x = np.zeros(2)
-        expected = math.log(0.5) + log_gaussian_pdf(x, psi.global_component.mean, psi.global_component.factor)
+        expected = math.log(0.5) + psi.component_log_pdf(0, x)
         assert mixture_log_pdf(psi, x) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_extended_precision_sum(self):
@@ -69,8 +87,8 @@ class TestMixtureLogPdf:
         rng = np.random.default_rng(12)
         for _ in range(30):
             x = rng.uniform(-6, 6, 2)
-            la = log_gaussian_pdf(x, psi.global_component.mean, psi.global_component.factor)
-            lb = log_gaussian_pdf(x, psi.local_component.mean, psi.local_component.factor)
+            la = psi.component_log_pdf(0, x)
+            lb = psi.component_log_pdf(1, x)
             exact = mpmath.log(mpmath.mpf(0.5) * mpmath.e**la + mpmath.mpf(0.5) * mpmath.e**lb)
             assert mixture_log_pdf(psi, x) == pytest.approx(float(exact), rel=1e-13)
 
@@ -82,26 +100,25 @@ class TestMixtureLogPdf:
 class TestSampleMixture:
     def test_forced_first_component(self):
         psi = proposal_from([3.0, 4.0], np.eye(2), [-3.0, -4.0], np.eye(2))
-        rng = ScriptedRng(uniforms=[0.2], normals=[(0.0, 0.0)])
-        out = sample_mixture(psi, rng)
+        rng = ScriptedRng(uniforms=[0.2, 0.0], normals=[(0.0, 0.0)])
+        out = reference.proposal_draws(psi.means, psi.covs, [rng])[0, 0]
         assert np.array_equal(out, [3.0, 4.0])
-        assert rng.calls == ["random", "standard_normal(2)"]
+        assert rng.calls == ["random", "standard_normal(2)", "random"]
 
     def test_forced_second_component(self):
         psi = proposal_from([3.0, 4.0], np.eye(2), [-3.0, -4.0], np.eye(2))
-        out = sample_mixture(psi, ScriptedRng(uniforms=[0.9], normals=[(0.0, 0.0)]))
+        rng = ScriptedRng(uniforms=[0.9, 0.0], normals=[(0.0, 0.0)])
+        out = reference.proposal_draws(psi.means, psi.covs, [rng])[0, 0]
         assert np.array_equal(out, [-3.0, -4.0])
 
     def test_equal_weight_split(self):
         psi = proposal_from([-5.0, 0.0], np.eye(2), [5.0, 0.0], np.eye(2))
-        rng = np.random.default_rng(21)
-        draws = np.array([sample_mixture(psi, rng) for _ in range(100_000)])
+        draws = reference.proposal_draws(psi.means, psi.covs, chain_streams(21, 100), steps=1000).reshape(-1, 2)
         assert abs((draws[:, 0] > 0).mean() - 0.5) < 0.01
 
     def test_mixture_mean(self):
         psi = proposal_from([-5.0, 1.0], np.eye(2), [5.0, -1.0], np.eye(2))
-        rng = np.random.default_rng(22)
-        draws = np.array([sample_mixture(psi, rng) for _ in range(100_000)])
+        draws = reference.proposal_draws(psi.means, psi.covs, chain_streams(22, 100), steps=1000).reshape(-1, 2)
         np.testing.assert_allclose(draws.mean(axis=0), [0.0, 0.0], atol=0.05)
 
 
@@ -137,10 +154,7 @@ class TestLogAcceptRatio:
 
 def ensemble(starts, proposals, rngs) -> ChainEnsemble:
     """Chains at ``starts`` holding the parameters of ``proposals``."""
-    pairs = [(p.global_component, p.local_component) for p in proposals]
-    means = [[c.mean for c in pair] for pair in pairs]
-    covs = [[c.cov for c in pair] for pair in pairs]
-    return ChainEnsemble(starts, means, covs, rngs)
+    return ChainEnsemble(starts, [p.means for p in proposals], [p.covs for p in proposals], rngs)
 
 
 def one_chain(proposal, start, rng) -> ChainEnsemble:
@@ -199,9 +213,9 @@ class TestMhStep:
 def random_proposals(rng, n, d):
     def comp():
         a = rng.standard_normal((d, d))
-        return make_component(rng.uniform(-5, 5, d), a @ a.T + 0.5 * np.eye(d))
+        return rng.uniform(-5, 5, d), a @ a.T + 0.5 * np.eye(d)
 
-    return [MixtureProposal(global_component=comp(), local_component=comp()) for _ in range(n)]
+    return [Proposal(*zip(comp(), comp())) for _ in range(n)]
 
 
 class TestAdvanceTogether:
@@ -231,23 +245,19 @@ class TestAdvanceTogether:
                 if step % 10 == 9:
                     # a new shared global component, new local components for some chains
                     fresh = random_proposals(rng, n, d)
-                    shared = fresh[0].global_component
+                    shared = fresh[0]
                     rebuilt = rng.random(n) < 0.5
-                    proposals = [
-                        MixtureProposal(shared, f.local_component if rebuilt[j] else p.local_component)
-                        for j, (f, p) in enumerate(zip(fresh, proposals))
-                    ]
+                    kept = [f if rebuilt[j] else p for j, (f, p) in enumerate(zip(fresh, proposals))]
+                    proposals = [Proposal([shared.means[0], q.means[1]], [shared.covs[0], q.covs[1]]) for q in kept]
                     rows = np.flatnonzero(rebuilt)
-                    means = np.array([shared.mean] + [fresh[j].local_component.mean for j in rows])
-                    covs = np.array([shared.cov] + [fresh[j].local_component.cov for j in rows])
+                    means = np.array([shared.means[0]] + [fresh[j].means[1] for j in rows])
+                    covs = np.array([shared.covs[0]] + [fresh[j].covs[1] for j in rows])
                     together.refit(means, covs, rows)
                     alone.refit(means, covs, rows)
-                    np.testing.assert_array_equal(together.means, component_arrays(proposals)[0])
-                    np.testing.assert_array_equal(together.lowers, component_arrays(proposals)[1])
-                    np.testing.assert_array_equal(together.log_det_halves, component_arrays(proposals)[2])
-                    np.testing.assert_array_equal(
-                        together.covs, [[p.global_component.cov, p.local_component.cov] for p in proposals]
-                    )
+                    np.testing.assert_array_equal(together.means, [p.means for p in proposals])
+                    np.testing.assert_array_equal(together.lowers, [p.lowers for p in proposals])
+                    np.testing.assert_array_equal(together.log_det_halves, [p.log_det_halves for p in proposals])
+                    np.testing.assert_array_equal(together.covs, [p.covs for p in proposals])
                     assert together.log_proposal == [None] * n
                 np.testing.assert_array_equal(together.current, alone.current)
                 np.testing.assert_array_equal(together.iterations, alone.iterations)
@@ -263,8 +273,8 @@ class TestAdvanceTogether:
         for _ in range(30):
             chains.advance(np.arange(5), target)
             for j in range(5):
-                assert chains.log_target[j] == target.log_density(chains.current[j])
-                assert chains.log_proposal[j] == mixture_log_pdf(proposals[j], chains.current[j])
+                assert chains.log_target[j] == reference.log_banana(chains.current[j])
+                assert chains.log_proposal[j] == proposals[j].log_pdf(chains.current[j])
 
     def test_each_chain_draws_in_order_from_its_own_stream(self):
         psi = proposal_from([0.0, 0.0], np.eye(2), [3.0, 3.0], np.eye(2))
@@ -282,13 +292,13 @@ class TestAdvanceTogether:
         rng = np.random.default_rng(86)
         proposals = random_proposals(rng, 3, 2)
         chains = ensemble(np.zeros((3, 2)), proposals, chain_streams(12, 3))
-        reference = chain_streams(12, 3)
-        target = TargetDensity(2, lambda x: -math.inf, lambda xs: np.full(len(xs), -math.inf))
+        streams = chain_streams(12, 3)
         for _ in range(50):
-            assert chains.advance(np.arange(3), target).all()
-            for j in range(3):
-                np.testing.assert_array_equal(chains.current[j], sample_mixture(proposals[j], reference[j]))
-                reference[j].random()
+            assert chains.advance(np.arange(3), reference.NOWHERE).all()
+            for j, p in enumerate(proposals):
+                draw = reference.sample_mixture(p.means, p.lowers, streams[j])
+                np.testing.assert_array_equal(chains.current[j], draw)
+                streams[j].random()  # the acceptance uniform
 
     def scalar_rule(self, u, lt_new, lt_cur, lp_new, lp_cur):
         return (math.log(u) if u > 0.0 else -math.inf) < log_accept_ratio(lt_new, lt_cur, lp_new, lp_cur)
@@ -296,29 +306,29 @@ class TestAdvanceTogether:
     def test_zero_uniform_follows_the_scalar_rule(self):
         # chain 0: candidate has zero target density, so even u == 0 rejects;
         # chain 1: candidate has positive density, so u == 0 accepts
-        target = TargetDensity(2, lambda x: -math.inf if x[0] > 1.0 else -float(x @ x))
+        target = TargetDensity(2, lambda xs: np.where(xs[:, 0] > 1.0, -math.inf, -np.vecdot(xs, xs)))
         psi = proposal_from([5.0, 0.0], np.eye(2), [0.0, 0.0], np.eye(2))
         rngs = [ScriptedRng(uniforms=[0.2, 0.0], normals=[(0.0, 0.0)]),
                 ScriptedRng(uniforms=[0.9, 0.0], normals=[(0.5, 0.0)])]
         chains = ensemble(np.zeros((2, 2)), [psi, psi], rngs)
         accepted = chains.advance(np.arange(2), target)
         assert accepted.tolist() == [False, True]
-        cur, lp_cur = target.log_density([0.0, 0.0]), mixture_log_pdf(psi, np.zeros(2))
+        cur, lp_cur = target.log_density_batch([[0.0, 0.0]])[0], psi.log_pdf(np.zeros(2))
         for j, cand in enumerate(([5.0, 0.0], [0.5, 0.0])):
             cand = np.array(cand)
-            assert accepted[j] == self.scalar_rule(0.0, target.log_density(cand), cur,
-                                                   mixture_log_pdf(psi, cand), lp_cur)
+            assert accepted[j] == self.scalar_rule(0.0, target.log_density_batch([cand])[0], cur,
+                                                   psi.log_pdf(cand), lp_cur)
 
     @pytest.mark.parametrize("value", [-math.inf, math.inf])
     def test_infinite_density_at_both_states_follows_the_scalar_rule(self, value):
-        target = TargetDensity(2, lambda x: value, lambda xs: np.full(len(xs), value))
+        target = TargetDensity(2, lambda xs: np.full(len(xs), value))
         psi = proposal_from([1.0, 0.0], np.eye(2), [-1.0, 0.0], np.eye(2))
         uniforms = [0.999, 0.5, 1e-300]
         rngs = [ScriptedRng(uniforms=[0.2, u], normals=[(0.3, -0.3)]) for u in uniforms]
         chains = ensemble(np.zeros((3, 2)), [psi] * 3, rngs)
         accepted = chains.advance(np.arange(3), target)
         cand = np.array([1.3, -0.3])
-        lp_new, lp_cur = mixture_log_pdf(psi, cand), mixture_log_pdf(psi, np.zeros(2))
+        lp_new, lp_cur = psi.log_pdf(cand), psi.log_pdf(np.zeros(2))
         expected = [self.scalar_rule(u, value, value, lp_new, lp_cur) for u in uniforms]
         assert accepted.tolist() == expected
         assert all(expected)
@@ -419,10 +429,8 @@ class TestRefreshedProposals:
             for _ in range(i + 1):
                 clusters[i].push(rng.standard_normal(2))
         chains = refit_ensemble(g, clusters, 0.4)
-        props = chains.proposals()
-        first = props[0].global_component
-        for p in props[1:]:
-            assert p.global_component is first
+        for j in range(1, 4):
+            assert all(np.array_equal(held[j, 0], held[0, 0]) for held in (chains.means, chains.covs))
         for held in (chains.means, chains.covs, chains.lowers, chains.log_det_halves):
             assert (held[:, 0] == held[0, 0]).all()
 
@@ -433,9 +441,9 @@ class TestRefreshedProposals:
         cluster = MomentStack(1, 2)
         s = np.array([7.0, -7.0])
         cluster[0].push(s)
-        (p,) = refit_ensemble(g, cluster, 0.4).proposals()
-        np.testing.assert_array_equal(p.local_component.mean, s)
-        np.testing.assert_allclose(p.local_component.cov, 0.4 * np.eye(2))
+        chains = refit_ensemble(g, cluster, 0.4)
+        np.testing.assert_array_equal(chains.means[0, 1], s)
+        np.testing.assert_allclose(chains.covs[0, 1], 0.4 * np.eye(2))
 
     def test_matches_block_recomputation(self):
         rng = np.random.default_rng(51)
@@ -447,20 +455,20 @@ class TestRefreshedProposals:
             g.push(x)
             clusters[lab].push(x)
         eps = 0.4
-        props = refit_ensemble(g, clusters, eps).proposals()
+        chains = refit_ensemble(g, clusters, eps)
 
         g_mean = states.mean(axis=0)
         g_dev = states - g_mean
         g_cov = g_dev.T @ g_dev / (len(states) - 1) + eps * np.eye(2)
-        for p in props:
-            np.testing.assert_allclose(p.global_component.mean, g_mean, rtol=1e-10)
-            np.testing.assert_allclose(p.global_component.cov, g_cov, rtol=1e-10)
-        for lab, p in enumerate(props):
+        for j in range(3):
+            np.testing.assert_allclose(chains.means[j, 0], g_mean, rtol=1e-10)
+            np.testing.assert_allclose(chains.covs[j, 0], g_cov, rtol=1e-10)
+        for lab in range(3):
             sub = states[labels == lab]
-            np.testing.assert_allclose(p.local_component.mean, sub.mean(axis=0), rtol=1e-10)
+            np.testing.assert_allclose(chains.means[lab, 1], sub.mean(axis=0), rtol=1e-10)
             dev = sub - sub.mean(axis=0)
             np.testing.assert_allclose(
-                p.local_component.cov, dev.T @ dev / (len(sub) - 1) + eps * np.eye(2), rtol=1e-10
+                chains.covs[lab, 1], dev.T @ dev / (len(sub) - 1) + eps * np.eye(2), rtol=1e-10
             )
 
     def test_unchanged_clusters_reuse_their_component(self):
@@ -473,7 +481,7 @@ class TestRefreshedProposals:
                 clusters[i].push(x)
                 g.push(x)
         chains = refit_ensemble(g, clusters, 0.4)
-        first = chains.proposals()
+        first_means = chains.means.copy()
         built = clusters.count.copy()
         for j in (1, 3):
             x = rng.standard_normal(2)
@@ -484,22 +492,20 @@ class TestRefreshedProposals:
         for held in (chains.means, chains.covs, chains.lowers, chains.log_det_halves):
             held[[0, 2], 1] = 123.0
         refit_ensemble(g, clusters, 0.4, clusters.count != built, chains)
-        second = chains.proposals()
         for j in (0, 2):
-            local = second[j].local_component
-            assert (local.mean == 123.0).all() and (local.cov == 123.0).all()
-            assert (local.factor.lower == 123.0).all() and local.factor.log_det_half == 123.0
+            assert (chains.means[j, 1] == 123.0).all() and (chains.covs[j, 1] == 123.0).all()
+            assert (chains.lowers[j, 1] == 123.0).all() and chains.log_det_halves[j, 1] == 123.0
         for j in (1, 3):
-            fresh = make_component(clusters[j].mean.copy(), clusters[j].covariance(0.4))
-            local = second[j].local_component
-            assert not np.array_equal(local.mean, first[j].local_component.mean)
-            for field in ("mean", "cov"):
-                np.testing.assert_array_equal(getattr(local, field), getattr(fresh, field))
-            np.testing.assert_array_equal(local.factor.lower, fresh.factor.lower)
-            assert local.factor.log_det_half == fresh.factor.log_det_half
-        assert not np.array_equal(second[0].global_component.mean, first[0].global_component.mean)
-        for p in second[1:]:
-            assert p.global_component is second[0].global_component
+            cov = clusters[j].covariance(0.4)
+            lower, log_det_half = cholesky(cov)
+            assert not np.array_equal(chains.means[j, 1], first_means[j, 1])
+            np.testing.assert_array_equal(chains.means[j, 1], clusters[j].mean)
+            np.testing.assert_array_equal(chains.covs[j, 1], cov)
+            np.testing.assert_array_equal(chains.lowers[j, 1], lower)
+            assert chains.log_det_halves[j, 1] == log_det_half
+        assert not np.array_equal(chains.means[0, 0], first_means[0, 0])
+        for j in range(1, 4):
+            assert all(np.array_equal(held[j, 0], held[0, 0]) for held in (chains.means, chains.covs))
 
     def test_refit_components_match_make_component(self):
         rng = np.random.default_rng(53)
@@ -510,15 +516,16 @@ class TestRefreshedProposals:
                 x = rng.standard_normal(d) * rng.uniform(0.5, 4.0, d)
                 g.push(x)
                 clusters[int(rng.integers(0, 5))].push(x)  # row 5 stays empty
-            props = refit_ensemble(g, clusters, 0.3).proposals()
-            shared = make_component(g.mean.copy(), g.covariance(0.3))
-            for j, p in enumerate(props):
-                fresh = make_component(clusters[j].mean.copy(), clusters[j].covariance(0.3))
-                for got, want in ((p.global_component, shared), (p.local_component, fresh)):
-                    np.testing.assert_array_equal(got.mean, want.mean)
-                    np.testing.assert_array_equal(got.cov, want.cov)
-                    np.testing.assert_array_equal(got.factor.lower, want.factor.lower)
-                    assert got.factor.log_det_half == want.factor.log_det_half
+            chains = refit_ensemble(g, clusters, 0.3)
+            shared = (g.mean.copy(), g.covariance(0.3))
+            for j in range(6):
+                fresh = (clusters[j].mean.copy(), clusters[j].covariance(0.3))
+                for c, (mean, cov) in enumerate((shared, fresh)):
+                    lower, log_det_half = cholesky(cov)
+                    np.testing.assert_array_equal(chains.means[j, c], mean)
+                    np.testing.assert_array_equal(chains.covs[j, c], cov)
+                    np.testing.assert_array_equal(chains.lowers[j, c], lower)
+                    assert chains.log_det_halves[j, c] == log_det_half
 
     def test_accumulator_mutation_does_not_leak(self):
         g = RunningMoments(2)
@@ -527,11 +534,11 @@ class TestRefreshedProposals:
         clusters = MomentStack(1, 2)
         clusters.push([0, 0], [np.zeros(2), np.ones(2)])
         chains = refit_ensemble(g, clusters, 0.1)
-        (p,) = chains.proposals()
-        before = p.global_component.mean.copy()
+        before = chains.means[0, 0].copy()
+        cov_before = chains.covs[0, 0].copy()
         g.push(np.array([100.0, 100.0]))
         clusters.push([0], [np.array([100.0, 100.0])])
-        np.testing.assert_array_equal(p.global_component.mean, before)
+        np.testing.assert_array_equal(chains.covs[0], [cov_before, cov_before])
         np.testing.assert_array_equal(chains.means[0, 0], before)
         np.testing.assert_array_equal(chains.means[0, 1], before)
 
@@ -637,11 +644,11 @@ class InvariantProbe:
         assert sum(c.count for c in state.clusters) == self.expected_assigned
         assert state.global_moments.count == self.expected_assigned - self.config.n_chains
         if self.config.t_train < state.step < self.config.t_stop:
-            shared = state.proposals[0].global_component
-            for p in state.proposals:
-                assert p.global_component is shared
-                for comp in (p.global_component, p.local_component):
-                    assert np.linalg.eigvalsh(comp.cov).min() > 0.0
+            means, covs = state.chains.means, state.chains.covs
+            for j in range(self.config.n_chains):
+                assert np.array_equal(means[j, 0], means[0, 0]) and np.array_equal(covs[j, 0], covs[0, 0])
+                for c in (0, 1):
+                    assert np.linalg.eigvalsh(covs[j, c]).min() > 0.0
 
 
 class TestRunPaim:
@@ -687,8 +694,7 @@ class TestRunPaim:
         np.testing.assert_array_equal(a.sample_accepted, b.sample_accepted)
         np.testing.assert_array_equal(a.activity, b.activity)
         np.testing.assert_array_equal(a.budgets, b.budgets)
-        for pa, pb in zip(a.proposals, b.proposals):
-            np.testing.assert_array_equal(pa.local_component.cov, pb.local_component.cov)
+        np.testing.assert_array_equal(a.proposal_covs[:, 1], b.proposal_covs[:, 1])
 
     def test_step_invariants_hold_throughout(self):
         rng = np.random.default_rng(72)
@@ -768,16 +774,16 @@ class TestRunPaim:
         def watch(state):
             if state.step == cfg.t_train + 1:
                 first["counts"] = [c.count for c in state.clusters]
-                first["proposals"] = state.proposals
+                first["means"] = state.chains.means.copy()
+                first["covs"] = state.chains.covs.copy()
 
         run_paim(cfg, self.banana(), on_step=watch)
         untouched = [j for j, count in enumerate(first["counts"]) if count == 1]
         assert untouched, "some cluster should still hold only its initial state"
         for j in untouched:
-            local = first["proposals"][j].local_component
-            np.testing.assert_array_equal(local.mean, cfg.init_states[j])
-            assert not np.array_equal(local.mean, cfg.init_means[j, 1])
-            np.testing.assert_array_equal(local.cov, cfg.epsilon * np.eye(2))
+            np.testing.assert_array_equal(first["means"][j, 1], cfg.init_states[j])
+            assert not np.array_equal(first["means"][j, 1], cfg.init_means[j, 1])
+            np.testing.assert_array_equal(first["covs"][j, 1], cfg.epsilon * np.eye(2))
 
     def test_mismatched_target_dim(self):
         with pytest.raises(ValueError, match="dim"):
