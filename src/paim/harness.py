@@ -20,7 +20,6 @@ from itertools import chain
 from typing import Optional, Union
 
 import numpy as np
-from scipy.stats import chi2
 
 from .gaussian import NotPositiveDefinite
 from .moments import mean_square_error
@@ -164,18 +163,18 @@ class ExperimentConfig:
                 algorithm=raw.get("algorithm", "both"),
                 target_name=target["name"],
                 target_params=target.get("params"),
-                n_chains=int(sampler["n_chains"]),
-                total_samples=int(sampler["total_samples"]),
-                t_train=int(sampler["t_train"]),
+                n_chains=_integer(sampler["n_chains"], "sampler.n_chains"),
+                total_samples=_integer(sampler["total_samples"], "sampler.total_samples"),
+                t_train=_integer(sampler["t_train"], "sampler.t_train"),
                 t_stop=math.inf if t_stop is None else float(t_stop),
                 epsilon=float(sampler.get("epsilon", 0.4)),
                 activation_rule=sampler.get("activation_rule", "floor"),
                 box_lower=init["box_lower"],
                 box_upper=init["box_upper"],
                 sigma=float(init["sigma"]),
-                replications=int(raw.get("replications", 1)),
-                base_seed=int(raw.get("base_seed", 0)),
-                output_dir=raw.get("output_dir", "out"),
+                replications=_integer(raw.get("replications", 1), "replications"),
+                base_seed=_integer(raw.get("base_seed", 0), "base_seed"),
+                output_dir=_string(raw.get("output_dir", "out"), "output_dir"),
                 truth=_parse_truth(raw.get("truth")),
             )
         except KeyError as exc:
@@ -195,6 +194,20 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
 
+def _integer(value, name: str) -> int:
+    # int() would truncate 2.7 and accept true, running a wrong but
+    # plausible study.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"bad config value: {name} must be an integer, got {value!r}")
+    return value
+
+
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"bad config value: {name} must be a string, got {value!r}")
+    return value
+
+
 def _parse_truth(raw) -> Union[np.ndarray, GridSpec, str, None]:
     if raw is None or raw == "grid":
         return raw
@@ -203,7 +216,7 @@ def _parse_truth(raw) -> Union[np.ndarray, GridSpec, str, None]:
         return GridSpec(
             lower=np.asarray(g["lower"], dtype=float),
             upper=np.asarray(g["upper"], dtype=float),
-            points_per_axis=int(g["points_per_axis"]),
+            points_per_axis=_integer(g["points_per_axis"], "truth.grid.points_per_axis"),
         )
     return np.asarray(raw, dtype=float)
 
@@ -228,12 +241,21 @@ def resolve_truth(config: ExperimentConfig, target: TargetDensity) -> np.ndarray
 
 @dataclass
 class AlgorithmSummary:
-    mse: float
-    estimates: list            # per-replication E[X] estimates
-    budgets: list              # per-replication K_n vectors
-    t_total: list
-    acceptance_rates: list
-    final_active: list
+    mse: float = math.nan      # set by replicate once every replication has run
+    estimates: list = field(default_factory=list)  # per-replication E[X] estimates
+    budgets: list = field(default_factory=list)    # per-replication K_n vectors
+    t_total: list = field(default_factory=list)
+    acceptance_rates: list = field(default_factory=list)
+    final_active: list = field(default_factory=list)
+
+    def add(self, record: RunRecord) -> None:
+        """Append one run's summary. The E[X] estimate of a run is the
+        mean of its recorded samples."""
+        self.estimates.append([float(v) for v in record.samples.mean(axis=0)])
+        self.budgets.append([int(k) for k in record.budgets])
+        self.t_total.append(record.t_total)
+        self.acceptance_rates.append(record.acceptance_rate)
+        self.final_active.append(record.final_active_count)
 
 
 @dataclass
@@ -269,34 +291,23 @@ class SummaryReport:
         }
 
 
-def _summarize(records: list[RunRecord], truth) -> AlgorithmSummary:
-    # The E[X] estimate of a run is the mean of its recorded samples.
-    estimates = [r.samples.mean(axis=0) for r in records]
-    return AlgorithmSummary(
-        mse=mean_square_error(estimates, truth),
-        estimates=[[float(v) for v in e] for e in estimates],
-        budgets=[[int(k) for k in r.budgets] for r in records],
-        t_total=[r.t_total for r in records],
-        acceptance_rates=[r.acceptance_rate for r in records],
-        final_active=[r.final_active_count for r in records],
-    )
-
-
 def replicate(config: ExperimentConfig) -> SummaryReport:
     """Run R seeded replications of the requested algorithm(s).
 
     Within a replication the adaptive and baseline samplers run the
     same :class:`PaimConfig`, so they share the initialization draw and
     the sampling seed, and the only thing separating them is the
-    adaptation itself. The first replication's full records are kept on
-    the report (``records``) for file emission.
+    adaptation itself. Each run is summarised as it finishes; only the
+    first replication's full records are kept, on the report
+    (``records``) for file emission, so memory does not grow with R.
     """
     target = make_target(config.target_name, config.target_params)
     truth = resolve_truth(config, target)
     runners = {"paim": run_paim, "ipc": run_ipc}
     if config.algorithm != "both":
         runners = {config.algorithm: runners[config.algorithm]}
-    records: dict[str, list[RunRecord]] = {name: [] for name in runners}
+    summaries = {name: AlgorithmSummary() for name in runners}
+    records: dict[str, RunRecord] = {}
 
     for rep_ss in np.random.SeedSequence(config.base_seed).spawn(config.replications):
         init_ss, sample_ss = rep_ss.spawn(2)
@@ -317,15 +328,20 @@ def replicate(config: ExperimentConfig) -> SummaryReport:
             seed=int(sample_ss.generate_state(1, dtype=np.uint64)[0]),
         )
         for name, runner in runners.items():
-            records[name].append(runner(run_config, target))
+            record = runner(run_config, target)
+            summaries[name].add(record)
+            records.setdefault(name, record)
+            del record  # the next run must not hold this one alive
 
+    for summary in summaries.values():
+        summary.mse = mean_square_error(summary.estimates, truth)
     report = SummaryReport(
         algorithm=config.algorithm,
         target_name=config.target_name,
         replications=config.replications,
         truth=[float(v) for v in truth],
-        records={name: runs[0] for name, runs in records.items()},
-        **{name: _summarize(runs, truth) for name, runs in records.items()},
+        records=records,
+        **summaries,
     )
     if report.paim is not None and report.ipc is not None and report.ipc.mse > 0.0:
         report.reduction_pct = 100.0 * (report.ipc.mse - report.paim.mse) / report.ipc.mse
@@ -441,8 +457,13 @@ def _params_payload(record: RunRecord) -> dict:
 
 
 def ellipse_radius(dim: int, mass: float = ELLIPSE_MASS) -> float:
-    """Mahalanobis radius of the ellipsoid holding ``mass`` probability."""
-    return float(np.sqrt(chi2.ppf(mass, df=dim)))
+    """Mahalanobis radius of the ellipsoid holding ``mass`` probability:
+    the square root of the chi-square(dim) quantile at ``mass``."""
+    # Imported here, not at the top: scipy costs more start-up time and
+    # memory than the rest of paim, and only file output needs it.
+    from scipy.special import gammaincinv
+
+    return float(np.sqrt(2.0 * gammaincinv(dim / 2.0, mass)))
 
 
 def _ellipses_csv(record: RunRecord) -> str:

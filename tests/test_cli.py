@@ -268,6 +268,35 @@ BAD_INPUTS = {
         "bad parameters for target 'gaussian': a mean of shape () does not match a cov of shape (1, 1)",
     ),
     "oracle-banana-b-string": (lambda _: ["oracle", "--params", '{"b": "x"}'], "bad parameters for target 'banana'"),
+    "n-chains-float": (
+        run_argv(lambda c: c["sampler"].update(n_chains=2.7)),
+        "bad config value: sampler.n_chains must be an integer, got 2.7",
+    ),
+    "total-samples-integral-float": (
+        run_argv(lambda c: c["sampler"].update(total_samples=302.0)),
+        "bad config value: sampler.total_samples must be an integer, got 302.0",
+    ),
+    "t-train-bool": (
+        run_argv(lambda c: c["sampler"].update(t_train=True)),
+        "bad config value: sampler.t_train must be an integer, got True",
+    ),
+    "replications-float": (
+        run_argv(lambda c: c.update(replications=1.9)),
+        "bad config value: replications must be an integer, got 1.9",
+    ),
+    "base-seed-string": (
+        run_argv(lambda c: c.update(base_seed="3")),
+        "bad config value: base_seed must be an integer, got '3'",
+    ),
+    "grid-points-float": (
+        run_argv(lambda c: c.update(truth={"grid": {"lower": [0, 0], "upper": [1, 1], "points_per_axis": 101.5}})),
+        "bad config value: truth.grid.points_per_axis must be an integer, got 101.5",
+    ),
+    # without --out, so the config's own output_dir is the one used
+    "output-dir-number": (
+        lambda tmp_path: run_argv(lambda c: c.update(output_dir=5))(tmp_path)[:-2],
+        "bad config value: output_dir must be a string, got 5",
+    ),
 }
 
 

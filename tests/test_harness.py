@@ -1,8 +1,19 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 
-from paim.harness import ExperimentConfig, emit_outputs, make_target, resolve_truth
+from paim import harness
+from paim.harness import (
+    ELLIPSE_MASS,
+    ExperimentConfig,
+    ellipse_radius,
+    emit_outputs,
+    make_target,
+    replicate,
+    resolve_truth,
+)
 from paim.sampler import PaimConfig, RunRecord, run_paim
 from paim.targets import grid_expectation, make_gaussian_target
 
@@ -92,3 +103,42 @@ def test_explicit_grid_truth_runs_the_oracle_on_its_own_box():
     np.testing.assert_array_equal(truth, grid_expectation(target, [0.0, 0.0], [1.0, 1.0], 101))
     # the mean of N(0.2, 1) truncated to [0, 1], not the untruncated 0.2
     np.testing.assert_allclose(truth, [0.4754, 0.4754], atol=1e-4)
+
+
+def test_ellipse_radius_holds_the_chi_square_mass():
+    import mpmath
+
+    for dim in range(1, 7):
+        r = mpmath.mpf(ellipse_radius(dim))
+        with mpmath.workdps(40):
+            mass = mpmath.gammainc(mpmath.mpf(dim) / 2, 0, r * r / 2, regularized=True)
+        assert abs(float(mass) - ELLIPSE_MASS) < 1e-13, dim
+
+
+def test_replicate_keeps_only_the_first_replications_records(monkeypatch):
+    # RunRecord is an unhashable dataclass, so weak references sit in a list
+    made = []
+    live_at_start = []
+
+    def kept(runner):
+        def run(*args):
+            gc.collect()
+            live_at_start.append(sum(ref() is not None for ref in made))
+            record = runner(*args)
+            made.append(weakref.ref(record))
+            return record
+
+        return run
+
+    monkeypatch.setattr(harness, "run_paim", kept(harness.run_paim))
+    monkeypatch.setattr(harness, "run_ipc", kept(harness.run_ipc))
+    config = experiment_with_truth([0.2, 0.2], 2)
+    config.replications = 4
+    report = replicate(config)
+    gc.collect()
+    # while later replications run, only replication 0's two records live
+    assert live_at_start == [0, 1, 2, 2, 2, 2, 2, 2]
+    assert len(report.paim.estimates) == len(report.ipc.estimates) == 4
+    alive = [ref() for ref in made if ref() is not None]
+    assert len(alive) == 2
+    assert alive[0] is report.records["paim"] and alive[1] is report.records["ipc"]

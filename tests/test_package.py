@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import paim
 
 
@@ -35,3 +39,13 @@ def test_exported_names_are_the_public_api():
         "run_ipc",
         "run_paim",
     }
+
+
+def test_importing_paim_loads_no_scipy():
+    # scipy costs more start-up time and memory than the rest of paim;
+    # only the ellipse radius of the file outputs needs it, and imports it there
+    code = "import sys, paim, paim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(paim.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
