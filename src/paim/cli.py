@@ -73,6 +73,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    truth = grid_expectation(make_target("banana"), [-15.0, -15.0], [15.0, 15.0], 2001)
     cells: dict[tuple[int, int], float] = {}
     for t_train in args.ttrain:
         for n in args.n:
@@ -90,7 +91,7 @@ def cmd_benchmark(args) -> int:
                 sigma=10.0,
                 replications=args.reps,
                 base_seed=args.seed,
-                truth=_banana_truth(),
+                truth=truth,
             )
             report = replicate(config)
             cells[(t_train, n)] = report.reduction_pct
@@ -111,17 +112,6 @@ def cmd_benchmark(args) -> int:
         row = f"{t_train:<8}" + "".join(f"{cells[(t_train, n)]:>10.2f}" for n in args.n)
         print(row)
     return 0
-
-
-_BANANA_TRUTH_CACHE: np.ndarray | None = None
-
-
-def _banana_truth() -> np.ndarray:
-    global _BANANA_TRUTH_CACHE
-    if _BANANA_TRUTH_CACHE is None:
-        target = make_target("banana")
-        _BANANA_TRUTH_CACHE = grid_expectation(target, [-15.0, -15.0], [15.0, 15.0], 2001)
-    return _BANANA_TRUTH_CACHE
 
 
 def cmd_oracle(args) -> int:

@@ -166,12 +166,12 @@ class ExperimentConfig:
                 n_chains=_integer(sampler["n_chains"], "sampler.n_chains"),
                 total_samples=_integer(sampler["total_samples"], "sampler.total_samples"),
                 t_train=_integer(sampler["t_train"], "sampler.t_train"),
-                t_stop=math.inf if t_stop is None else float(t_stop),
-                epsilon=float(sampler.get("epsilon", 0.4)),
+                t_stop=math.inf if t_stop is None else _number(t_stop, "sampler.t_stop"),
+                epsilon=_number(sampler.get("epsilon", 0.4), "sampler.epsilon"),
                 activation_rule=sampler.get("activation_rule", "floor"),
                 box_lower=init["box_lower"],
                 box_upper=init["box_upper"],
-                sigma=float(init["sigma"]),
+                sigma=_number(init["sigma"], "init.sigma"),
                 replications=_integer(raw.get("replications", 1), "replications"),
                 base_seed=_integer(raw.get("base_seed", 0), "base_seed"),
                 output_dir=_string(raw.get("output_dir", "out"), "output_dir"),
@@ -200,6 +200,13 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"bad config value: {name} must be an integer, got {value!r}")
     return value
+
+
+def _number(value, name: str) -> float:
+    # float() would accept true and "30".
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"bad config value: {name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _string(value, name: str) -> str:

@@ -65,23 +65,20 @@ class MomentStack:
     def __getitem__(self, j: int) -> "RunningMoments":
         if not 0 <= j < len(self):
             raise IndexError(f"row {j} out of range for {len(self)} accumulators")
-        return RunningMoments(self.mean.shape[1], self, j)
+        return RunningMoments(self, j)
 
     def __iter__(self) -> Iterator["RunningMoments"]:
         return (self[j] for j in range(len(self)))
 
 
 class RunningMoments:
-    """Running mean and scatter over pushed vectors: one row of a
-    :class:`MomentStack`, its own one-row stack unless one is given.
-
-    ``count``, ``mean`` and ``scatter`` read the row live.
-    """
+    """A live view of one row of a :class:`MomentStack`: ``count``,
+    ``mean`` and ``scatter`` read the row as it is now."""
 
     __slots__ = ("stack", "row")
 
-    def __init__(self, dim: int, stack: MomentStack | None = None, row: int = 0):
-        self.stack = MomentStack(1, dim) if stack is None else stack
+    def __init__(self, stack: MomentStack, row: int):
+        self.stack = stack
         self.row = row
 
     @property
@@ -95,15 +92,6 @@ class RunningMoments:
     @property
     def scatter(self) -> np.ndarray:
         return self.stack.scatter[self.row]
-
-    @property
-    def dim(self) -> int:
-        return self.stack.mean.shape[1]
-
-    def push(self, x: np.ndarray) -> None:
-        if x.shape != self.mean.shape:
-            raise ValueError(f"expected shape {self.mean.shape}, got {x.shape}")
-        self.stack.push((self.row,), (x,))
 
     def covariance(self, epsilon: float) -> np.ndarray:
         """Sample covariance plus ``epsilon * I``; see :func:`stacked_covariance`."""

@@ -31,11 +31,11 @@ every chain's mixture as stacked means (n, 2, d), covariances
 (n, 2, d, d) and their Cholesky factors, column 0 the global component
 and column 1 the local one; the run record and the ``on_step`` view
 read those arrays. The adaptation state is stacked the same way. The N
-clusters are one :class:`~paim.moments.MomentStack`; :func:`assign`
-finds every new state's nearest local mean with one distance matrix,
-then pushes the states into their clusters in generation order. A
-refresh computes the covariances of the global fit and of every
-cluster that changed in one stacked step and factors them with one
+clusters and the global fit are the rows of one
+:class:`~paim.moments.MomentStack`; :func:`assign` finds every new
+state's nearest local mean with one distance matrix, then pushes the
+states into their clusters in generation order. A refresh computes the
+covariances of every row in one stacked step and factors them with one
 stacked :func:`cholesky` call, writing the results straight into the
 ensemble.
 """
@@ -43,7 +43,7 @@ ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Callable, Optional, Sequence
 
@@ -116,15 +116,14 @@ class ChainEnsemble:
         self.covs = np.array(np.broadcast_to(covs, (n, 2, d, d)), dtype=float)
         self.lowers, self.log_det_halves = cholesky(self.covs)
 
-    def refit(self, means: np.ndarray, covs: np.ndarray, rows: np.ndarray) -> None:
-        """Install a new global component and new local components.
+    def refit(self, means: np.ndarray, covs: np.ndarray) -> None:
+        """Install new proposals for every chain.
 
-        Row 0 of ``means`` (k+1, d) and ``covs`` (k+1, d, d) is the global
-        component, which every chain receives; row i+1 is the local
-        component of chain ``rows[i]``. The other chains keep their local
-        component. All k+1 covariances are factored by one stacked
-        :func:`cholesky` call. Every cached mixture density goes stale,
-        since the global component changed.
+        Row j of ``means`` (n+1, d) and ``covs`` (n+1, d, d) is chain j's
+        local component; the last row is the global component, which
+        every chain receives. All n+1 covariances are factored by one
+        stacked :func:`cholesky` call. Every cached mixture density goes
+        stale.
         """
         lowers, log_det_halves = cholesky(covs)
         for held, values in (
@@ -133,8 +132,8 @@ class ChainEnsemble:
             (self.lowers, lowers),
             (self.log_det_halves, log_det_halves),
         ):
-            held[:, 0] = values[0]
-            held[rows, 1] = values[1:]
+            held[:, 0] = values[-1]
+            held[:, 1] = values[:-1]
         self.log_proposal = [None] * len(self.log_proposal)
 
     def advance(self, run: np.ndarray, target: TargetDensity) -> np.ndarray:
@@ -214,7 +213,8 @@ def assign(fresh, local_means: np.ndarray, clusters: MomentStack) -> np.ndarray:
     """Push each new state into the cluster with the nearest local mean.
 
     ``fresh`` holds the new states (m, d) in generation order and
-    ``local_means`` (n, d) the chains' local means. One (m, n) matrix of
+    ``local_means`` (n, d) the chains' local means; cluster j is row j
+    of ``clusters``, which may hold further rows. One (m, n) matrix of
     squared Euclidean distances picks every state's cluster, ties to the
     lowest chain index; then the states are pushed into their clusters
     in generation order. Means of suspended chains take part as well;
@@ -228,31 +228,16 @@ def assign(fresh, local_means: np.ndarray, clusters: MomentStack) -> np.ndarray:
     return chosen
 
 
-def refreshed_proposals(
-    global_moments: RunningMoments,
-    clusters: MomentStack,
-    epsilon: float,
-    chains: ChainEnsemble,
-    dirty: np.ndarray,
-) -> None:
-    """Refit the chains' proposals to the current accumulators, in place.
+def refreshed_proposals(moments: MomentStack, epsilon: float, chains: ChainEnsemble) -> None:
+    """Refit every chain's proposal to the accumulators, in place.
 
-    Every chain receives the global fit as its global component. Chain
-    j's local component is refitted to its cluster where ``dirty[j]`` is
-    set; the others keep theirs. Passing
-    ``dirty = clusters.count != built_counts``, the counts the local
-    components were fitted to, is exact: a push is the only way a
-    cluster changes and it always increments the count, so an unchanged
-    count means an unchanged mean and scatter, and a refit would
-    reproduce the same bits. The global fit and the refitted clusters go
-    through one stacked covariance step and, in :meth:`ChainEnsemble.refit`,
-    one stacked Cholesky factorization.
+    Row j of ``moments`` is chain j's cluster and its last row the
+    global fit, the layout :meth:`ChainEnsemble.refit` takes. Every row
+    goes through one stacked covariance step and one stacked Cholesky
+    factorization; a row whose accumulator has not changed gets the same
+    bits again.
     """
-    rows = np.flatnonzero(dirty)
-    count = np.concatenate(([global_moments.count], clusters.count[rows]))
-    means = np.concatenate((global_moments.mean[None], clusters.mean[rows]))
-    scatter = np.concatenate((global_moments.scatter[None], clusters.scatter[rows]))
-    chains.refit(means, stacked_covariance(count, scatter, epsilon), rows)
+    chains.refit(moments.mean, stacked_covariance(moments.count, moments.scatter, epsilon))
 
 
 def activation(counts, rule: str = "floor") -> np.ndarray:
@@ -338,22 +323,19 @@ class PaimConfig:
 class SchedulerState:
     """Mutable view of one run, handed to the ``on_step`` callback.
 
-    ``samples`` is the preallocated output array; rows up to
-    ``total_drawn`` are valid. ``active`` holds the set that the *next*
-    step will use (adaptation updates it in place at the end of a step).
-    ``global_moments`` and the rows of ``clusters`` read the live
-    accumulators, and ``chains.means`` and ``chains.covs`` the live
-    proposal parameters; copy what must outlive the callback.
+    ``active`` holds the set that the *next* step will use (adaptation
+    updates it in place at the end of a step). ``global_moments`` and
+    the n ``clusters`` are row views of the live accumulators, and
+    ``chains.means`` and ``chains.covs`` the live proposal parameters;
+    copy what must outlive the callback.
     """
 
     step: int
     total_drawn: int
-    samples: np.ndarray
     global_moments: RunningMoments
-    clusters: MomentStack
+    clusters: list[RunningMoments]
     active: np.ndarray
     chains: ChainEnsemble
-    fresh: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
@@ -398,11 +380,9 @@ def chain_streams(seed: int, n_chains: int) -> list[np.random.Generator]:
     """One independent generator per chain index, derived from ``seed``.
 
     A chain's stream depends only on its index, so its sample sequence
-    is unchanged by how many other chains happen to be active. One spare
-    child is reserved for scheduler-level draws (none are used today).
+    is unchanged by how many other chains happen to be active.
     """
-    children = np.random.SeedSequence(seed).spawn(n_chains + 1)
-    return [np.random.default_rng(child) for child in children[:n_chains]]
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n_chains)]
 
 
 def run_paim(
@@ -429,17 +409,13 @@ def run_paim(
 
     cov = config.init_sigma**2 * np.eye(dim)
     chains = ChainEnsemble(config.init_states, config.init_means, cov, chain_streams(config.seed, n))
-    global_moments = RunningMoments(dim)
-    clusters = MomentStack(n, dim)
-    # The initial state seeds chain j's cluster, so every local mean
-    # is defined before the first assignment.
-    clusters.push(range(n), config.init_states)
+    # Row j accumulates chain j's cluster and row n every new state, the
+    # global fit. The initial state seeds chain j's cluster, so every
+    # local mean is defined before the first assignment.
+    moments = MomentStack(n + 1, dim)
+    moments.push(range(n), config.init_states)
+    global_moments = moments[n]
     active = np.ones(n, dtype=bool)
-    # Cluster count each chain's local component was fitted to. The
-    # initial local components come from ``init_means``, not from the
-    # clusters, so start from a count no cluster can have: the first
-    # refresh then refits every one of them.
-    built_counts = np.full(n, -1, dtype=np.int64)
 
     samples = np.empty((total, dim))
     sample_step = np.empty(total, dtype=np.int64)
@@ -451,12 +427,10 @@ def run_paim(
     state = SchedulerState(
         step=-1,
         total_drawn=0,
-        samples=samples,
         global_moments=global_moments,
-        clusters=clusters,
+        clusters=[moments[j] for j in range(n)],
         active=active,
         chains=chains,
-        fresh=[],
     )
 
     drawn = 0
@@ -477,28 +451,21 @@ def run_paim(
         drawn = end
         adapting = t < config.t_stop
         if adapting:
-            global_moments.stack.push(repeat(global_moments.row), new)
+            moments.push(repeat(n), new)
         if drawn == total:
             break
 
         if adapting:
-            assign(new, chains.means[:, 1], clusters)
+            assign(new, chains.means[:, 1], moments)
 
         if config.t_train < t < config.t_stop:
-            counts = clusters.count.copy()
-            refreshed_proposals(global_moments, clusters, config.epsilon, chains, counts != built_counts)
-            built_counts = counts
-            active = activation(counts, config.activation_rule)
-            if not active.any():
-                # Cannot happen with the rules above (the largest count
-                # always rounds to a nonzero share); kept as insurance.
-                active[int(np.argmax(counts))] = True
+            refreshed_proposals(moments, config.epsilon, chains)
+            active = activation(moments.count[:n], config.activation_rule)
 
         if on_step is not None:
             state.step = t
             state.total_drawn = drawn
             state.active = active
-            state.fresh = list(new) if adapting else []
             on_step(state)
 
     return RunRecord(

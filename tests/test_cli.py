@@ -292,6 +292,18 @@ BAD_INPUTS = {
         run_argv(lambda c: c.update(truth={"grid": {"lower": [0, 0], "upper": [1, 1], "points_per_axis": 101.5}})),
         "bad config value: truth.grid.points_per_axis must be an integer, got 101.5",
     ),
+    "epsilon-bool": (
+        run_argv(lambda c: c["sampler"].update(epsilon=True)),
+        "bad config value: sampler.epsilon must be a number, got True",
+    ),
+    "t-stop-string": (
+        run_argv(lambda c: c["sampler"].update(t_stop="30")),
+        "bad config value: sampler.t_stop must be a number, got '30'",
+    ),
+    "sigma-string": (
+        run_argv(lambda c: c["init"].update(sigma="2")),
+        "bad config value: init.sigma must be a number, got '2'",
+    ),
     # without --out, so the config's own output_dir is the one used
     "output-dir-number": (
         lambda tmp_path: run_argv(lambda c: c.update(output_dir=5))(tmp_path)[:-2],

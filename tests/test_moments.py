@@ -1,8 +1,10 @@
+from itertools import repeat
+
 import numpy as np
 import pytest
 
 from paim.gaussian import regularize
-from paim.moments import MomentStack, RunningMoments, mean_square_error, stacked_covariance
+from paim.moments import MomentStack, mean_square_error, stacked_covariance
 
 
 def block_moments(points):
@@ -13,29 +15,30 @@ def block_moments(points):
     return mean, dev.T @ dev
 
 
+def accumulated(points, dim):
+    """Row view of a one-row stack after pushing ``points`` in order."""
+    stack = MomentStack(1, dim)
+    stack.push(repeat(0), np.asarray(points, dtype=float).reshape(-1, dim))
+    return stack[0]
+
+
 class TestPush:
     def test_scalar_sequence(self):
-        acc = RunningMoments(1)
-        for v in (1.0, 2.0, 3.0):
-            acc.push(np.array([v]))
+        acc = accumulated([1.0, 2.0, 3.0], 1)
         assert acc.count == 3
         assert acc.mean[0] == pytest.approx(2.0)
         assert acc.scatter[0, 0] == pytest.approx(2.0)
         assert acc.covariance(0.4)[0, 0] == pytest.approx(1.4)
 
     def test_two_points(self):
-        acc = RunningMoments(2)
-        acc.push(np.array([0.0, 0.0]))
-        acc.push(np.array([2.0, 0.0]))
+        acc = accumulated([[0.0, 0.0], [2.0, 0.0]], 2)
         np.testing.assert_allclose(acc.mean, [1.0, 0.0])
         np.testing.assert_allclose(acc.scatter, [[2.0, 0.0], [0.0, 0.0]])
 
     def test_matches_block_formulas(self):
         rng = np.random.default_rng(17)
         pts = rng.standard_normal((100, 2)) * 5 + 1
-        acc = RunningMoments(2)
-        for p in pts:
-            acc.push(p)
+        acc = accumulated(pts, 2)
         mean, scatter = block_moments(pts)
         np.testing.assert_allclose(acc.mean, mean, rtol=1e-10)
         np.testing.assert_allclose(acc.scatter, scatter, rtol=1e-10, atol=1e-12)
@@ -43,9 +46,7 @@ class TestPush:
     def test_block_equivalence_thousand_points(self):
         rng = np.random.default_rng(23)
         pts = rng.standard_normal((1000, 3)) * np.array([1.0, 10.0, 100.0]) + rng.uniform(-5, 5, 3)
-        acc = RunningMoments(3)
-        for p in pts:
-            acc.push(p)
+        acc = accumulated(pts, 3)
         mean, scatter = block_moments(pts)
         np.testing.assert_allclose(acc.mean, mean, rtol=1e-10)
         np.testing.assert_allclose(acc.scatter, scatter, rtol=1e-10)
@@ -53,50 +54,40 @@ class TestPush:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(29)
         pts = rng.standard_normal((64, 2))
-        a, b = RunningMoments(2), RunningMoments(2)
-        for p in pts:
-            a.push(p)
-        for p in pts[rng.permutation(64)]:
-            b.push(p)
+        a = accumulated(pts, 2)
+        b = accumulated(pts[rng.permutation(64)], 2)
         np.testing.assert_allclose(a.mean, b.mean, rtol=1e-10)
         np.testing.assert_allclose(a.scatter, b.scatter, rtol=1e-10, atol=1e-12)
 
     def test_scatter_exactly_symmetric(self):
         rng = np.random.default_rng(31)
-        acc = RunningMoments(2)
-        for _ in range(500):
-            acc.push(rng.standard_normal(2) * 1e8)
+        acc = accumulated(rng.standard_normal((500, 2)) * 1e8, 2)
         assert np.array_equal(acc.scatter, acc.scatter.T)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            RunningMoments(2).push(np.zeros(3))
+            MomentStack(1, 2).push([0], [np.zeros(3)])
 
 
 class TestCovariance:
     def test_empty_is_epsilon_eye(self):
-        np.testing.assert_allclose(RunningMoments(2).covariance(0.4), np.diag([0.4, 0.4]))
+        np.testing.assert_allclose(accumulated([], 2).covariance(0.4), np.diag([0.4, 0.4]))
 
     def test_single_point_is_epsilon_eye(self):
-        acc = RunningMoments(2)
-        acc.push(np.array([3.0, -1.0]))
+        acc = accumulated([3.0, -1.0], 2)
         np.testing.assert_allclose(acc.covariance(0.4), np.diag([0.4, 0.4]))
 
     def test_hand_computed_sample_covariance(self):
-        acc = RunningMoments(2)
-        for p in ([0.0, 0.0], [2.0, 0.0], [0.0, 2.0]):
-            acc.push(np.array(p))
+        acc = accumulated([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], 2)
         expected = np.array([[4 / 3 + 0.4, -2 / 3], [-2 / 3, 4 / 3 + 0.4]])
         np.testing.assert_allclose(acc.covariance(0.4), expected, rtol=1e-12)
 
     def test_always_positive_definite(self):
         rng = np.random.default_rng(37)
         for n_points in (0, 1, 2, 5, 50):
-            acc = RunningMoments(2)
-            for _ in range(n_points):
-                # degenerate cloud on a line: scatter is singular
-                u = rng.standard_normal()
-                acc.push(np.array([u, 2.0 * u]))
+            # degenerate cloud on a line: scatter is singular
+            u = rng.standard_normal(n_points)
+            acc = accumulated(np.stack([u, 2.0 * u], axis=1), 2)
             eigs = np.linalg.eigvalsh(acc.covariance(0.4))
             assert eigs.min() > 0.0
 
@@ -134,7 +125,9 @@ class TestMomentStack:
         row = stack[1]
         assert row.count == 2 and stack[0].count == 0
         np.testing.assert_array_equal(row.mean, [2.0, 3.0])
-        row.push(np.array([5.0, 6.0]))
+        stack.push([1], [np.array([5.0, 6.0])])
+        assert row.count == 3
+        np.testing.assert_array_equal(row.mean, [3.0, 4.0])
         assert stack.count.tolist() == [0, 3, 0]
         assert [m.count for m in stack] == [0, 3, 0]
         with pytest.raises(IndexError):

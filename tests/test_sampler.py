@@ -1,10 +1,11 @@
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
 
 from paim.gaussian import cholesky
-from paim.moments import MomentStack, RunningMoments
+from paim.moments import MomentStack
 from paim.sampler import (
     ChainEnsemble,
     PaimConfig,
@@ -81,7 +82,6 @@ class TestMixtureLogPdf:
     def test_matches_extended_precision_sum(self):
         import mpmath
 
-        mpmath.mp.dps = 50
         psi = proposal_from([0.5, -0.2], np.array([[2.0, 0.3], [0.3, 1.0]]),
                             [-1.0, 2.0], np.array([[0.7, 0.0], [0.0, 3.0]]))
         rng = np.random.default_rng(12)
@@ -89,7 +89,8 @@ class TestMixtureLogPdf:
             x = rng.uniform(-6, 6, 2)
             la = psi.component_log_pdf(0, x)
             lb = psi.component_log_pdf(1, x)
-            exact = mpmath.log(mpmath.mpf(0.5) * mpmath.e**la + mpmath.mpf(0.5) * mpmath.e**lb)
+            with mpmath.workdps(50):
+                exact = mpmath.log(mpmath.mpf(0.5) * mpmath.e**la + mpmath.mpf(0.5) * mpmath.e**lb)
             assert mixture_log_pdf(psi, x) == pytest.approx(float(exact), rel=1e-13)
 
     def test_finite_far_away(self):
@@ -249,11 +250,10 @@ class TestAdvanceTogether:
                     rebuilt = rng.random(n) < 0.5
                     kept = [f if rebuilt[j] else p for j, (f, p) in enumerate(zip(fresh, proposals))]
                     proposals = [Proposal([shared.means[0], q.means[1]], [shared.covs[0], q.covs[1]]) for q in kept]
-                    rows = np.flatnonzero(rebuilt)
-                    means = np.array([shared.means[0]] + [fresh[j].means[1] for j in rows])
-                    covs = np.array([shared.covs[0]] + [fresh[j].covs[1] for j in rows])
-                    together.refit(means, covs, rows)
-                    alone.refit(means, covs, rows)
+                    means = np.array([q.means[1] for q in kept] + [shared.means[0]])
+                    covs = np.array([q.covs[1] for q in kept] + [shared.covs[0]])
+                    together.refit(means, covs)
+                    alone.refit(means, covs)
                     np.testing.assert_array_equal(together.means, [p.means for p in proposals])
                     np.testing.assert_array_equal(together.lowers, [p.lowers for p in proposals])
                     np.testing.assert_array_equal(together.log_det_halves, [p.log_det_halves for p in proposals])
@@ -398,50 +398,45 @@ class TestAssign:
         fresh = rng.normal(0.0, 3.0, size=(40, 2)) + means[rng.integers(0, 3, 40)]
         clusters = MomentStack(3, 2)
         chosen = assign(fresh, means, clusters)
-        alone = [RunningMoments(2) for _ in range(3)]
+        alone = [MomentStack(1, 2) for _ in range(3)]
         for z, j in zip(fresh, chosen):
-            alone[j].push(z)
+            alone[j].push([0], [z])
         for j in range(3):
-            assert clusters[j].count == alone[j].count
-            np.testing.assert_array_equal(clusters[j].mean, alone[j].mean)
-            np.testing.assert_array_equal(clusters[j].scatter, alone[j].scatter)
+            assert clusters[j].count == alone[j][0].count
+            np.testing.assert_array_equal(clusters[j].mean, alone[j][0].mean)
+            np.testing.assert_array_equal(clusters[j].scatter, alone[j][0].scatter)
 
 
-def refit_ensemble(global_moments, clusters, epsilon, dirty=None, chains=None) -> ChainEnsemble:
+def refit_ensemble(moments, epsilon, chains=None) -> ChainEnsemble:
     """Apply ``refreshed_proposals`` to ``chains`` (default: fresh chains
-    with unit-covariance proposals at the origin) and return them;
-    ``dirty`` defaults to every chain."""
-    n, d = clusters.mean.shape
+    with unit-covariance proposals at the origin) and return them.
+    ``moments`` holds one cluster per chain and the global fit last."""
+    n, d = moments.mean.shape[0] - 1, moments.mean.shape[1]
     if chains is None:
         chains = ChainEnsemble(np.zeros((n, d)), np.zeros((n, 2, d)), np.eye(d), chain_streams(0, n))
-    refreshed_proposals(global_moments, clusters, epsilon, chains, np.ones(n, dtype=bool) if dirty is None else dirty)
+    refreshed_proposals(moments, epsilon, chains)
     return chains
 
 
 class TestRefreshedProposals:
     def test_global_component_shared_exactly(self):
         rng = np.random.default_rng(50)
-        g = RunningMoments(2)
-        for _ in range(40):
-            g.push(rng.standard_normal(2))
-        clusters = MomentStack(4, 2)
+        moments = MomentStack(5, 2)
+        moments.push(repeat(4), rng.standard_normal((40, 2)))
         for i in range(4):
-            for _ in range(i + 1):
-                clusters[i].push(rng.standard_normal(2))
-        chains = refit_ensemble(g, clusters, 0.4)
+            moments.push(repeat(i), rng.standard_normal((i + 1, 2)))
+        chains = refit_ensemble(moments, 0.4)
         for j in range(1, 4):
             assert all(np.array_equal(held[j, 0], held[0, 0]) for held in (chains.means, chains.covs))
         for held in (chains.means, chains.covs, chains.lowers, chains.log_det_halves):
             assert (held[:, 0] == held[0, 0]).all()
 
     def test_single_point_cluster(self):
-        g = RunningMoments(2)
-        g.push(np.array([1.0, 2.0]))
-        g.push(np.array([3.0, 0.0]))
-        cluster = MomentStack(1, 2)
+        moments = MomentStack(2, 2)
+        moments.push([1, 1], [np.array([1.0, 2.0]), np.array([3.0, 0.0])])
         s = np.array([7.0, -7.0])
-        cluster[0].push(s)
-        chains = refit_ensemble(g, cluster, 0.4)
+        moments.push([0], [s])
+        chains = refit_ensemble(moments, 0.4)
         np.testing.assert_array_equal(chains.means[0, 1], s)
         np.testing.assert_allclose(chains.covs[0, 1], 0.4 * np.eye(2))
 
@@ -449,13 +444,11 @@ class TestRefreshedProposals:
         rng = np.random.default_rng(51)
         states = rng.uniform(-5, 5, size=(20, 2))
         labels = rng.integers(0, 3, size=20)
-        g = RunningMoments(2)
-        clusters = MomentStack(3, 2)
+        moments = MomentStack(4, 2)
         for x, lab in zip(states, labels):
-            g.push(x)
-            clusters[lab].push(x)
+            moments.push([3, lab], [x, x])
         eps = 0.4
-        chains = refit_ensemble(g, clusters, eps)
+        chains = refit_ensemble(moments, eps)
 
         g_mean = states.mean(axis=0)
         g_dev = states - g_mean
@@ -471,55 +464,41 @@ class TestRefreshedProposals:
                 chains.covs[lab, 1], dev.T @ dev / (len(sub) - 1) + eps * np.eye(2), rtol=1e-10
             )
 
-    def test_unchanged_clusters_reuse_their_component(self):
+    def test_refit_without_pushes_leaves_every_row_bit_equal(self):
+        # The refresh refits every row at every step; this property makes
+        # that exact, since a row nothing was pushed into keeps its bits.
         rng = np.random.default_rng(52)
-        g = RunningMoments(2)
-        clusters = MomentStack(4, 2)
-        for i in range(4):
-            for _ in range(i + 2):
-                x = rng.standard_normal(2)
-                clusters[i].push(x)
-                g.push(x)
-        chains = refit_ensemble(g, clusters, 0.4)
-        first_means = chains.means.copy()
-        built = clusters.count.copy()
-        for j in (1, 3):
-            x = rng.standard_normal(2)
-            clusters[j].push(x)
-            g.push(x)
-        # Mark the local parameters of the unchanged chains: a refit of
-        # them would overwrite the marks.
-        for held in (chains.means, chains.covs, chains.lowers, chains.log_det_halves):
-            held[[0, 2], 1] = 123.0
-        refit_ensemble(g, clusters, 0.4, clusters.count != built, chains)
-        for j in (0, 2):
-            assert (chains.means[j, 1] == 123.0).all() and (chains.covs[j, 1] == 123.0).all()
-            assert (chains.lowers[j, 1] == 123.0).all() and chains.log_det_halves[j, 1] == 123.0
-        for j in (1, 3):
-            cov = clusters[j].covariance(0.4)
-            lower, log_det_half = cholesky(cov)
-            assert not np.array_equal(chains.means[j, 1], first_means[j, 1])
-            np.testing.assert_array_equal(chains.means[j, 1], clusters[j].mean)
-            np.testing.assert_array_equal(chains.covs[j, 1], cov)
-            np.testing.assert_array_equal(chains.lowers[j, 1], lower)
-            assert chains.log_det_halves[j, 1] == log_det_half
-        assert not np.array_equal(chains.means[0, 0], first_means[0, 0])
-        for j in range(1, 4):
-            assert all(np.array_equal(held[j, 0], held[0, 0]) for held in (chains.means, chains.covs))
+        names = ("means", "covs", "lowers", "log_det_halves")
+        for d in (1, 2, 3):
+            moments = MomentStack(6, d)
+            for j, n_points in enumerate((0, 1, 2, 5, 30, 40)):
+                moments.push(repeat(j), rng.standard_normal((n_points, d)) * 3.0)
+            chains = refit_ensemble(moments, 0.4)
+            first = [getattr(chains, name).copy() for name in names]
+            refit_ensemble(moments, 0.4, chains)
+            for name, before in zip(names, first):
+                np.testing.assert_array_equal(getattr(chains, name), before)
+            # A push into some rows leaves the components of the others as they were.
+            moments.push([1, 3, 3], rng.standard_normal((3, d)))
+            refit_ensemble(moments, 0.4, chains)
+            for name, before in zip(names, first):
+                held = getattr(chains, name)
+                np.testing.assert_array_equal(held[:, 0], before[:, 0])
+                np.testing.assert_array_equal(held[[0, 2, 4], 1], before[[0, 2, 4], 1])
+                assert not np.array_equal(held[[1, 3], 1], before[[1, 3], 1])
 
     def test_refit_components_match_make_component(self):
         rng = np.random.default_rng(53)
         for d in (1, 2, 3, 5):
-            g = RunningMoments(d)
-            clusters = MomentStack(6, d)
+            moments = MomentStack(7, d)
             for _ in range(60):
                 x = rng.standard_normal(d) * rng.uniform(0.5, 4.0, d)
-                g.push(x)
-                clusters[int(rng.integers(0, 5))].push(x)  # row 5 stays empty
-            chains = refit_ensemble(g, clusters, 0.3)
+                moments.push([6, int(rng.integers(0, 5))], [x, x])  # row 5 stays empty
+            chains = refit_ensemble(moments, 0.3)
+            g = moments[6]
             shared = (g.mean.copy(), g.covariance(0.3))
             for j in range(6):
-                fresh = (clusters[j].mean.copy(), clusters[j].covariance(0.3))
+                fresh = (moments[j].mean.copy(), moments[j].covariance(0.3))
                 for c, (mean, cov) in enumerate((shared, fresh)):
                     lower, log_det_half = cholesky(cov)
                     np.testing.assert_array_equal(chains.means[j, c], mean)
@@ -528,16 +507,12 @@ class TestRefreshedProposals:
                     assert chains.log_det_halves[j, c] == log_det_half
 
     def test_accumulator_mutation_does_not_leak(self):
-        g = RunningMoments(2)
-        g.push(np.zeros(2))
-        g.push(np.ones(2))
-        clusters = MomentStack(1, 2)
-        clusters.push([0, 0], [np.zeros(2), np.ones(2)])
-        chains = refit_ensemble(g, clusters, 0.1)
+        moments = MomentStack(2, 2)
+        moments.push([1, 1, 0, 0], [np.zeros(2), np.ones(2), np.zeros(2), np.ones(2)])
+        chains = refit_ensemble(moments, 0.1)
         before = chains.means[0, 0].copy()
         cov_before = chains.covs[0, 0].copy()
-        g.push(np.array([100.0, 100.0]))
-        clusters.push([0], [np.array([100.0, 100.0])])
+        moments.push([1, 0], [np.array([100.0, 100.0])] * 2)
         np.testing.assert_array_equal(chains.covs[0], [cov_before, cov_before])
         np.testing.assert_array_equal(chains.means[0, 0], before)
         np.testing.assert_array_equal(chains.means[0, 1], before)
