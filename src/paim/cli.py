@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -21,9 +20,12 @@ from .targets import AllZeroMass, grid_expectation
 
 def _comma_ints(text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+        values = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,8 +86,6 @@ def cmd_benchmark(args) -> int:
                 n_chains=n,
                 total_samples=args.samples,
                 t_train=t_train,
-                t_stop=math.inf,
-                epsilon=0.4,
                 box_lower=[-15.0, -15.0],
                 box_upper=[15.0, 15.0],
                 sigma=10.0,

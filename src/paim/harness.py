@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import Optional, Union
 
@@ -51,15 +51,18 @@ def make_target(name: str, params: Optional[dict] = None) -> TargetDensity:
         if name == "banana":
             return make_banana_target(BananaParams(**params))
         if name == "gaussian":
-            mean = np.asarray(params["mean"], dtype=float)
+            mean = _numbers(params["mean"], "target.params.mean")
             if "cov" in params:
-                cov = np.asarray(params["cov"], dtype=float)
+                cov = _numbers(params["cov"], "target.params.cov")
             else:
-                cov = float(params.get("sigma", 1.0)) ** 2 * np.eye(mean.size)
+                cov = _number(params.get("sigma", 1.0), "target.params.sigma") ** 2 * np.eye(mean.size)
             return make_gaussian_target(mean, cov)
         if name == "gaussian_mixture":
+            weights = params.get("weights")
             return make_gaussian_mixture_target(
-                params["means"], params["covs"], params.get("weights")
+                _numbers(params["means"], "target.params.means"),
+                _numbers(params["covs"], "target.params.covs"),
+                None if weights is None else _numbers(weights, "target.params.weights"),
             )
     except (KeyError, TypeError, ValueError, NotPositiveDefinite) as exc:
         raise ConfigError(f"bad parameters for target {name!r}: {exc}") from exc
@@ -68,32 +71,11 @@ def make_target(name: str, params: Optional[dict] = None) -> TargetDensity:
 
 # ----------------------------- initialization -----------------------------
 
-@dataclass(frozen=True)
-class InitSpec:
-    """Random initialization for one run: component means, start states,
-    and the shared initial standard deviation."""
-
-    means: np.ndarray   # (n_chains, 2, dim)
-    states: np.ndarray  # (n_chains, dim)
-    sigma: float
-
-
-def random_init(n_chains, box_lower, box_upper, sigma, rng) -> InitSpec:
-    """Draw all component means and start states uniformly in a box."""
-    lower = np.asarray(box_lower, dtype=float)
-    upper = np.asarray(box_upper, dtype=float)
-    if lower.shape != upper.shape or lower.ndim != 1:
-        raise ValueError("box bounds must be 1-D vectors of equal length")
-    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-        raise ValueError("initialization box bounds must be finite")
-    if not np.all(lower < upper):
-        raise ValueError("initialization box is degenerate (lower >= upper somewhere)")
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+def random_init(n_chains: int, lower: np.ndarray, upper: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Draw all component means (n_chains, 2, d) and start states
+    (n_chains, d) uniformly in the box from ``lower`` to ``upper``."""
     dim = lower.shape[0]
-    means = rng.uniform(lower, upper, size=(n_chains, 2, dim))
-    states = rng.uniform(lower, upper, size=(n_chains, dim))
-    return InitSpec(means=means, states=states, sigma=float(sigma))
+    return rng.uniform(lower, upper, size=(n_chains, 2, dim)), rng.uniform(lower, upper, size=(n_chains, dim))
 
 
 # ----------------------------- experiment config -----------------------------
@@ -109,7 +91,7 @@ class GridSpec:
 CONFIG_FIELDS = {
     "": ("algorithm", "target", "sampler", "init", "replications", "base_seed", "output_dir", "truth"),
     "target": ("name", "params"),
-    "sampler": ("n_chains", "total_samples", "t_train", "t_stop", "epsilon", "activation_rule"),
+    "sampler": ("n_chains", "total_samples", "t_train", "t_stop", "epsilon"),
     "init": ("box_lower", "box_upper", "sigma"),
 }
 
@@ -125,9 +107,8 @@ class ExperimentConfig:
     box_lower: np.ndarray
     box_upper: np.ndarray
     sigma: float
-    t_stop: float = math.inf
-    epsilon: float = 0.4
-    activation_rule: str = "floor"
+    t_stop: float = PaimConfig.t_stop
+    epsilon: float = PaimConfig.epsilon
     replications: int = 1
     base_seed: int = 0
     output_dir: str = "out"
@@ -140,6 +121,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r} (expected paim, ipc, or both)")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
+        # Checked once per study, before the grid oracle runs.
+        if self.box_lower.shape != self.box_upper.shape or self.box_lower.ndim != 1:
+            raise ConfigError("box bounds must be 1-D vectors of equal length")
+        if not (np.isfinite(self.box_lower).all() and np.isfinite(self.box_upper).all()):
+            raise ConfigError("initialization box bounds must be finite")
+        if not np.all(self.box_lower < self.box_upper):
+            raise ConfigError("initialization box is degenerate (lower >= upper somewhere)")
+        if not 0.0 < self.sigma < math.inf:
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -158,7 +148,7 @@ class ExperimentConfig:
             target = raw["target"]
             sampler = raw["sampler"]
             init = raw["init"]
-            t_stop = sampler.get("t_stop", None)
+            t_stop = sampler.get("t_stop")  # null: never stop adapting
             return cls(
                 algorithm=raw.get("algorithm", "both"),
                 target_name=target["name"],
@@ -166,11 +156,10 @@ class ExperimentConfig:
                 n_chains=_integer(sampler["n_chains"], "sampler.n_chains"),
                 total_samples=_integer(sampler["total_samples"], "sampler.total_samples"),
                 t_train=_integer(sampler["t_train"], "sampler.t_train"),
-                t_stop=math.inf if t_stop is None else _number(t_stop, "sampler.t_stop"),
-                epsilon=_number(sampler.get("epsilon", 0.4), "sampler.epsilon"),
-                activation_rule=sampler.get("activation_rule", "floor"),
-                box_lower=init["box_lower"],
-                box_upper=init["box_upper"],
+                t_stop=cls.t_stop if t_stop is None else _number(t_stop, "sampler.t_stop"),
+                epsilon=_number(sampler.get("epsilon", cls.epsilon), "sampler.epsilon"),
+                box_lower=_numbers(init["box_lower"], "init.box_lower"),
+                box_upper=_numbers(init["box_upper"], "init.box_upper"),
                 sigma=_number(init["sigma"], "init.sigma"),
                 replications=_integer(raw.get("replications", 1), "replications"),
                 base_seed=_integer(raw.get("base_seed", 0), "base_seed"),
@@ -209,6 +198,18 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _numbers(value, name: str) -> np.ndarray:
+    # np.asarray(..., dtype=float) would accept ["1", false].
+    def numeric(v) -> bool:
+        if isinstance(v, list):
+            return all(map(numeric, v))
+        return not isinstance(v, bool) and isinstance(v, (int, float))
+
+    if not numeric(value):
+        raise ConfigError(f"bad config value: {name} must be a number or a list of numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
 def _string(value, name: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"bad config value: {name} must be a string, got {value!r}")
@@ -221,11 +222,11 @@ def _parse_truth(raw) -> Union[np.ndarray, GridSpec, str, None]:
     if isinstance(raw, dict) and "grid" in raw:
         g = raw["grid"]
         return GridSpec(
-            lower=np.asarray(g["lower"], dtype=float),
-            upper=np.asarray(g["upper"], dtype=float),
+            lower=_numbers(g["lower"], "truth.grid.lower"),
+            upper=_numbers(g["upper"], "truth.grid.upper"),
             points_per_axis=_integer(g["points_per_axis"], "truth.grid.points_per_axis"),
         )
-    return np.asarray(raw, dtype=float)
+    return _numbers(raw, "truth")
 
 
 def resolve_truth(config: ExperimentConfig, target: TargetDensity) -> np.ndarray:
@@ -278,14 +279,7 @@ class SummaryReport:
 
     def to_dict(self) -> dict:
         def algo(s):
-            return None if s is None else {
-                "mse": s.mse,
-                "estimates": s.estimates,
-                "budgets": s.budgets,
-                "t_total": s.t_total,
-                "acceptance_rates": s.acceptance_rates,
-                "final_active": s.final_active,
-            }
+            return None if s is None else asdict(s)
 
         return {
             "algorithm": self.algorithm,
@@ -318,9 +312,8 @@ def replicate(config: ExperimentConfig) -> SummaryReport:
 
     for rep_ss in np.random.SeedSequence(config.base_seed).spawn(config.replications):
         init_ss, sample_ss = rep_ss.spawn(2)
-        init = random_init(
-            config.n_chains, config.box_lower, config.box_upper, config.sigma,
-            np.random.default_rng(init_ss),
+        init_means, init_states = random_init(
+            config.n_chains, config.box_lower, config.box_upper, np.random.default_rng(init_ss)
         )
         run_config = PaimConfig(
             n_chains=config.n_chains,
@@ -328,10 +321,9 @@ def replicate(config: ExperimentConfig) -> SummaryReport:
             t_train=config.t_train,
             t_stop=config.t_stop,
             epsilon=config.epsilon,
-            activation_rule=config.activation_rule,
-            init_means=init.means,
-            init_states=init.states,
-            init_sigma=init.sigma,
+            init_means=init_means,
+            init_states=init_states,
+            init_sigma=config.sigma,
             seed=int(sample_ss.generate_state(1, dtype=np.uint64)[0]),
         )
         for name, runner in runners.items():
@@ -376,7 +368,9 @@ def _write_rows(fh, row_format: str, n_rows: int, columns) -> None:
     ``stop - 1``; ``row_format`` is a %-format for one line (newline
     included) with one field per column. Whole blocks of rows are
     formatted by one string operation, not one per row, and only one
-    block's columns exist at a time.
+    block's columns exist at a time. ``np.savetxt`` writes the same
+    bytes but formats row by row: for a 20,000-row ``samples.csv`` it
+    took 79 ms against 33 ms here (medians of 15, 2-core Intel Xeon).
     """
     for start in range(0, n_rows, ROWS_PER_BLOCK):
         block = [column.tolist() for column in columns(start, min(start + ROWS_PER_BLOCK, n_rows))]

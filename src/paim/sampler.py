@@ -240,27 +240,20 @@ def refreshed_proposals(moments: MomentStack, epsilon: float, chains: ChainEnsem
     chains.refit(moments.mean, stacked_covariance(moments.count, moments.scatter, epsilon))
 
 
-def activation(counts, rule: str = "floor") -> np.ndarray:
+def activation(counts) -> np.ndarray:
     """Active flags from cluster counts.
 
     Chain n's share of the per-step budget is ``n_chains * counts[n] /
-    sum(counts)`` rounded down (default) or up; it stays active iff the
-    share is nonzero. Rounding up keeps every chain with at least one
-    assigned state active, so only the floor rule can actually suspend
-    chains. Counts are integers, so the arithmetic here is exact.
+    sum(counts)`` rounded down; it stays active iff the share is
+    nonzero, so a chain whose cluster holds less than 1/n_chains of the
+    assigned states is suspended. Counts are integers, so the
+    arithmetic here is exact.
     """
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     if total <= 0:
         raise ValueError("cluster counts must sum to a positive value")
-    scaled = len(counts) * counts
-    if rule == "floor":
-        shares = scaled // total
-    elif rule == "ceil":
-        shares = -((-scaled) // total)
-    else:
-        raise ValueError(f"unknown activation rule {rule!r} (expected 'floor' or 'ceil')")
-    return shares > 0
+    return len(counts) * counts // total > 0
 
 
 # ----------------------------- run driver -----------------------------
@@ -285,7 +278,6 @@ class PaimConfig:
     init_sigma: float
     t_stop: float = math.inf
     epsilon: float = 0.4
-    activation_rule: str = "floor"
     seed: int = 0
 
     def __post_init__(self):
@@ -307,8 +299,6 @@ class PaimConfig:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 < self.init_sigma < math.inf:
             raise ValueError(f"init_sigma must be positive and finite, got {self.init_sigma}")
-        if self.activation_rule not in ("floor", "ceil"):
-            raise ValueError(f"unknown activation rule {self.activation_rule!r}")
         if self.init_means.shape != (self.n_chains, 2, self.dim):
             raise ValueError(
                 f"init_means must have shape ({self.n_chains}, 2, {self.dim}), got {self.init_means.shape}"
@@ -460,7 +450,7 @@ def run_paim(
 
         if config.t_train < t < config.t_stop:
             refreshed_proposals(moments, config.epsilon, chains)
-            active = activation(moments.count[:n], config.activation_rule)
+            active = activation(moments.count[:n])
 
         if on_step is not None:
             state.step = t

@@ -196,6 +196,21 @@ def test_benchmark_table1_without_replications_exits_2(capsys):
     assert err[0] == "error: replications must be at least 1"
 
 
+@pytest.mark.parametrize("option", ["--n", "--ttrain"])
+@pytest.mark.parametrize("value", ["", ",", "5,x"])
+def test_benchmark_table1_without_a_list_exits_2(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["benchmark", "table1", option, value, "--reps", "1", "--samples", "20"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # argparse's usage text (wrapped to the terminal width), then one error line
+    err = captured.err.splitlines()
+    assert err[0].startswith("usage: paim benchmark")
+    assert [line for line in err if "error:" in line] == [err[-1]]
+    assert err[-1] == f"paim benchmark: error: argument {option}: expected comma-separated integers, got {value!r}"
+
+
 def run_argv(edit):
     """``paim run`` argv on ``small_config()`` after ``edit(config)``."""
 
@@ -222,6 +237,12 @@ def run_file_argv(text):
 
 def banana(**params):
     return lambda c: c.update(target={"name": "banana", "params": params})
+
+
+def mixture(**params):
+    """A two-mode mixture target whose ``params`` replace its parameters."""
+    params = {"means": [[-4, -4], [4, 3]], "covs": [np.eye(2).tolist()] * 2, **params}
+    return lambda c: c.update(target={"name": "gaussian_mixture", "params": params})
 
 
 # id -> (argv builder, the start of the message after "error: ")
@@ -308,6 +329,54 @@ BAD_INPUTS = {
     "output-dir-number": (
         lambda tmp_path: run_argv(lambda c: c.update(output_dir=5))(tmp_path)[:-2],
         "bad config value: output_dir must be a string, got 5",
+    ),
+    "retired-activation-rule": (
+        run_argv(lambda c: c["sampler"].update(activation_rule="floor")),
+        "unknown config field: sampler.activation_rule",
+    ),
+    "box-lower-strings": (
+        run_argv(lambda c: c["init"].update(box_lower=["-5", False])),
+        "bad config value: init.box_lower must be a number or a list of numbers, got ['-5', False]",
+    ),
+    "box-upper-bool": (
+        run_argv(lambda c: c["init"].update(box_upper=[5.0, True])),
+        "bad config value: init.box_upper must be a number or a list of numbers, got [5.0, True]",
+    ),
+    "truth-strings": (
+        run_argv(lambda c: c.update(truth=["0", False])),
+        "bad config value: truth must be a number or a list of numbers, got ['0', False]",
+    ),
+    "grid-lower-strings": (
+        run_argv(lambda c: c.update(truth={"grid": {"lower": ["-10", -10], "upper": [1, 1], "points_per_axis": 11}})),
+        "bad config value: truth.grid.lower must be a number or a list of numbers, got ['-10', -10]",
+    ),
+    "grid-upper-bool": (
+        run_argv(lambda c: c.update(truth={"grid": {"lower": [0, 0], "upper": [1, True], "points_per_axis": 11}})),
+        "bad config value: truth.grid.upper must be",
+    ),
+    "gaussian-mean-strings": (
+        run_argv(lambda c: c["target"]["params"].update(mean=["1", False])),
+        "bad config value: target.params.mean must be a number or a list of numbers, got ['1', False]",
+    ),
+    "gaussian-cov-strings": (
+        run_argv(lambda c: c["target"]["params"].update(cov=[["1", 0], [0, 1]])),
+        "bad config value: target.params.cov must be",
+    ),
+    "gaussian-sigma-bool": (
+        run_argv(lambda c: c["target"]["params"].update(sigma=True)),
+        "bad config value: target.params.sigma must be a number, got True",
+    ),
+    "mixture-means-strings": (
+        run_argv(mixture(means=[["-4", -4], [4, 3]])),
+        "bad config value: target.params.means must be a number or a list of numbers, got [['-4', -4], [4, 3]]",
+    ),
+    "mixture-covs-bool": (
+        run_argv(mixture(covs=[[[1, 0], [0, 1]], [[1, 0], [0, True]]])),
+        "bad config value: target.params.covs must be",
+    ),
+    "mixture-weights-strings": (
+        run_argv(mixture(weights=["0.5", "0.5"])),
+        "bad config value: target.params.weights must be a number or a list of numbers, got ['0.5', '0.5']",
     ),
 }
 

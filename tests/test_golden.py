@@ -80,8 +80,6 @@ CASES = {
     # adaptation frozen at step 8 on a three-mode mixture
     "finite-t_stop": (lambda: spread_config(6, 600, 1, 76, t_stop=8, seed=3), three_modes),
     "single-chain": (lambda: spread_config(1, 150, 1, 77, seed=5), make_banana_target),
-    # ceil rule: every chain with an assigned state stays active
-    "ceil-rule": (lambda: spread_config(8, 800, 10, 78, activation_rule="ceil", seed=11), make_banana_target),
     # two correlated modes in R^3, adaptation frozen at step 30
     "3d-finite-t_stop": (lambda: spread_config(6, 900, 2, 79, dim=3, t_stop=30, seed=23), correlated_pair_3d),
     # 50 chains on the banana, adapting from step 2: many clusters, many refits per step
@@ -101,10 +99,6 @@ GOLDEN = {
         "e8486a7eedc7aedd9ab11c652e6d922e03e2c4037af7a43728569606fbf72142",
         "09503fa91d38524c0cbb8cba4448153a4ee70bfff874653d140b72e2a35ef8e9",
     ),
-    "ceil-rule": (
-        "aeb9d5e1b6d96f5de66490644fc046a84255f8805d11f0a2df584d6f5f8ef4c5",
-        "123cb1ae92083b668131e99c052191703f86f14e7ca3eeff1519bfd59470b102",
-    ),
     "3d-finite-t_stop": (
         "aee897b9d022d7c993a21e4f71b84f24fe52dd5f84eac953b775b7adbbf9d7e6",
         "f9e4e2cba0f8cd8df2dc424b695a3fda342dca263c09d0c79c85bce8b7170367",
@@ -121,7 +115,6 @@ GOLDEN_GLOBAL_MOMENTS = {
     "suspending": "6e1328008a2b7fad8f414ba088ea2d1ec00b4eabf896c29469ef99517f968a6b",
     "finite-t_stop": "77381a9f4b9e1b0c6aafc035bb8e1e67224a3f40bce0f4a3300be36257b6d3db",
     "single-chain": "7ff9404a90b5c57ee8e7dd1a54d7c9e7bb85ccb7f757e2e774e9dc406bc74ba4",
-    "ceil-rule": "0b31feed9a9567e379bc9e0143becf271f2792f1ab8bc9ea655ad987cd6d94f2",
     "3d-finite-t_stop": "3d05396f2c3b4a75bc4bf6c9c19fa9dde99d51e2683699ed2776412dd0fabd7b",
     "many-chains": "fa5343f34a7c0f771d6e695ca32174b203aa220b02e80c80f8b9d0cde046277a",
 }

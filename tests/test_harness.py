@@ -6,6 +6,7 @@ import numpy as np
 
 from paim import harness
 from paim.harness import (
+    CONFIG_FIELDS,
     ELLIPSE_MASS,
     ExperimentConfig,
     ellipse_radius,
@@ -103,6 +104,50 @@ def test_explicit_grid_truth_runs_the_oracle_on_its_own_box():
     np.testing.assert_array_equal(truth, grid_expectation(target, [0.0, 0.0], [1.0, 1.0], 101))
     # the mean of N(0.2, 1) truncated to [0, 1], not the untruncated 0.2
     np.testing.assert_allclose(truth, [0.4754, 0.4754], atol=1e-4)
+
+
+def base_config() -> dict:
+    return {
+        "target": {"name": "gaussian", "params": {"mean": [0.2, 0.2], "sigma": 1.0}},
+        "sampler": {"n_chains": 2, "total_samples": 10, "t_train": 1},
+        "init": {"box_lower": [-1.0, -1.0], "box_upper": [1.0, 1.0], "sigma": 1.0},
+        "truth": [0.2, 0.2],
+    }
+
+
+# (section, key) -> a valid value that differs from base_config() or the default
+CONFIG_VARIANTS = {
+    ("", "algorithm"): "paim",
+    ("", "target"): {"name": "banana"},
+    ("", "sampler"): {"n_chains": 3, "total_samples": 10, "t_train": 1},
+    ("", "init"): {"box_lower": [-2.0, -2.0], "box_upper": [1.0, 1.0], "sigma": 1.0},
+    ("", "replications"): 2,
+    ("", "base_seed"): 1,
+    ("", "output_dir"): "elsewhere",
+    ("", "truth"): "grid",
+    ("target", "name"): "gaussian_mixture",
+    ("target", "params"): {"mean": [0.0, 0.0]},
+    ("sampler", "n_chains"): 3,
+    ("sampler", "total_samples"): 11,
+    ("sampler", "t_train"): 2,
+    ("sampler", "t_stop"): 30,
+    ("sampler", "epsilon"): 0.5,
+    ("init", "box_lower"): [-2.0, -1.0],
+    ("init", "box_upper"): [1.0, 2.0],
+    ("init", "sigma"): 2.0,
+}
+
+
+def test_every_config_key_reaches_the_parsed_config():
+    # A key the parser accepts but drops would be a config field that
+    # nothing reads.
+    keys = {(section, key) for section, fields in CONFIG_FIELDS.items() for key in fields}
+    assert set(CONFIG_VARIANTS) == keys
+    default = repr(ExperimentConfig.from_dict(base_config()))
+    for (section, key), value in CONFIG_VARIANTS.items():
+        raw = base_config()
+        (raw[section] if section else raw)[key] = value
+        assert repr(ExperimentConfig.from_dict(raw)) != default, (section, key)
 
 
 def test_ellipse_radius_holds_the_chi_square_mass():

@@ -520,36 +520,22 @@ class TestRefreshedProposals:
 
 class TestActivation:
     def test_floor_concentrates(self):
-        active = activation([10, 1, 1, 1], rule="floor")
+        active = activation([10, 1, 1, 1])
         assert active.tolist() == [True, False, False, False]
 
-    def test_ceil_keeps_everyone(self):
-        active = activation([10, 1, 1, 1], rule="ceil")
-        assert active.tolist() == [True, True, True, True]
-
     def test_equal_counts_all_active(self):
-        for rule in ("floor", "ceil"):
-            assert activation([7, 7, 7], rule=rule).all()
-
-    def test_ceil_never_deactivates_randomized(self):
-        rng = np.random.default_rng(66)
-        for _ in range(500):
-            n = int(rng.integers(1, 40))
-            counts = rng.integers(1, 10_000, size=n)
-            assert activation(counts, rule="ceil").all()
+        assert activation([7, 7, 7]).all()
 
     def test_floor_always_keeps_at_least_one(self):
         rng = np.random.default_rng(67)
         for _ in range(500):
             n = int(rng.integers(1, 40))
             counts = rng.integers(1, 10_000, size=n)
-            assert activation(counts, rule="floor").any()
+            assert activation(counts).any()
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            activation([0, 0], rule="floor")
-        with pytest.raises(ValueError):
-            activation([1, 1], rule="round")
+            activation([0, 0])
 
 
 def small_config(**overrides):
@@ -595,10 +581,6 @@ class TestPaimConfig:
         cfg.init_means = np.zeros((4, 2, 3))
         with pytest.raises(ValueError, match="init_means"):
             cfg.validate()
-
-    def test_bad_rule(self):
-        with pytest.raises(ValueError, match="activation rule"):
-            small_config(activation_rule="up").validate()
 
 
 class InvariantProbe:
