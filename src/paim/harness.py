@@ -55,7 +55,10 @@ def make_target(name: str, params: Optional[dict] = None) -> TargetDensity:
             if "cov" in params:
                 cov = _numbers(params["cov"], "target.params.cov")
             else:
-                cov = _number(params.get("sigma", 1.0), "target.params.sigma") ** 2 * np.eye(mean.size)
+                sigma = _number(params.get("sigma", 1.0), "target.params.sigma")
+                if not (0.0 < sigma < math.inf and sigma * sigma < math.inf):
+                    raise ValueError(f"sigma must be positive and finite, with a finite square, got {sigma}")
+                cov = sigma * sigma * np.eye(mean.size)
             return make_gaussian_target(mean, cov)
         if name == "gaussian_mixture":
             weights = params.get("weights")

@@ -26,6 +26,14 @@ and one under the chains' stacked mixture proposals. A chain's records
 are bit-identical to advancing it alone, so they do not depend on how
 many other chains are active.
 
+Once adaptation has stopped (from step ``t_stop`` on, and from the start
+in :func:`run_ipc`), each chain is a plain independence sampler whose
+candidates do not depend on its state. If no ``on_step`` observer is
+attached, the run then advances in blocks of many steps, up to
+:data:`BLOCK` chain-iterations per :meth:`ChainEnsemble.advance` call,
+with the same records as step by step. An attached observer keeps the
+frozen phase per-step, so it still sees every step.
+
 The proposals are arrays, not objects. :class:`ChainEnsemble` holds
 every chain's mixture as stacked means (n, 2, d), covariances
 (n, 2, d, d) and their Cholesky factors, column 0 the global component
@@ -54,6 +62,10 @@ from .moments import MomentStack, RunningMoments, stacked_covariance
 from .targets import TargetDensity
 
 LOG_HALF = math.log(0.5)
+
+# Chain-iterations per frozen block in :func:`run_paim`: bounds the block's
+# temporaries, so a run's peak memory does not grow with its length.
+BLOCK = 1024
 
 
 # ----------------------------- MH kernel -----------------------------
@@ -136,35 +148,43 @@ class ChainEnsemble:
             held[:, 1] = values[:-1]
         self.log_proposal = [None] * len(self.log_proposal)
 
-    def advance(self, run: np.ndarray, target: TargetDensity) -> np.ndarray:
-        """One independence-MH iteration for each chain in ``run``, together.
+    def advance(self, run: np.ndarray, target: TargetDensity, steps: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """``steps`` independence-MH iterations for each chain in ``run``, together.
 
-        ``run`` holds chain indices. Chain j draws from ``rngs[j]``, in
-        this order: a uniform that picks the component (global below
-        0.5), ``d`` standard normals for the candidate ``mean + L @ z``,
-        and the acceptance uniform. The draws do not depend on
-        accept/reject outcomes or on which other chains run, so a chain's
-        results are bit-identical whether it is advanced alone or with
-        others. One ``target.log_density_batch`` call scores every
-        candidate plus the current states without a cached value; one
+        ``run`` holds chain indices. Per iteration, chain j draws from
+        ``rngs[j]``, in this order: a uniform that picks the component
+        (global below 0.5), ``d`` standard normals for the candidate
+        ``mean + L @ z``, and the acceptance uniform. The proposals stay
+        fixed within the call, so the draws do not depend on
+        accept/reject outcomes or on which other chains run: all
+        ``steps`` iterations of a chain are drawn up front, and its
+        results are bit-identical to ``steps`` one-step calls, whether
+        it is advanced alone or with others. One
+        ``target.log_density_batch`` call scores every candidate of the
+        block plus the current states without a cached value; one
         :func:`stacked_mixture_log_pdf` call does the same for the
-        proposal. The accept test is :func:`log_accept_ratio` against
-        ``math.log(u)``, one chain at a time. Returns the acceptance flag
-        of each chain in ``run``.
+        proposal. Then each chain's iterations are decided in order by
+        :func:`log_accept_ratio` against ``math.log(u)``.
+
+        Returns the states after each iteration (steps, len(run), d) and
+        the acceptance flags (steps, len(run)), row i for iteration i.
         """
         chains = run.tolist()
-        d = self.current.shape[1]
+        (n, d), m = self.current.shape, len(chains)
+        # The chain of each candidate, chain-major: chain r's iteration i is row r * steps + i.
+        rows = run if steps == 1 else np.repeat(run, steps)
+        owners = chains if steps == 1 else rows.tolist()
         comp = []
-        z = np.empty((len(chains), d))
+        z = np.empty((m * steps, d))
         uniforms = []
-        for r, j in enumerate(chains):
+        for k, j in enumerate(owners):
             rng = self.rngs[j]
             comp.append(0 if rng.random() < 0.5 else 1)
-            z[r] = rng.standard_normal(d)
+            z[k] = rng.standard_normal(d)
             uniforms.append(rng.random())
         # A stacked matmul gives each row the bits of ``L @ z`` alone;
         # np.vecdot over the rows of L would not.
-        candidates = self.means[run, comp] + (self.lowers[run, comp] @ z[..., None])[..., 0]
+        candidates = self.means[rows, comp] + (self.lowers[rows, comp] @ z[..., None])[..., 0]
 
         def target_values(rows, xs):
             return target.log_density_batch(xs)
@@ -172,36 +192,45 @@ class ChainEnsemble:
         def proposal_values(rows, xs):
             return stacked_mixture_log_pdf(xs, self.means[rows], self.lowers[rows], self.log_det_halves[rows])
 
-        log_target_new = self._score(self.log_target, chains, candidates, target_values)
-        log_prop_new = self._score(self.log_proposal, chains, candidates, proposal_values)
+        log_target_new = self._score(self.log_target, chains, rows, candidates, target_values)
+        log_prop_new = self._score(self.log_proposal, chains, rows, candidates, proposal_values)
 
+        # Row j < n of ``pool`` is chain j's state before the call and row
+        # n + k is candidate k; ``where[j]`` is the row of chain j's state
+        # so far, and ``held[k]`` the row of its state after candidate k's
+        # iteration.
         log_target, log_proposal = self.log_target, self.log_proposal
+        where = list(range(n))
         accepted = []
-        moved = []
-        for r, (j, u, lt_new, lp_new) in enumerate(zip(chains, uniforms, log_target_new, log_prop_new)):
+        held = []
+        for row, (j, u, lt_new, lp_new) in enumerate(zip(owners, uniforms, log_target_new, log_prop_new), n):
             log_alpha = log_accept_ratio(lt_new, log_target[j], lp_new, log_proposal[j])
             # math.log, not np.log: the two differ in the last bit for some u.
             ok = (math.log(u) if u > 0.0 else -math.inf) < log_alpha
             if ok:
                 log_target[j] = lt_new
                 log_proposal[j] = lp_new
-                moved.append(r)
+                where[j] = row
             accepted.append(ok)
-        if moved:
-            self.current[run[moved]] = candidates[moved]
-        self.iterations[run] += 1
-        return np.array(accepted, dtype=bool)
+            held.append(where[j])
+        pool = np.concatenate((self.current, candidates))
+        states = pool[held].reshape(m, steps, d).swapaxes(0, 1)
+        self.current[run] = states[-1]
+        self.iterations[run] += steps
+        return states, np.array(accepted, dtype=bool).reshape(m, steps).T
 
-    def _score(self, cache: list, chains: list[int], candidates: np.ndarray, score) -> list[float]:
-        """Values of ``score(rows, points)`` at the candidates of ``chains``.
+    def _score(self, cache: list, chains: list[int], rows: np.ndarray, candidates: np.ndarray, score) -> list[float]:
+        """Values of ``score(rows, points)`` at the candidates, row k of
+        ``candidates`` belonging to chain ``rows[k]``.
 
-        The same call also scores the current state of every chain whose
-        ``cache`` entry is None and fills that entry; ``rows`` names the
-        chain each point belongs to.
+        The same call also scores the current state of every chain in
+        ``chains`` whose ``cache`` entry is None and fills that entry.
         """
         stale = [j for j in chains if cache[j] is None]
-        points = np.concatenate((self.current[stale], candidates)) if stale else candidates
-        values = score(stale + chains, points).tolist()
+        if stale:
+            candidates = np.concatenate((self.current[stale], candidates))
+            rows = np.concatenate((stale, rows))
+        values = score(rows, candidates).tolist()
         for j, value in zip(stale, values):
             cache[j] = value
         return values[len(stale) :]
@@ -314,10 +343,11 @@ class SchedulerState:
     """Mutable view of one run, handed to the ``on_step`` callback.
 
     ``active`` holds the set that the *next* step will use (adaptation
-    updates it in place at the end of a step). ``global_moments`` and
-    the n ``clusters`` are row views of the live accumulators, and
+    replaces it at the end of a step). ``global_moments`` and the n
+    ``clusters`` are row views of the live accumulators, and
     ``chains.means`` and ``chains.covs`` the live proposal parameters;
-    copy what must outlive the callback.
+    copy what must outlive the callback. The callback sees every step:
+    attaching one keeps the frozen phase per-step instead of in blocks.
     """
 
     step: int
@@ -375,6 +405,36 @@ def chain_streams(seed: int, n_chains: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n_chains)]
 
 
+def sample_indices(activity: np.ndarray, last: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step, chain and 1-based per-chain iteration of each sample of a run.
+
+    Step t ran the chains of ``activity[t]`` in ascending index, except
+    the last step, which ran only the first ``last`` of them; the samples
+    are in that order. The rows are read about :data:`BLOCK` cells at a
+    time, so the temporaries do not grow with the run.
+    """
+    t_total, n = activity.shape
+    total = int(activity[:-1].sum()) + last
+    steps, chains, iterations = (np.empty(total, dtype=np.int64) for _ in range(3))
+    before = np.zeros(n, dtype=np.int64)  # each chain's iterations before the chunk
+    chunk = max(1, BLOCK // n)
+    k = 0
+    for first in range(0, t_total, chunk):
+        ran = activity[first : first + chunk]
+        if first + chunk >= t_total:
+            ran = ran.copy()
+            ran[-1, np.flatnonzero(ran[-1])[last:]] = False
+        rows, cols = np.nonzero(ran)
+        counts = np.cumsum(ran, axis=0, dtype=np.int64) + before
+        end = k + rows.size
+        steps[k:end] = rows + first
+        chains[k:end] = cols
+        iterations[k:end] = counts[rows, cols]
+        before = counts[-1]
+        k = end
+    return steps, chains, iterations
+
+
 def run_paim(
     config: PaimConfig,
     target: TargetDensity,
@@ -388,6 +448,14 @@ def run_paim(
     exactly ``total_samples`` samples are produced and recorded.
     ``on_step`` (if given) is invoked after each completed step, once
     assignment and any adaptation are done.
+
+    There is one step loop, which advances the chains one block of
+    steps at a time. While adapting, or whenever ``on_step`` is given,
+    a block is one step. From step ``t_stop`` on without an observer,
+    the active set no longer changes, so a block is as many full steps
+    as fit in :data:`BLOCK` chain-iterations (at least one); the last,
+    partial step is a block of its own. The records are bit-identical
+    either way.
     """
     config.validate()
     if target.dim != config.dim:
@@ -408,11 +476,10 @@ def run_paim(
     active = np.ones(n, dtype=bool)
 
     samples = np.empty((total, dim))
-    sample_step = np.empty(total, dtype=np.int64)
-    sample_chain = np.empty(total, dtype=np.int64)
-    sample_iteration = np.empty(total, dtype=np.int64)
     sample_accepted = np.empty(total, dtype=bool)
+    # Row i of ``activity_rows`` is the active set of the next ``activity_steps[i]`` steps.
     activity_rows: list[np.ndarray] = []
+    activity_steps: list[int] = []
 
     state = SchedulerState(
         step=-1,
@@ -426,18 +493,20 @@ def run_paim(
     drawn = 0
     t = -1
     while True:
-        t += 1
-        activity_rows.append(active.copy())
         # The last step runs only as many chains as samples are missing.
         run = np.flatnonzero(active)[: total - drawn]
-        accepted = chains.advance(run, target)
-        new = chains.current[run]
-        end = drawn + run.size
-        samples[drawn:end] = new
-        sample_step[drawn:end] = t
-        sample_chain[drawn:end] = run
-        sample_iteration[drawn:end] = chains.iterations[run]
-        sample_accepted[drawn:end] = accepted
+        steps = 1
+        if on_step is None and t + 1 >= config.t_stop:
+            # Frozen and unobserved: take as many full steps as fit in a block.
+            steps = max(1, min(BLOCK, total - drawn) // run.size)
+        activity_rows.append(active.copy())
+        activity_steps.append(steps)
+        states, accepted = chains.advance(run, target, steps)
+        t += steps
+        new = states[-1]
+        end = drawn + run.size * steps
+        samples[drawn:end] = states.reshape(-1, dim)
+        sample_accepted[drawn:end] = accepted.ravel()
         drawn = end
         adapting = t < config.t_stop
         if adapting:
@@ -458,13 +527,17 @@ def run_paim(
             state.active = active
             on_step(state)
 
+    activity = np.repeat(np.stack(activity_rows), activity_steps, axis=0)
+    # Which step, chain and iteration made each sample follows from the active
+    # sets, so the loop records only what the chains produced.
+    sample_step, sample_chain, sample_iteration = sample_indices(activity, run.size)
     return RunRecord(
         samples=samples,
         sample_step=sample_step,
         sample_chain=sample_chain,
         sample_iteration=sample_iteration,
         sample_accepted=sample_accepted,
-        activity=np.stack(activity_rows),
+        activity=activity,
         budgets=chains.iterations.copy(),
         proposal_means=chains.means,
         proposal_covs=chains.covs,

@@ -58,8 +58,6 @@ def proposal_draws(means, covs, rngs, steps=1) -> np.ndarray:
     (broadcast as in ``ChainEnsemble``)."""
     n = len(rngs)
     chains = ChainEnsemble(np.zeros((n, 2)), means, covs, rngs)
-    draws = []
-    for _ in range(steps):
-        assert chains.advance(np.arange(n), NOWHERE).all()
-        draws.append(chains.current.copy())
-    return np.array(draws)
+    draws, accepted = chains.advance(np.arange(n), NOWHERE, steps)
+    assert accepted.all()
+    return draws

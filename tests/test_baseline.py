@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,29 @@ class TestRunIpc:
         means, states = random_inits(4, 21)
         with pytest.raises(ValueError, match="total_samples"):
             run_ipc(ipc_config(4, 2, means, states, 10.0), make_banana_target())
+
+
+def record_bytes(record) -> int:
+    return sum(value.nbytes for value in vars(record).values() if isinstance(value, np.ndarray))
+
+
+def traced_peak_and_record_bytes(total):
+    """Peak traced allocation of one ``run_ipc`` call, and the size of its record."""
+    means, states = random_inits(5, 3)
+    config = ipc_config(5, total, means, states, 10.0, seed=5)
+    target = make_banana_target()
+    tracemalloc.start()
+    try:
+        record = run_ipc(config, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, record_bytes(record)
+
+
+def test_frozen_run_memory_grows_only_with_its_records():
+    # The frozen run advances in blocks of a bounded number of iterations,
+    # so its temporaries do not grow with L; only the records do.
+    short_peak, short_record = traced_peak_and_record_bytes(5000)
+    long_peak, long_record = traced_peak_and_record_bytes(20000)
+    assert long_peak - short_peak <= long_record - short_record

@@ -288,6 +288,22 @@ BAD_INPUTS = {
         lambda _: ["oracle", "--target", "gaussian", "--params", '{"mean": 1}'],
         "bad parameters for target 'gaussian': a mean of shape () does not match a cov of shape (1, 1)",
     ),
+    "oracle-gaussian-sigma-negative": (
+        lambda _: ["oracle", "--target", "gaussian", "--params", '{"mean": [0, 0], "sigma": -2}'],
+        "bad parameters for target 'gaussian': sigma must be positive and finite",
+    ),
+    "oracle-gaussian-sigma-zero": (
+        lambda _: ["oracle", "--target", "gaussian", "--params", '{"mean": [0, 0], "sigma": 0}'],
+        "bad parameters for target 'gaussian': sigma must be positive and finite",
+    ),
+    "oracle-gaussian-sigma-square-overflows": (
+        lambda _: ["oracle", "--target", "gaussian", "--params", '{"mean": [0, 0], "sigma": 1e200}'],
+        "bad parameters for target 'gaussian': sigma must be positive and finite, with a finite square",
+    ),
+    "gaussian-sigma-negative": (
+        run_argv(lambda c: c.update(target={"name": "gaussian", "params": {"mean": [0.0, 0.0], "sigma": -1.0}})),
+        "bad parameters for target 'gaussian': sigma must be positive and finite",
+    ),
     "oracle-banana-b-string": (lambda _: ["oracle", "--params", '{"b": "x"}'], "bad parameters for target 'banana'"),
     "n-chains-float": (
         run_argv(lambda c: c["sampler"].update(n_chains=2.7)),

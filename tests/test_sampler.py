@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import repeat
 
@@ -7,6 +8,7 @@ import pytest
 from paim.gaussian import cholesky
 from paim.moments import MomentStack
 from paim.sampler import (
+    BLOCK,
     ChainEnsemble,
     PaimConfig,
     activation,
@@ -15,10 +17,12 @@ from paim.sampler import (
     log_accept_ratio,
     refreshed_proposals,
     run_paim,
+    sample_indices,
     stacked_mixture_log_pdf,
 )
-from paim.targets import TargetDensity, make_banana_target, make_gaussian_target
+from paim.targets import TargetDensity, make_banana_target, make_gaussian_mixture_target, make_gaussian_target
 import reference
+from test_golden import spread_config
 
 
 class ScriptedRng:
@@ -174,8 +178,9 @@ class TestMhStep:
         # candidate exactly equals the current state; acceptance draw 0.999
         rng = ScriptedRng(uniforms=[0.2, 0.999], normals=[(0.0, 0.0)])
         chain = one_chain(psi, [1.0, 1.0], rng)
-        (accepted,) = chain.advance(ONLY, self.target())
+        states, [[accepted]] = chain.advance(ONLY, self.target())
         assert accepted
+        np.testing.assert_array_equal(states, [[[1.0, 1.0]]])
         assert chain.iterations.tolist() == [1]
         assert rng.calls == ["random", "standard_normal(2)", "random"]
 
@@ -185,9 +190,10 @@ class TestMhStep:
         psi = proposal_from([0.0, 0.0], 4.0 * np.eye(2), [0.0, 0.0], 4.0 * np.eye(2))
         start = np.array([0.0, 0.0])
         chain = one_chain(psi, start, ScriptedRng(uniforms=[0.2, 0.5], normals=[(10.0, 0.0)]))
-        (accepted,) = chain.advance(ONLY, self.target())
+        states, [[accepted]] = chain.advance(ONLY, self.target())
         assert not accepted
         np.testing.assert_array_equal(chain.current[0], start)
+        np.testing.assert_array_equal(states, [[start]])
         assert chain.iterations.tolist() == [1]
 
     def test_cached_values_do_not_change_outcome(self):
@@ -198,7 +204,10 @@ class TestMhStep:
         for _ in range(200):
             b.log_target = [None]
             b.log_proposal = [None]
-            assert a.advance(ONLY, target) == b.advance(ONLY, target)
+            states_a, accepted_a = a.advance(ONLY, target)
+            states_b, accepted_b = b.advance(ONLY, target)
+            np.testing.assert_array_equal(accepted_a, accepted_b)
+            np.testing.assert_array_equal(states_a, states_b)
             np.testing.assert_array_equal(a.current, b.current)
             np.testing.assert_array_equal(a.log_target, b.log_target)
             np.testing.assert_array_equal(a.log_proposal, b.log_proposal)
@@ -207,7 +216,7 @@ class TestMhStep:
         # proposal equals the target: every candidate accepted
         psi = proposal_from([0.0, 0.0], np.eye(2), [0.0, 0.0], np.eye(2))
         chain = one_chain(psi, np.zeros(2), np.random.default_rng(60))
-        accepts = [chain.advance(ONLY, self.target())[0] for _ in range(2000)]
+        accepts = [chain.advance(ONLY, self.target())[1][0, 0] for _ in range(2000)]
         assert all(accepts)
 
 
@@ -240,9 +249,12 @@ class TestAdvanceTogether:
                 run = np.flatnonzero(rng.random(n) < 0.7)
                 if run.size == 0:
                     continue
-                accepted = together.advance(run, target)
+                (states,), (accepted,) = together.advance(run, target)
+                np.testing.assert_array_equal(states, together.current[run])
                 for r, j in enumerate(run):
-                    assert alone.advance(np.array([j]), target)[0] == accepted[r]
+                    (state_alone,), ((accepted_alone,),) = alone.advance(np.array([j]), target)
+                    assert accepted_alone == accepted[r]
+                    np.testing.assert_array_equal(state_alone, [states[r]])
                 if step % 10 == 9:
                     # a new shared global component, new local components for some chains
                     fresh = random_proposals(rng, n, d)
@@ -294,7 +306,7 @@ class TestAdvanceTogether:
         chains = ensemble(np.zeros((3, 2)), proposals, chain_streams(12, 3))
         streams = chain_streams(12, 3)
         for _ in range(50):
-            assert chains.advance(np.arange(3), reference.NOWHERE).all()
+            assert chains.advance(np.arange(3), reference.NOWHERE)[1].all()
             for j, p in enumerate(proposals):
                 draw = reference.sample_mixture(p.means, p.lowers, streams[j])
                 np.testing.assert_array_equal(chains.current[j], draw)
@@ -311,7 +323,7 @@ class TestAdvanceTogether:
         rngs = [ScriptedRng(uniforms=[0.2, 0.0], normals=[(0.0, 0.0)]),
                 ScriptedRng(uniforms=[0.9, 0.0], normals=[(0.5, 0.0)])]
         chains = ensemble(np.zeros((2, 2)), [psi, psi], rngs)
-        accepted = chains.advance(np.arange(2), target)
+        _, (accepted,) = chains.advance(np.arange(2), target)
         assert accepted.tolist() == [False, True]
         cur, lp_cur = target.log_density_batch([[0.0, 0.0]])[0], psi.log_pdf(np.zeros(2))
         for j, cand in enumerate(([5.0, 0.0], [0.5, 0.0])):
@@ -326,13 +338,99 @@ class TestAdvanceTogether:
         uniforms = [0.999, 0.5, 1e-300]
         rngs = [ScriptedRng(uniforms=[0.2, u], normals=[(0.3, -0.3)]) for u in uniforms]
         chains = ensemble(np.zeros((3, 2)), [psi] * 3, rngs)
-        accepted = chains.advance(np.arange(3), target)
+        _, (accepted,) = chains.advance(np.arange(3), target)
         cand = np.array([1.3, -0.3])
         lp_new, lp_cur = psi.log_pdf(cand), psi.log_pdf(np.zeros(2))
         expected = [self.scalar_rule(u, value, value, lp_new, lp_cur) for u in uniforms]
         assert accepted.tolist() == expected
         assert all(expected)
         assert chains.log_target == [value] * 3
+
+
+class ZeroEvery:
+    """A generator whose every third acceptance uniform reads 0.0.
+
+    Calls alternate component uniform, ``d`` normals, acceptance uniform,
+    so every sixth ``random()`` call is an acceptance uniform; it still
+    consumes the underlying draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.uniforms = 0
+
+    def random(self):
+        self.uniforms += 1
+        u = self.rng.random()
+        return 0.0 if self.uniforms % 6 == 0 else u
+
+    def standard_normal(self, n):
+        return self.rng.standard_normal(n)
+
+    def stream_state(self):
+        return self.uniforms, self.rng.bit_generator.state
+
+
+def half_space_target(d):
+    """A standard Gaussian cut to zero density where x0 > 1, so some
+    candidates and some start states score -inf."""
+    gaussian = make_gaussian_target(np.zeros(d), np.eye(d))
+    return TargetDensity(d, lambda xs: np.where(xs[:, 0] > 1.0, -math.inf, gaussian.log_density_batch(xs)))
+
+
+class TestAdvanceBlock:
+    """``advance(run, target, steps=k)`` is bit-identical to k one-step calls."""
+
+    def streams(self, seed, n):
+        return [ZeroEvery(rng) for rng in chain_streams(seed, n)]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("value", [None, -math.inf, math.inf])
+    def test_block_matches_single_steps(self, d, value):
+        rng = np.random.default_rng(90 + d)
+        if value is None:
+            target = half_space_target(d)
+        else:
+            target = TargetDensity(d, lambda xs: np.full(len(xs), value))
+        n = 6
+        proposals = random_proposals(rng, n, d)
+        starts = rng.uniform(-6, 6, (n, d))
+        block = ensemble(starts, proposals, self.streams(11, n))
+        single = ensemble(starts, proposals, self.streams(11, n))
+        for round_ in range(8):
+            run = np.flatnonzero(rng.random(n) < 0.7)
+            if run.size == 0:
+                run = np.array([round_ % n])
+            steps = int(rng.integers(1, 9))
+            states, accepted = block.advance(run, target, steps=steps)
+            assert states.shape == (steps, run.size, d) and accepted.shape == (steps, run.size)
+            for i in range(steps):
+                (one_states,), (one_accepted,) = single.advance(run, target)
+                np.testing.assert_array_equal(states[i], one_states)
+                np.testing.assert_array_equal(accepted[i], one_accepted)
+            np.testing.assert_array_equal(block.current, single.current)
+            np.testing.assert_array_equal(block.iterations, single.iterations)
+            assert block.log_target == single.log_target
+            assert block.log_proposal == single.log_proposal
+            assert [r.stream_state() for r in block.rngs] == [r.stream_state() for r in single.rngs]
+            if round_ % 3 == 1:
+                # new proposals for every chain: every cached mixture density goes stale
+                fresh = random_proposals(rng, n + 1, d)
+                means = np.array([p.means[1] for p in fresh])
+                covs = np.array([p.covs[1] for p in fresh])
+                block.refit(means, covs)
+                single.refit(means, covs)
+                assert block.log_proposal == [None] * n
+        assert sum(r.uniforms // 6 for r in block.rngs) > 0  # some acceptance uniforms were 0.0
+        if value is not None:
+            assert block.log_target == [value] * n
+
+    def test_nan_target_raises(self):
+        d = 2
+        nan_target = TargetDensity(d, lambda xs: np.where(xs[:, 0] > 0.0, math.nan, 0.0))
+        rng = np.random.default_rng(95)
+        chains = ensemble(np.full((4, d), -1.0), random_proposals(rng, 4, d), chain_streams(13, 4))
+        with pytest.raises(ValueError, match="NaN"):
+            chains.advance(np.arange(4), nan_target, steps=5)
 
 
 def per_state_assignment(fresh, means):
@@ -745,3 +843,55 @@ class TestRunPaim:
     def test_mismatched_target_dim(self):
         with pytest.raises(ValueError, match="dim"):
             run_paim(small_config(), make_gaussian_target([0.0], [[1.0]]))
+
+
+@pytest.mark.parametrize("n, t_total", [(1, 5), (3, 2 * BLOCK + 5), (40, 300), (BLOCK + 2, 3)])
+def test_sample_indices_match_a_step_by_step_walk(n, t_total):
+    rng = np.random.default_rng(n)
+    activity = rng.random((t_total, n)) < 0.4
+    activity[:, n // 2] = True  # no step runs without a chain
+    last = int(rng.integers(1, activity[-1].sum() + 1))
+    expected = ([], [], [])
+    done = np.zeros(n, dtype=np.int64)
+    for t, row in enumerate(activity):
+        for j in np.flatnonzero(row)[: last if t == t_total - 1 else n]:
+            done[j] += 1
+            for values, value in zip(expected, (t, j, done[j])):
+                values.append(value)
+    for got, want in zip(sample_indices(activity, last), expected):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
+def two_modes(d):
+    return make_gaussian_mixture_target([np.full(d, -6.0), np.full(d, 5.0)], [np.eye(d), 2.0 * np.eye(d)], [0.6, 0.4])
+
+
+class TestFrozenBlocks:
+    """Without an observer the frozen tail runs in blocks of iterations; an
+    observer keeps it per-step. The records must not tell the two apart."""
+
+    CASES = {
+        # 20 chains frozen at step 10, most of them suspended by then
+        "finite-t_stop-suspended": (lambda: spread_config(20, 4 * BLOCK + 7, 2, 60, dim=2, t_stop=10), make_banana_target),
+        "ipc-uneven": (lambda: spread_config(7, 3 * BLOCK + 5, -1, 61, dim=2, t_stop=0), make_banana_target),
+        "1d-finite-t_stop": (lambda: spread_config(6, 2 * BLOCK + 333, 1, 62, dim=1, t_stop=15), lambda: two_modes(1)),
+        "3d-finite-t_stop": (lambda: spread_config(9, 2 * BLOCK + 101, 2, 63, dim=3, t_stop=12), lambda: two_modes(3)),
+        "3d-ipc": (lambda: spread_config(11, BLOCK + 13, -1, 64, dim=3, t_stop=0), lambda: two_modes(3)),
+        # more chains than a block holds: every frozen block is one step
+        "wide-ipc": (lambda: spread_config(BLOCK + 3, 3 * BLOCK + 1, -1, 65, dim=2, t_stop=0), make_banana_target),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_observed_run_matches_blocked_run(self, name):
+        make_config, make_target = self.CASES[name]
+        config = make_config()
+        assert config.total_samples % BLOCK and config.total_samples % config.n_chains
+        steps = []
+        observed = run_paim(config, make_target(), on_step=lambda state: steps.append(state.step))
+        blocked = run_paim(make_config(), make_target())
+        assert steps == list(range(observed.t_total - 1))
+        for field in dataclasses.fields(blocked):
+            np.testing.assert_array_equal(getattr(blocked, field.name), getattr(observed, field.name), err_msg=field.name)
+        if name.endswith("suspended"):
+            assert not observed.activity[int(config.t_stop)].all()
