@@ -9,11 +9,11 @@ triangular solve.
 
 All Gaussian log-densities go through one kernel,
 :func:`log_gaussian_pdf_stacked`: a forward substitution over rows of
-residuals, one ``np.vecdot`` per coordinate. ``np.vecdot`` reduces each
-row with the same BLAS dot as ``a @ b`` on 1-D arrays (``np.einsum`` and
-a batched triangular solve do not), so the value at a point does not
-depend on how many other points, or which factors, share the call; a
-single point is the one-row case.
+residuals, one ``np.vecdot`` per coordinate after the first.
+``np.vecdot`` reduces each row with the same BLAS dot as ``a @ b`` on
+1-D arrays (``np.einsum`` and a batched triangular solve do not), so
+the value at a point does not depend on how many other points, or which
+factors, share the call; a single point is the one-row case.
 """
 
 from __future__ import annotations
@@ -105,7 +105,9 @@ def log_gaussian_pdf_stacked(diff: np.ndarray, lower: np.ndarray, log_det_half) 
     """
     d = diff.shape[-1]
     w = np.empty(diff.shape)
-    for i in range(d):
+    # Column 0 has no products to subtract (x - 0.0 is x), as in cholesky.
+    w[..., 0] = diff[..., 0] / lower[..., 0, 0]
+    for i in range(1, d):
         w[..., i] = (diff[..., i] - np.vecdot(w[..., :i], lower[..., i, :i])) / lower[..., i, i]
     return -0.5 * d * LOG_TWO_PI - log_det_half - 0.5 * np.vecdot(w, w)
 

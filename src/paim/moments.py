@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,23 +41,41 @@ class MomentStack:
         self.mean = np.zeros((n, dim))
         self.scatter = np.zeros((n, dim, dim))
 
-    def push(self, rows: Iterable[int], xs: Iterable[np.ndarray]) -> None:
-        """Push ``xs[i]`` into row ``rows[i]``, one point after another.
+    def push(self, rows: Iterable[int], xs: Sequence[np.ndarray]) -> None:
+        """Push ``xs[i]`` into row ``rows[i]``, in order, in one batch.
 
-        Points go in one at a time, in order, through row views, so a
+        ``xs`` holds the points (m, d); ``rows`` may be longer, even
+        endless, since only its first m entries are read. Each point
+        updates its row's count and mean on its own, in order, through
+        the row view. The scatter increments are then formed in one
+        stacked product and added to their rows in the same order, so a
         row ends with the bits it gets from the same points pushed into
-        it alone.
+        it alone, one at a time.
         """
-        count, mean, scatter = self.count, self.mean, self.scatter
-        for j, x in zip(rows, xs):
+        xs = np.asarray(xs, dtype=float)
+        if not len(xs):
+            return
+        mean = self.mean
+        if xs.shape[1:] != mean.shape[1:]:
+            raise ValueError(f"points of shape {xs.shape[1:]} pushed into accumulators of dim {mean.shape[1]}")
+        counts = self.count.tolist()
+        deltas = np.empty(xs.shape)
+        taken = []
+        scale = []
+        for k, j in zip(range(len(xs)), rows):
             m = mean[j]
-            delta = x - m
-            c = int(count[j]) + 1
-            count[j] = c
+            delta = np.subtract(xs[k], m, out=deltas[k])
+            c = counts[j] + 1
+            counts[j] = c
             m += delta / c
-            # (x - new mean) is delta * (c-1)/c, so the outer-product
-            # increment stays symmetric to the last bit.
-            scatter[j] += delta[:, None] * delta * ((c - 1) / c)
+            taken.append(j)
+            scale.append((c - 1) / c)
+        deltas = deltas[: len(taken)]
+        # (x - new mean) is delta * (c-1)/c, so each outer-product
+        # increment stays symmetric to the last bit; np.add.at adds them
+        # unbuffered, so a row's increments land one after another.
+        np.add.at(self.scatter, taken, deltas[:, :, None] * deltas[:, None, :] * np.array(scale)[:, None, None])
+        self.count[:] = counts
 
     def __len__(self) -> int:
         return self.count.shape[0]

@@ -41,8 +41,9 @@ and column 1 the local one; the run record and the ``on_step`` view
 read those arrays. The adaptation state is stacked the same way. The N
 clusters and the global fit are the rows of one
 :class:`~paim.moments.MomentStack`; :func:`assign` finds every new
-state's nearest local mean with one distance matrix, then pushes the
-states into their clusters in generation order. A refresh computes the
+state's nearest local mean with one distance matrix, and the step then
+makes one batched push: every new state into the global row and into
+its cluster, each row in generation order. A refresh computes the
 covariances of every row in one stacked step and factors them with one
 stacked :func:`cholesky` call, writing the results straight into the
 ensemble.
@@ -238,23 +239,20 @@ class ChainEnsemble:
 
 # ----------------------- assignment and adaptation -----------------------
 
-def assign(fresh, local_means: np.ndarray, clusters: MomentStack) -> np.ndarray:
-    """Push each new state into the cluster with the nearest local mean.
+def assign(fresh, local_means: np.ndarray) -> np.ndarray:
+    """The cluster with the nearest local mean, for each new state.
 
     ``fresh`` holds the new states (m, d) in generation order and
-    ``local_means`` (n, d) the chains' local means; cluster j is row j
-    of ``clusters``, which may hold further rows. One (m, n) matrix of
+    ``local_means`` (n, d) the chains' local means. One (m, n) matrix of
     squared Euclidean distances picks every state's cluster, ties to the
-    lowest chain index; then the states are pushed into their clusters
-    in generation order. Means of suspended chains take part as well;
+    lowest chain index. Means of suspended chains take part as well;
     that is what lets a suspended chain accumulate states and come back.
-    Returns the chosen cluster index per state.
+    Returns the chosen cluster index per state; the caller pushes the
+    states into those clusters.
     """
     fresh = np.asarray(fresh, dtype=float)
     diff = np.asarray(local_means, dtype=float) - fresh[:, None, :]
-    chosen = np.argmin(np.einsum("mnd,mnd->mn", diff, diff), axis=1)
-    clusters.push(chosen.tolist(), fresh)
-    return chosen
+    return np.argmin(np.einsum("mnd,mnd->mn", diff, diff), axis=1)
 
 
 def refreshed_proposals(moments: MomentStack, epsilon: float, chains: ChainEnsemble) -> None:
@@ -508,14 +506,16 @@ def run_paim(
         samples[drawn:end] = states.reshape(-1, dim)
         sample_accepted[drawn:end] = accepted.ravel()
         drawn = end
-        adapting = t < config.t_stop
-        if adapting:
-            moments.push(repeat(n), new)
+        if t < config.t_stop:
+            # One push per step: every new state into the global row and,
+            # unless the run is complete, into the cluster of its nearest local mean.
+            if drawn == total:
+                moments.push(repeat(n), new)
+            else:
+                chosen = assign(new, chains.means[:, 1]).tolist()
+                moments.push([n] * run.size + chosen, np.concatenate((new, new)))
         if drawn == total:
             break
-
-        if adapting:
-            assign(new, chains.means[:, 1], moments)
 
         if config.t_train < t < config.t_stop:
             refreshed_proposals(moments, config.epsilon, chains)

@@ -2,8 +2,9 @@
 stacked kernels in ``paim`` so that tests can check those kernels
 against them: a textbook forward substitution for the Gaussian
 log-density, the two-component mixture density built from it, one
-mixture draw, and the banana log-density at one point. Also a driver
-that reads the sampler's own proposal draws."""
+mixture draw, the banana log-density at one point and one Welford
+update of one accumulator. Also a driver that reads the sampler's own
+proposal draws."""
 
 import math
 
@@ -44,6 +45,15 @@ def log_banana(x, b=10.0, eta1=4.0, eta2=5.0, eta3=5.0) -> float:
     x1, x2 = float(x[0]), float(x[1])
     ridge = 4.0 - b * x1 - x2 * x2
     return -ridge * ridge / (2.0 * eta1**2) - x1 * x1 / (2.0 * eta2**2) - x2 * x2 / (2.0 * eta3**2)
+
+
+def welford_push(count, mean, scatter, x):
+    """One Welford update of a single accumulator, returning the new state."""
+    delta = x - mean
+    count += 1
+    mean = mean + delta / count
+    scatter = scatter + np.outer(delta, delta) * ((count - 1) / count)
+    return count, mean, scatter
 
 
 # A target of zero density everywhere: the MH step accepts every

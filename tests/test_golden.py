@@ -84,6 +84,10 @@ CASES = {
     "3d-finite-t_stop": (lambda: spread_config(6, 900, 2, 79, dim=3, t_stop=30, seed=23), correlated_pair_3d),
     # 50 chains on the banana, adapting from step 2: many clusters, many refits per step
     "many-chains": (lambda: spread_config(50, 2500, 1, 80, seed=31), make_banana_target),
+    # a second draw of 50 chains, L=2000: the first three steps run all 50
+    # chains and the rest 10-22, each step pushing every new state into the
+    # global row and into one of the 50 clusters
+    "many-chains-2000": (lambda: spread_config(50, 2000, 1, 84, seed=47), make_banana_target),
     # 20 chains on the banana frozen at step 15 with 12 of them suspended, then
     # ~1,480 frozen steps of the other 8; 20 does not divide L, and the last
     # step runs 6 of the 8
@@ -111,6 +115,10 @@ GOLDEN = {
         "d839e937e137efb47932131476a65d1df08ee6003cd9bab8fd6c6a64786b57d4",
         "e0d3f74fad5aab8b2dbff0743a3db632c12a77fccb2a3d17e404e26c57883f77",
     ),
+    "many-chains-2000": (
+        "76d2d6238d2ee81696cc5925d21cddef7b0d1cbb397c1c8e15c1a2e5117bc92e",
+        "3694b9f97b9bbb889bc49259d900b1595eb343de4fef437cbc4aead6072f37bc",
+    ),
     "long-frozen-tail": (
         "fb79d06016e06783b7861bc156b1d1d5b8cfd30359d07679bc689e4d72dbfca2",
         "1c5b97e9c45cf8d6f14e4e449b27d80c10d48db83e0fb896bc1718ea6fa24329",
@@ -125,6 +133,7 @@ GOLDEN_GLOBAL_MOMENTS = {
     "single-chain": "7ff9404a90b5c57ee8e7dd1a54d7c9e7bb85ccb7f757e2e774e9dc406bc74ba4",
     "3d-finite-t_stop": "3d05396f2c3b4a75bc4bf6c9c19fa9dde99d51e2683699ed2776412dd0fabd7b",
     "many-chains": "fa5343f34a7c0f771d6e695ca32174b203aa220b02e80c80f8b9d0cde046277a",
+    "many-chains-2000": "feb270f00e2aa475b3179a3e9473ee46f59e959d542075b1ad8b321173308fba",
     "long-frozen-tail": "155d0d35e17b940e4c338d77dc17248f4b6fe4b8dd9591cb957244d859b1845b",
 }
 

@@ -5,6 +5,7 @@ import pytest
 
 from paim.gaussian import regularize
 from paim.moments import MomentStack, mean_square_error, stacked_covariance
+import reference
 
 
 def block_moments(points):
@@ -65,8 +66,9 @@ class TestPush:
         assert np.array_equal(acc.scatter, acc.scatter.T)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            MomentStack(1, 2).push([0], [np.zeros(3)])
+        for point in (np.zeros(3), np.zeros(1), np.zeros((2, 2))):
+            with pytest.raises(ValueError):
+                MomentStack(1, 2).push([0], [point])
 
 
 class TestCovariance:
@@ -92,32 +94,46 @@ class TestCovariance:
             assert eigs.min() > 0.0
 
 
-def welford_push(count, mean, scatter, x):
-    """One Welford update of a single accumulator, returning the new state."""
-    delta = x - mean
-    count += 1
-    mean = mean + delta / count
-    scatter = scatter + np.outer(delta, delta) * ((count - 1) / count)
-    return count, mean, scatter
-
-
 class TestMomentStack:
     def test_rows_match_sequential_single_pushes(self):
         rng = np.random.default_rng(41)
-        for d in (1, 2, 3):
-            stack = MomentStack(4, d)
-            alone = [(0, np.zeros(d), np.zeros((d, d))) for _ in range(4)]
-            for _ in range(30):
-                # several states of one step, often landing in the same row
-                rows = rng.integers(0, 4, int(rng.integers(1, 9)))
-                xs = rng.standard_normal((rows.size, d)) * 5.0
-                stack.push(rows.tolist(), xs)
-                for j, x in zip(rows, xs):
-                    alone[j] = welford_push(*alone[j], x)
-            for j, (count, mean, scatter) in enumerate(alone):
-                assert stack.count[j] == count
-                np.testing.assert_array_equal(stack.mean[j], mean)
-                np.testing.assert_array_equal(stack.scatter[j], scatter)
+        for d in range(1, 7):
+            for scale in (1e-8, 1.0, 1e8):
+                stack = MomentStack(4, d)
+                alone = [(0, np.zeros(d), np.zeros((d, d))) for _ in range(4)]
+                for size in (0, 1, 2, 7, 40, 300, 1, 0, 13):
+                    # a step's states: most go to the global row (row 3), the
+                    # rest to the clusters, often several to the same one
+                    rows = np.where(rng.random(size) < 0.6, 3, rng.integers(0, 3, size))
+                    xs = (rng.standard_normal((size, d)) + rng.uniform(-3, 3, d)) * scale
+                    stack.push(rows.tolist(), xs)
+                    for j, x in zip(rows, xs):
+                        alone[j] = reference.welford_push(*alone[j], x)
+                for j, (count, mean, scatter) in enumerate(alone):
+                    assert stack.count[j] == count
+                    np.testing.assert_array_equal(stack.mean[j], mean)
+                    np.testing.assert_array_equal(stack.scatter[j], scatter)
+
+    def test_empty_push_changes_nothing(self):
+        stack = MomentStack(2, 3)
+        stack.push([1, 1], np.arange(6.0).reshape(2, 3))
+        before = [a.copy() for a in (stack.count, stack.mean, stack.scatter)]
+        for rows, xs in (([], []), ([], np.empty((0, 3))), (repeat(0), np.empty((0, 3)))):
+            stack.push(rows, xs)
+            for held, now in zip(before, (stack.count, stack.mean, stack.scatter)):
+                np.testing.assert_array_equal(now, held)
+
+    def test_endless_rows_stop_at_the_last_point(self):
+        def rows(limit):
+            yield from repeat(0, limit)
+            raise AssertionError("push read a row past its last point")
+
+        for m in (1, 5):
+            stack = MomentStack(1, 2)
+            stack.push(rows(m), np.ones((m, 2)))
+            assert stack.count.tolist() == [m]
+            stack.push(repeat(0), np.ones((m, 2)))
+            assert stack.count.tolist() == [2 * m]
 
     def test_running_moments_is_a_row_view(self):
         stack = MomentStack(3, 2)

@@ -444,14 +444,12 @@ def per_state_assignment(fresh, means):
 
 class TestAssign:
     def test_nearest(self):
-        clusters = MomentStack(2, 2)
-        chosen = assign([np.array([1.0, 1.0])], np.array([[0.0, 0.0], [5.0, 5.0]]), clusters)
+        chosen = assign([np.array([1.0, 1.0])], np.array([[0.0, 0.0], [5.0, 5.0]]))
         assert chosen.tolist() == [0]
-        assert clusters[0].count == 1 and clusters[1].count == 0
+        assert np.bincount(chosen, minlength=2).tolist() == [1, 0]
 
     def test_tie_breaks_to_lowest_index(self):
-        clusters = MomentStack(2, 2)
-        chosen = assign([np.array([1.0, 0.0])], np.array([[0.0, 0.0], [2.0, 0.0]]), clusters)
+        chosen = assign([np.array([1.0, 0.0])], np.array([[0.0, 0.0], [2.0, 0.0]]))
         assert chosen.tolist() == [0]
 
     def test_matches_brute_force(self):
@@ -459,12 +457,11 @@ class TestAssign:
         for _ in range(20):
             means = rng.uniform(-10, 10, size=(10, 2))
             fresh = list(rng.uniform(-10, 10, size=(100, 2)))
-            clusters = MomentStack(10, 2)
-            chosen = assign(fresh, means, clusters)
+            chosen = assign(fresh, means)
             for z, got in zip(fresh, chosen):
                 dists = [float(np.hypot(*(m - z))) for m in means]
                 assert got == int(np.argmin(dists))
-            assert sum(c.count for c in clusters) == 100
+            assert np.bincount(chosen, minlength=10).sum() == 100
 
     def test_one_distance_matrix_matches_per_state_assignment(self):
         rng = np.random.default_rng(45)
@@ -478,7 +475,7 @@ class TestAssign:
                     means = np.round(means)
                 fresh = rng.uniform(-10, 10, size=(int(rng.integers(1, 40)), d))
                 fresh[::2] = np.round(fresh[::2])
-                chosen = assign(fresh, means, MomentStack(n, d))
+                chosen = assign(fresh, means)
                 assert chosen.tolist() == per_state_assignment(fresh, means)
             for _ in range(100):
                 # means mirrored around a state are equally far from it in
@@ -487,22 +484,46 @@ class TestAssign:
                 v = rng.uniform(-5, 5, (6, d))
                 means = rng.permutation(np.concatenate([z + v, z + v[:, ::-1], z - v]))
                 fresh = np.concatenate([z[None], z + rng.normal(0.0, 1e-13, (5, d))])
-                chosen = assign(fresh, means, MomentStack(len(means), d))
+                chosen = assign(fresh, means)
                 assert chosen.tolist() == per_state_assignment(fresh, means)
 
     def test_pushes_states_in_generation_order(self):
+        # Each adaptive step of a run makes one push: the global row gets
+        # every new state and each cluster the states nearest its local
+        # mean, both in generation order. Replay every step's states one
+        # at a time through the one-point Welford update and compare bits.
         rng = np.random.default_rng(46)
-        means = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-        fresh = rng.normal(0.0, 3.0, size=(40, 2)) + means[rng.integers(0, 3, 40)]
-        clusters = MomentStack(3, 2)
-        chosen = assign(fresh, means, clusters)
-        alone = [MomentStack(1, 2) for _ in range(3)]
-        for z, j in zip(fresh, chosen):
-            alone[j].push([0], [z])
-        for j in range(3):
-            assert clusters[j].count == alone[j][0].count
-            np.testing.assert_array_equal(clusters[j].mean, alone[j][0].mean)
-            np.testing.assert_array_equal(clusters[j].scatter, alone[j][0].scatter)
+        n = 6
+        cfg = small_config(
+            n_chains=n,
+            total_samples=400,
+            t_train=1,
+            init_means=rng.uniform(-15, 15, (n, 2, 2)),
+            init_states=rng.uniform(-15, 15, (n, 2)),
+        )
+        empty = (0, np.zeros(2), np.zeros((2, 2)))
+        rows = [reference.welford_push(*empty, x) for x in cfg.init_states] + [empty]
+        held = {"active": np.ones(n, dtype=bool), "means": cfg.init_means[:, 1].copy()}
+        steps = []
+
+        def watch(state):
+            new = state.chains.current[np.flatnonzero(held["active"])]
+            for x in new:
+                rows[n] = reference.welford_push(*rows[n], x)
+            for x, j in zip(new, per_state_assignment(new, held["means"])):
+                rows[j] = reference.welford_push(*rows[j], x)
+            stack = state.global_moments.stack
+            for j, (count, mean, scatter) in enumerate(rows):
+                assert stack.count[j] == count
+                np.testing.assert_array_equal(stack.mean[j], mean)
+                np.testing.assert_array_equal(stack.scatter[j], scatter)
+            held["active"] = state.active.copy()
+            held["means"] = state.chains.means[:, 1].copy()
+            steps.append(len(new))
+
+        run_paim(cfg, make_banana_target(), on_step=watch)
+        # some steps ran a suspended set, so clusters got uneven traffic
+        assert len(steps) > 10 and min(steps) < n == max(steps)
 
 
 def refit_ensemble(moments, epsilon, chains=None) -> ChainEnsemble:
