@@ -23,8 +23,8 @@ import numpy as np
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
-# Asymmetry beyond this is not rounding noise; it means an accumulator
-# upstream was corrupted.
+# Asymmetry beyond this is not rounding noise: an accumulator upstream
+# was corrupted, or a covariance was given wrong.
 SYMMETRY_ATOL = 1e-12
 
 # A pivot at or below this cannot be distinguished from a singular
@@ -36,10 +36,31 @@ class NotPositiveDefinite(Exception):
     """Cholesky pivot fell at or below the pivot floor."""
 
 
+def check_symmetric(a: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of ``a`` (..., d, d) is
+    symmetric to within ``SYMMETRY_ATOL`` absolute. :func:`cholesky`
+    reads only the lower triangle, so it cannot tell by itself."""
+    asym = np.abs(a - a.swapaxes(-1, -2)).max() if a.size else 0.0
+    if asym > SYMMETRY_ATOL:
+        raise ValueError(f"matrix is asymmetric by {asym:.3e} (tolerance {SYMMETRY_ATOL:.0e})")
+
+
+def check_sigma(name: str, sigma: float) -> None:
+    """Raise ValueError unless ``sigma**2 * I`` passes :func:`cholesky`:
+    ``sigma`` positive and finite, and its square finite and above
+    ``PIVOT_FLOOR``."""
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {sigma}")
+    if not PIVOT_FLOOR < sigma * sigma < math.inf:
+        raise ValueError(
+            f"{name} must be positive and finite, with a finite square above {PIVOT_FLOOR:.0e}, got {sigma}"
+        )
+
+
 def regularize(scatter: np.ndarray, epsilon: float) -> np.ndarray:
     """Return ``scatter + epsilon * I`` for one matrix or a stack (..., d, d).
 
-    Every matrix must be square and symmetric to within 1e-12 absolute;
+    Every matrix must be square and symmetric (:func:`check_symmetric`);
     the result is positive definite whenever ``scatter`` is PSD and
     ``epsilon`` > 0.
     """
@@ -48,9 +69,7 @@ def regularize(scatter: np.ndarray, epsilon: float) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    asym = np.abs(a - a.swapaxes(-1, -2)).max() if a.size else 0.0
-    if asym > SYMMETRY_ATOL:
-        raise ValueError(f"matrix is asymmetric by {asym:.3e} (tolerance {SYMMETRY_ATOL:.0e})")
+    check_symmetric(a)
     return a + epsilon * np.eye(a.shape[-1])
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .gaussian import NotPositiveDefinite
+from .gaussian import NotPositiveDefinite, check_sigma
 from .moments import mean_square_error
 from .sampler import PaimConfig, RunRecord, run_ipc, run_paim
 from .targets import (
@@ -56,8 +56,7 @@ def make_target(name: str, params: Optional[dict] = None) -> TargetDensity:
                 cov = _numbers(params["cov"], "target.params.cov")
             else:
                 sigma = _number(params.get("sigma", 1.0), "target.params.sigma")
-                if not (0.0 < sigma < math.inf and sigma * sigma < math.inf):
-                    raise ValueError(f"sigma must be positive and finite, with a finite square, got {sigma}")
+                check_sigma("sigma", sigma)
                 cov = sigma * sigma * np.eye(mean.size)
             return make_gaussian_target(mean, cov)
         if name == "gaussian_mixture":
@@ -131,8 +130,10 @@ class ExperimentConfig:
             raise ConfigError("initialization box bounds must be finite")
         if not np.all(self.box_lower < self.box_upper):
             raise ConfigError("initialization box is degenerate (lower >= upper somewhere)")
-        if not 0.0 < self.sigma < math.inf:
-            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
+        try:
+            check_sigma("sigma", self.sigma)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -21,10 +21,12 @@ grows back.
 The fixed-proposal baseline, :func:`run_ipc`, is this same sampler with
 adaptation off. A step's chains advance together through
 :meth:`ChainEnsemble.advance`: each chain draws from its own random
-stream, then one batched call scores all candidates under the target
-and one under the chains' stacked mixture proposals. A chain's records
-are bit-identical to advancing it alone, so they do not depend on how
-many other chains are active.
+stream, then one batched call scores the candidates under the target,
+and one scores the chains' states and the candidates under the stacked
+mixture proposals. Only the target, costly and fixed, is cached at each
+state; every adaptive step refits the mixtures, so they are rescored. A
+chain's records are bit-identical to advancing it alone, so they do not
+depend on how many other chains are active.
 
 Once adaptation has stopped (from step ``t_stop`` on, and from the start
 in :func:`run_ipc`), each chain is a plain independence sampler whose
@@ -58,7 +60,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gaussian import cholesky, log_gaussian_pdf_stacked
+from .gaussian import PIVOT_FLOOR, check_sigma, cholesky, log_gaussian_pdf_stacked
 from .moments import MomentStack, RunningMoments, stacked_covariance
 from .targets import TargetDensity
 
@@ -102,13 +104,17 @@ def log_accept_ratio(
 
 
 class ChainEnsemble:
-    """The N chains of one run: states, streams, cached densities, proposals.
+    """The N chains of one run: states, streams, target values, proposals.
 
     Row j of every array belongs to chain j: ``current`` (n, d) is its
-    state and ``iterations`` its iteration count. ``log_target[j]`` and
-    ``log_proposal[j]`` cache the target and mixture log-densities at its
-    state, or are None when not yet computed. ``rngs[j]`` is its random
-    stream.
+    state, ``iterations`` its iteration count and ``rngs[j]`` its random
+    stream. The ensemble owns the run's ``target``, and ``log_target[j]``
+    is the target log-density at chain j's state. That is the one cached
+    density: the target never changes and is the costly one, so every
+    state is scored under it once, the initial states here and each
+    candidate when it is drawn. The mixture density at a state is not
+    cached, because an adaptive step refits every proposal;
+    :meth:`advance` rescores the states it runs.
 
     The ensemble is the only holder of the proposal parameters: means
     ``means`` (n, 2, d), covariances ``covs`` (n, 2, d, d), their
@@ -117,14 +123,14 @@ class ChainEnsemble:
     column 1 the local one. :meth:`refit` replaces them.
     """
 
-    def __init__(self, init_states, means, covs, rngs: Sequence[np.random.Generator]):
+    def __init__(self, init_states, means, covs, rngs: Sequence[np.random.Generator], target: TargetDensity):
         """``means`` and ``covs`` broadcast to (n, 2, d) and (n, 2, d, d)."""
         self.current = np.array(init_states, dtype=float)
         n, d = self.current.shape
         self.rngs = list(rngs)
+        self.target = target
         self.iterations = np.zeros(n, dtype=np.int64)
-        self.log_target: list[Optional[float]] = [None] * n
-        self.log_proposal: list[Optional[float]] = [None] * n
+        self.log_target: list[float] = target.log_density_batch(self.current).tolist()
         self.means = np.array(np.broadcast_to(means, (n, 2, d)), dtype=float)
         self.covs = np.array(np.broadcast_to(covs, (n, 2, d, d)), dtype=float)
         self.lowers, self.log_det_halves = cholesky(self.covs)
@@ -135,8 +141,7 @@ class ChainEnsemble:
         Row j of ``means`` (n+1, d) and ``covs`` (n+1, d, d) is chain j's
         local component; the last row is the global component, which
         every chain receives. All n+1 covariances are factored by one
-        stacked :func:`cholesky` call. Every cached mixture density goes
-        stale.
+        stacked :func:`cholesky` call.
         """
         lowers, log_det_halves = cholesky(covs)
         for held, values in (
@@ -147,9 +152,8 @@ class ChainEnsemble:
         ):
             held[:, 0] = values[-1]
             held[:, 1] = values[:-1]
-        self.log_proposal = [None] * len(self.log_proposal)
 
-    def advance(self, run: np.ndarray, target: TargetDensity, steps: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def advance(self, run: np.ndarray, steps: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """``steps`` independence-MH iterations for each chain in ``run``, together.
 
         ``run`` holds chain indices. Per iteration, chain j draws from
@@ -161,24 +165,25 @@ class ChainEnsemble:
         ``steps`` iterations of a chain are drawn up front, and its
         results are bit-identical to ``steps`` one-step calls, whether
         it is advanced alone or with others. One
-        ``target.log_density_batch`` call scores every candidate of the
-        block plus the current states without a cached value; one
-        :func:`stacked_mixture_log_pdf` call does the same for the
-        proposal. Then each chain's iterations are decided in order by
+        ``target.log_density_batch`` call scores the candidates and
+        nothing else, the states' values being in ``log_target``. One
+        :func:`stacked_mixture_log_pdf` call scores the states of
+        ``run`` and the candidates under the chains' current proposals,
+        which may have been refitted since a state was reached. Then
+        each chain's iterations are decided in order by
         :func:`log_accept_ratio` against ``math.log(u)``.
 
         Returns the states after each iteration (steps, len(run), d) and
         the acceptance flags (steps, len(run)), row i for iteration i.
         """
         chains = run.tolist()
-        (n, d), m = self.current.shape, len(chains)
+        m, d = len(chains), self.current.shape[1]
         # The chain of each candidate, chain-major: chain r's iteration i is row r * steps + i.
-        rows = run if steps == 1 else np.repeat(run, steps)
-        owners = chains if steps == 1 else rows.tolist()
+        rows = np.repeat(run, steps)
         comp = []
         z = np.empty((m * steps, d))
         uniforms = []
-        for k, j in enumerate(owners):
+        for k, j in enumerate(rows.tolist()):
             rng = self.rngs[j]
             comp.append(0 if rng.random() < 0.5 else 1)
             z[k] = rng.standard_normal(d)
@@ -186,55 +191,34 @@ class ChainEnsemble:
         # A stacked matmul gives each row the bits of ``L @ z`` alone;
         # np.vecdot over the rows of L would not.
         candidates = self.means[rows, comp] + (self.lowers[rows, comp] @ z[..., None])[..., 0]
+        log_target_new = self.target.log_density_batch(candidates).tolist()
+        # Row r < m of ``pool`` is chain run[r]'s state before the call and
+        # row m + k is candidate k; ``log_mixture`` holds their mixture values.
+        pool = np.concatenate((self.current[run], candidates))
+        owners = np.concatenate((run, rows))
+        log_mixture = stacked_mixture_log_pdf(
+            pool, self.means[owners], self.lowers[owners], self.log_det_halves[owners]
+        ).tolist()
 
-        def target_values(rows, xs):
-            return target.log_density_batch(xs)
-
-        def proposal_values(rows, xs):
-            return stacked_mixture_log_pdf(xs, self.means[rows], self.lowers[rows], self.log_det_halves[rows])
-
-        log_target_new = self._score(self.log_target, chains, rows, candidates, target_values)
-        log_prop_new = self._score(self.log_proposal, chains, rows, candidates, proposal_values)
-
-        # Row j < n of ``pool`` is chain j's state before the call and row
-        # n + k is candidate k; ``where[j]`` is the row of chain j's state
-        # so far, and ``held[k]`` the row of its state after candidate k's
-        # iteration.
-        log_target, log_proposal = self.log_target, self.log_proposal
-        where = list(range(n))
+        log_target = self.log_target
         accepted = []
-        held = []
-        for row, (j, u, lt_new, lp_new) in enumerate(zip(owners, uniforms, log_target_new, log_prop_new), n):
-            log_alpha = log_accept_ratio(lt_new, log_target[j], lp_new, log_proposal[j])
-            # math.log, not np.log: the two differ in the last bit for some u.
-            ok = (math.log(u) if u > 0.0 else -math.inf) < log_alpha
-            if ok:
-                log_target[j] = lt_new
-                log_proposal[j] = lp_new
-                where[j] = row
-            accepted.append(ok)
-            held.append(where[j])
-        pool = np.concatenate((self.current, candidates))
+        held = []  # the row of ``pool`` holding the chain's state after each iteration
+        for r, j in enumerate(chains):
+            row = r
+            for k in range(r * steps, (r + 1) * steps):
+                log_alpha = log_accept_ratio(log_target_new[k], log_target[j], log_mixture[m + k], log_mixture[row])
+                u = uniforms[k]
+                # math.log, not np.log: the two differ in the last bit for some u.
+                ok = (math.log(u) if u > 0.0 else -math.inf) < log_alpha
+                if ok:
+                    log_target[j] = log_target_new[k]
+                    row = m + k
+                accepted.append(ok)
+                held.append(row)
         states = pool[held].reshape(m, steps, d).swapaxes(0, 1)
         self.current[run] = states[-1]
         self.iterations[run] += steps
         return states, np.array(accepted, dtype=bool).reshape(m, steps).T
-
-    def _score(self, cache: list, chains: list[int], rows: np.ndarray, candidates: np.ndarray, score) -> list[float]:
-        """Values of ``score(rows, points)`` at the candidates, row k of
-        ``candidates`` belonging to chain ``rows[k]``.
-
-        The same call also scores the current state of every chain in
-        ``chains`` whose ``cache`` entry is None and fills that entry.
-        """
-        stale = [j for j in chains if cache[j] is None]
-        if stale:
-            candidates = np.concatenate((self.current[stale], candidates))
-            rows = np.concatenate((stale, rows))
-        values = score(rows, candidates).tolist()
-        for j, value in zip(stale, values):
-            cache[j] = value
-        return values[len(stale) :]
 
 
 # ----------------------- assignment and adaptation -----------------------
@@ -324,8 +308,9 @@ class PaimConfig:
             raise ValueError("t_train must be strictly below t_stop")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not 0.0 < self.init_sigma < math.inf:
-            raise ValueError(f"init_sigma must be positive and finite, got {self.init_sigma}")
+        if not self.epsilon > PIVOT_FLOOR:
+            raise ValueError(f"epsilon must be above {PIVOT_FLOOR:.0e}, got {self.epsilon}")
+        check_sigma("init_sigma", self.init_sigma)
         if self.init_means.shape != (self.n_chains, 2, self.dim):
             raise ValueError(
                 f"init_means must have shape ({self.n_chains}, 2, {self.dim}), got {self.init_means.shape}"
@@ -464,7 +449,7 @@ def run_paim(
     dim = config.dim
 
     cov = config.init_sigma**2 * np.eye(dim)
-    chains = ChainEnsemble(config.init_states, config.init_means, cov, chain_streams(config.seed, n))
+    chains = ChainEnsemble(config.init_states, config.init_means, cov, chain_streams(config.seed, n), target)
     # Row j accumulates chain j's cluster and row n every new state, the
     # global fit. The initial state seeds chain j's cluster, so every
     # local mean is defined before the first assignment.
@@ -499,7 +484,7 @@ def run_paim(
             steps = max(1, min(BLOCK, total - drawn) // run.size)
         activity_rows.append(active.copy())
         activity_steps.append(steps)
-        states, accepted = chains.advance(run, target, steps)
+        states, accepted = chains.advance(run, steps)
         t += steps
         new = states[-1]
         end = drawn + run.size * steps

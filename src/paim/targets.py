@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gaussian import cholesky, log_gaussian_pdf_stacked
+from .gaussian import check_symmetric, cholesky, log_gaussian_pdf_stacked
 
 
 class AllZeroMass(Exception):
@@ -91,23 +91,26 @@ def make_banana_target(params: BananaParams = BananaParams()) -> TargetDensity:
 
 
 def make_gaussian_target(mean, cov) -> TargetDensity:
-    """Gaussian target; rejects non-PD covariance at construction."""
+    """Gaussian target; rejects an asymmetric or non-PD covariance at construction."""
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
         raise ValueError(f"a mean of shape {mean.shape} does not match a cov of shape {cov.shape}")
+    check_symmetric(cov)
     lower, log_det_half = cholesky(cov)
     return TargetDensity(mean.shape[0], lambda xs: log_gaussian_pdf_stacked(xs - mean, lower, log_det_half))
 
 
 def make_gaussian_mixture_target(means, covs, weights=None) -> TargetDensity:
-    """Finite Gaussian mixture target, evaluated in log space."""
+    """Finite Gaussian mixture target, evaluated in log space; rejects an
+    asymmetric or non-PD covariance at construction."""
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
     k, d = means.shape
     weights = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=float)
     if covs.shape != (k, d, d) or weights.shape != (k,):
         raise ValueError(f"{k} means of dimension {d} need covs of shape ({k}, {d}, {d}) and {k} weights")
+    check_symmetric(covs)
     lowers, log_det_halves = cholesky(covs)
     log_w = np.log(weights)
 

@@ -67,7 +67,7 @@ def proposal_draws(means, covs, rngs, steps=1) -> np.ndarray:
     proposal has the component means ``means`` and covariances ``covs``
     (broadcast as in ``ChainEnsemble``)."""
     n = len(rngs)
-    chains = ChainEnsemble(np.zeros((n, 2)), means, covs, rngs)
-    draws, accepted = chains.advance(np.arange(n), NOWHERE, steps)
+    chains = ChainEnsemble(np.zeros((n, 2)), means, covs, rngs, NOWHERE)
+    draws, accepted = chains.advance(np.arange(n), steps)
     assert accepted.all()
     return draws

@@ -304,6 +304,30 @@ BAD_INPUTS = {
         run_argv(lambda c: c.update(target={"name": "gaussian", "params": {"mean": [0.0, 0.0], "sigma": -1.0}})),
         "bad parameters for target 'gaussian': sigma must be positive and finite",
     ),
+    "init-sigma-square-overflows": (
+        run_argv(lambda c: c["init"].update(sigma=1e200)),
+        "sigma must be positive and finite, with a finite square above 1e-300, got 1e+200",
+    ),
+    "init-sigma-square-below-pivot-floor": (
+        run_argv(lambda c: c["init"].update(sigma=1e-160)),
+        "sigma must be positive and finite, with a finite square above 1e-300, got 1e-160",
+    ),
+    "epsilon-below-pivot-floor": (
+        run_argv(lambda c: c["sampler"].update(epsilon=1e-320)),
+        "epsilon must be above 1e-300, got 1e-320",
+    ),
+    "gaussian-cov-asymmetric": (
+        run_argv(lambda c: c["target"]["params"].update(cov=[[1, 5], [0, 1]])),
+        "bad parameters for target 'gaussian': matrix is asymmetric by 5.000e+00",
+    ),
+    "oracle-gaussian-cov-asymmetric": (
+        lambda _: ["oracle", "--target", "gaussian", "--params", '{"mean": [1, 2], "cov": [[1, 5], [0, 1]]}'],
+        "bad parameters for target 'gaussian': matrix is asymmetric by 5.000e+00",
+    ),
+    "mixture-cov-asymmetric": (
+        run_argv(mixture(covs=[[[1, 0], [0, 1]], [[1, 0.5], [0, 1]]])),
+        "bad parameters for target 'gaussian_mixture': matrix is asymmetric by 5.000e-01",
+    ),
     "oracle-banana-b-string": (lambda _: ["oracle", "--params", '{"b": "x"}'], "bad parameters for target 'banana'"),
     "n-chains-float": (
         run_argv(lambda c: c["sampler"].update(n_chains=2.7)),

@@ -16,6 +16,7 @@ from paim.sampler import (
     chain_streams,
     log_accept_ratio,
     refreshed_proposals,
+    run_ipc,
     run_paim,
     sample_indices,
     stacked_mixture_log_pdf,
@@ -157,13 +158,13 @@ class TestLogAcceptRatio:
             assert -math.inf <= log_alpha <= 0.0
 
 
-def ensemble(starts, proposals, rngs) -> ChainEnsemble:
-    """Chains at ``starts`` holding the parameters of ``proposals``."""
-    return ChainEnsemble(starts, [p.means for p in proposals], [p.covs for p in proposals], rngs)
+def ensemble(starts, proposals, rngs, target) -> ChainEnsemble:
+    """Chains at ``starts`` on ``target`` holding the parameters of ``proposals``."""
+    return ChainEnsemble(starts, [p.means for p in proposals], [p.covs for p in proposals], rngs, target)
 
 
-def one_chain(proposal, start, rng) -> ChainEnsemble:
-    return ensemble(np.array([start], dtype=float), [proposal], [rng])
+def one_chain(proposal, start, rng, target) -> ChainEnsemble:
+    return ensemble(np.array([start], dtype=float), [proposal], [rng], target)
 
 
 ONLY = np.array([0])
@@ -177,8 +178,8 @@ class TestMhStep:
         psi = proposal_from([1.0, 1.0], np.eye(2), [1.0, 1.0], np.eye(2))
         # candidate exactly equals the current state; acceptance draw 0.999
         rng = ScriptedRng(uniforms=[0.2, 0.999], normals=[(0.0, 0.0)])
-        chain = one_chain(psi, [1.0, 1.0], rng)
-        states, [[accepted]] = chain.advance(ONLY, self.target())
+        chain = one_chain(psi, [1.0, 1.0], rng, self.target())
+        states, [[accepted]] = chain.advance(ONLY)
         assert accepted
         np.testing.assert_array_equal(states, [[[1.0, 1.0]]])
         assert chain.iterations.tolist() == [1]
@@ -189,34 +190,34 @@ class TestMhStep:
         # has log target ratio -200 against a +50 proposal correction
         psi = proposal_from([0.0, 0.0], 4.0 * np.eye(2), [0.0, 0.0], 4.0 * np.eye(2))
         start = np.array([0.0, 0.0])
-        chain = one_chain(psi, start, ScriptedRng(uniforms=[0.2, 0.5], normals=[(10.0, 0.0)]))
-        states, [[accepted]] = chain.advance(ONLY, self.target())
+        chain = one_chain(psi, start, ScriptedRng(uniforms=[0.2, 0.5], normals=[(10.0, 0.0)]), self.target())
+        states, [[accepted]] = chain.advance(ONLY)
         assert not accepted
         np.testing.assert_array_equal(chain.current[0], start)
         np.testing.assert_array_equal(states, [[start]])
         assert chain.iterations.tolist() == [1]
 
     def test_cached_values_do_not_change_outcome(self):
+        # a chain rebuilt at the current state before every step scores its
+        # state afresh, and must still move exactly like the long-lived one
         psi = proposal_from([0.5, 0.0], np.eye(2), [-0.5, 0.0], 2.0 * np.eye(2))
         target = self.target()
-        a = one_chain(psi, [2.0, -1.0], np.random.default_rng(55))
-        b = one_chain(psi, [2.0, -1.0], np.random.default_rng(55))
+        rng = np.random.default_rng(55)
+        a = one_chain(psi, [2.0, -1.0], np.random.default_rng(55), target)
         for _ in range(200):
-            b.log_target = [None]
-            b.log_proposal = [None]
-            states_a, accepted_a = a.advance(ONLY, target)
-            states_b, accepted_b = b.advance(ONLY, target)
+            b = one_chain(psi, a.current[0], rng, target)
+            states_a, accepted_a = a.advance(ONLY)
+            states_b, accepted_b = b.advance(ONLY)
             np.testing.assert_array_equal(accepted_a, accepted_b)
             np.testing.assert_array_equal(states_a, states_b)
             np.testing.assert_array_equal(a.current, b.current)
             np.testing.assert_array_equal(a.log_target, b.log_target)
-            np.testing.assert_array_equal(a.log_proposal, b.log_proposal)
 
     def test_acceptance_rate_reasonable(self):
         # proposal equals the target: every candidate accepted
         psi = proposal_from([0.0, 0.0], np.eye(2), [0.0, 0.0], np.eye(2))
-        chain = one_chain(psi, np.zeros(2), np.random.default_rng(60))
-        accepts = [chain.advance(ONLY, self.target())[1][0, 0] for _ in range(2000)]
+        chain = one_chain(psi, np.zeros(2), np.random.default_rng(60), self.target())
+        accepts = [chain.advance(ONLY)[1][0, 0] for _ in range(2000)]
         assert all(accepts)
 
 
@@ -243,16 +244,16 @@ class TestAdvanceTogether:
             n = 7
             proposals = random_proposals(rng, n, d)
             starts = rng.uniform(-6, 6, (n, d))
-            together = ensemble(starts, proposals, chain_streams(9, n))
-            alone = ensemble(starts, proposals, chain_streams(9, n))
+            together = ensemble(starts, proposals, chain_streams(9, n), target)
+            alone = ensemble(starts, proposals, chain_streams(9, n), target)
             for step in range(60):
                 run = np.flatnonzero(rng.random(n) < 0.7)
                 if run.size == 0:
                     continue
-                (states,), (accepted,) = together.advance(run, target)
+                (states,), (accepted,) = together.advance(run)
                 np.testing.assert_array_equal(states, together.current[run])
                 for r, j in enumerate(run):
-                    (state_alone,), ((accepted_alone,),) = alone.advance(np.array([j]), target)
+                    (state_alone,), ((accepted_alone,),) = alone.advance(np.array([j]))
                     assert accepted_alone == accepted[r]
                     np.testing.assert_array_equal(state_alone, [states[r]])
                 if step % 10 == 9:
@@ -270,29 +271,26 @@ class TestAdvanceTogether:
                     np.testing.assert_array_equal(together.lowers, [p.lowers for p in proposals])
                     np.testing.assert_array_equal(together.log_det_halves, [p.log_det_halves for p in proposals])
                     np.testing.assert_array_equal(together.covs, [p.covs for p in proposals])
-                    assert together.log_proposal == [None] * n
                 np.testing.assert_array_equal(together.current, alone.current)
                 np.testing.assert_array_equal(together.iterations, alone.iterations)
                 assert together.log_target == alone.log_target
-                assert together.log_proposal == alone.log_proposal
             assert together.iterations.sum() > 0
 
     def test_cached_densities_are_the_one_point_values(self):
         rng = np.random.default_rng(85)
         target = make_banana_target()
         proposals = random_proposals(rng, 5, 2)
-        chains = ensemble(rng.uniform(-6, 6, (5, 2)), proposals, chain_streams(4, 5))
+        chains = ensemble(rng.uniform(-6, 6, (5, 2)), proposals, chain_streams(4, 5), target)
         for _ in range(30):
-            chains.advance(np.arange(5), target)
+            chains.advance(np.arange(5))
             for j in range(5):
                 assert chains.log_target[j] == reference.log_banana(chains.current[j])
-                assert chains.log_proposal[j] == proposals[j].log_pdf(chains.current[j])
 
     def test_each_chain_draws_in_order_from_its_own_stream(self):
         psi = proposal_from([0.0, 0.0], np.eye(2), [3.0, 3.0], np.eye(2))
         rngs = [ScriptedRng(uniforms=[0.1 * (j + 1), 0.5], normals=[(j, -j)]) for j in range(4)]
-        chains = ensemble(np.zeros((4, 2)), [psi] * 4, rngs)
-        chains.advance(np.array([0, 2, 3]), make_gaussian_target([0.0, 0.0], np.eye(2)))
+        chains = ensemble(np.zeros((4, 2)), [psi] * 4, rngs, make_gaussian_target([0.0, 0.0], np.eye(2)))
+        chains.advance(np.array([0, 2, 3]))
         for j in (0, 2, 3):
             assert rngs[j].calls == ["random", "standard_normal(2)", "random"]
         assert rngs[1].calls == []
@@ -303,10 +301,10 @@ class TestAdvanceTogether:
         # state after each step is the candidate itself
         rng = np.random.default_rng(86)
         proposals = random_proposals(rng, 3, 2)
-        chains = ensemble(np.zeros((3, 2)), proposals, chain_streams(12, 3))
+        chains = ensemble(np.zeros((3, 2)), proposals, chain_streams(12, 3), reference.NOWHERE)
         streams = chain_streams(12, 3)
         for _ in range(50):
-            assert chains.advance(np.arange(3), reference.NOWHERE)[1].all()
+            assert chains.advance(np.arange(3))[1].all()
             for j, p in enumerate(proposals):
                 draw = reference.sample_mixture(p.means, p.lowers, streams[j])
                 np.testing.assert_array_equal(chains.current[j], draw)
@@ -322,8 +320,8 @@ class TestAdvanceTogether:
         psi = proposal_from([5.0, 0.0], np.eye(2), [0.0, 0.0], np.eye(2))
         rngs = [ScriptedRng(uniforms=[0.2, 0.0], normals=[(0.0, 0.0)]),
                 ScriptedRng(uniforms=[0.9, 0.0], normals=[(0.5, 0.0)])]
-        chains = ensemble(np.zeros((2, 2)), [psi, psi], rngs)
-        _, (accepted,) = chains.advance(np.arange(2), target)
+        chains = ensemble(np.zeros((2, 2)), [psi, psi], rngs, target)
+        _, (accepted,) = chains.advance(np.arange(2))
         assert accepted.tolist() == [False, True]
         cur, lp_cur = target.log_density_batch([[0.0, 0.0]])[0], psi.log_pdf(np.zeros(2))
         for j, cand in enumerate(([5.0, 0.0], [0.5, 0.0])):
@@ -337,8 +335,8 @@ class TestAdvanceTogether:
         psi = proposal_from([1.0, 0.0], np.eye(2), [-1.0, 0.0], np.eye(2))
         uniforms = [0.999, 0.5, 1e-300]
         rngs = [ScriptedRng(uniforms=[0.2, u], normals=[(0.3, -0.3)]) for u in uniforms]
-        chains = ensemble(np.zeros((3, 2)), [psi] * 3, rngs)
-        _, (accepted,) = chains.advance(np.arange(3), target)
+        chains = ensemble(np.zeros((3, 2)), [psi] * 3, rngs, target)
+        _, (accepted,) = chains.advance(np.arange(3))
         cand = np.array([1.3, -0.3])
         lp_new, lp_cur = psi.log_pdf(cand), psi.log_pdf(np.zeros(2))
         expected = [self.scalar_rule(u, value, value, lp_new, lp_cur) for u in uniforms]
@@ -378,7 +376,7 @@ def half_space_target(d):
 
 
 class TestAdvanceBlock:
-    """``advance(run, target, steps=k)`` is bit-identical to k one-step calls."""
+    """``advance(run, steps=k)`` is bit-identical to k one-step calls."""
 
     def streams(self, seed, n):
         return [ZeroEvery(rng) for rng in chain_streams(seed, n)]
@@ -394,32 +392,30 @@ class TestAdvanceBlock:
         n = 6
         proposals = random_proposals(rng, n, d)
         starts = rng.uniform(-6, 6, (n, d))
-        block = ensemble(starts, proposals, self.streams(11, n))
-        single = ensemble(starts, proposals, self.streams(11, n))
+        block = ensemble(starts, proposals, self.streams(11, n), target)
+        single = ensemble(starts, proposals, self.streams(11, n), target)
         for round_ in range(8):
             run = np.flatnonzero(rng.random(n) < 0.7)
             if run.size == 0:
                 run = np.array([round_ % n])
             steps = int(rng.integers(1, 9))
-            states, accepted = block.advance(run, target, steps=steps)
+            states, accepted = block.advance(run, steps=steps)
             assert states.shape == (steps, run.size, d) and accepted.shape == (steps, run.size)
             for i in range(steps):
-                (one_states,), (one_accepted,) = single.advance(run, target)
+                (one_states,), (one_accepted,) = single.advance(run)
                 np.testing.assert_array_equal(states[i], one_states)
                 np.testing.assert_array_equal(accepted[i], one_accepted)
             np.testing.assert_array_equal(block.current, single.current)
             np.testing.assert_array_equal(block.iterations, single.iterations)
             assert block.log_target == single.log_target
-            assert block.log_proposal == single.log_proposal
             assert [r.stream_state() for r in block.rngs] == [r.stream_state() for r in single.rngs]
             if round_ % 3 == 1:
-                # new proposals for every chain: every cached mixture density goes stale
+                # new proposals for every chain
                 fresh = random_proposals(rng, n + 1, d)
                 means = np.array([p.means[1] for p in fresh])
                 covs = np.array([p.covs[1] for p in fresh])
                 block.refit(means, covs)
                 single.refit(means, covs)
-                assert block.log_proposal == [None] * n
         assert sum(r.uniforms // 6 for r in block.rngs) > 0  # some acceptance uniforms were 0.0
         if value is not None:
             assert block.log_target == [value] * n
@@ -428,9 +424,9 @@ class TestAdvanceBlock:
         d = 2
         nan_target = TargetDensity(d, lambda xs: np.where(xs[:, 0] > 0.0, math.nan, 0.0))
         rng = np.random.default_rng(95)
-        chains = ensemble(np.full((4, d), -1.0), random_proposals(rng, 4, d), chain_streams(13, 4))
+        chains = ensemble(np.full((4, d), -1.0), random_proposals(rng, 4, d), chain_streams(13, 4), nan_target)
         with pytest.raises(ValueError, match="NaN"):
-            chains.advance(np.arange(4), nan_target, steps=5)
+            chains.advance(np.arange(4), steps=5)
 
 
 def per_state_assignment(fresh, means):
@@ -532,7 +528,8 @@ def refit_ensemble(moments, epsilon, chains=None) -> ChainEnsemble:
     ``moments`` holds one cluster per chain and the global fit last."""
     n, d = moments.mean.shape[0] - 1, moments.mean.shape[1]
     if chains is None:
-        chains = ChainEnsemble(np.zeros((n, d)), np.zeros((n, 2, d)), np.eye(d), chain_streams(0, n))
+        target = make_gaussian_target(np.zeros(d), np.eye(d))
+        chains = ChainEnsemble(np.zeros((n, d)), np.zeros((n, 2, d)), np.eye(d), chain_streams(0, n), target)
     refreshed_proposals(moments, epsilon, chains)
     return chains
 
@@ -689,6 +686,12 @@ class TestPaimConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_positive_and_finite(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            small_config(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field, value", [("epsilon", 1e-320), ("init_sigma", 1e-160), ("init_sigma", 1e200)])
+    def test_covariance_scale_passes_the_pivot_floor(self, field, value):
+        # each would end in NotPositiveDefinite or OverflowError mid-run
+        with pytest.raises(ValueError, match=f"^{field} must be .*above 1e-300"):
             small_config(**{field: value}).validate()
 
     def test_budget_at_least_one_per_chain(self):
@@ -864,6 +867,33 @@ class TestRunPaim:
     def test_mismatched_target_dim(self):
         with pytest.raises(ValueError, match="dim"):
             run_paim(small_config(), make_gaussian_target([0.0], [[1.0]]))
+
+    @pytest.mark.parametrize("runner", [run_paim, run_ipc])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(n_chains=5, total_samples=3000, t_train=10),
+            dict(n_chains=50, total_samples=2000, t_train=1),
+            dict(n_chains=10, total_samples=5000, t_train=10, t_stop=20),
+        ],
+        ids=["adaptive", "many-chains", "finite-t_stop"],
+    )
+    def test_target_scores_every_state_once(self, runner, overrides):
+        # The target is the costly density: each initial state and each
+        # candidate is scored once, and no state is ever rescored.
+        banana = self.banana()
+        scored = []
+
+        def log_density(xs):
+            scored.append(len(xs))
+            return banana.log_density_batch(xs)
+
+        n = overrides["n_chains"]
+        rng = np.random.default_rng(76)
+        cfg = small_config(init_means=rng.uniform(-15, 15, (n, 2, 2)), init_states=rng.uniform(-15, 15, (n, 2)),
+                           **overrides)
+        runner(cfg, TargetDensity(2, log_density))
+        assert sum(scored) == cfg.n_chains + cfg.total_samples
 
 
 @pytest.mark.parametrize("n, t_total", [(1, 5), (3, 2 * BLOCK + 5), (40, 300), (BLOCK + 2, 3)])
