@@ -32,7 +32,7 @@ SYMMETRY_ATOL = 1e-12
 PIVOT_FLOOR = 1e-300
 
 
-class NotPositiveDefinite(Exception):
+class NotPositiveDefinite(ValueError):
     """Cholesky pivot fell at or below the pivot floor."""
 
 

@@ -23,10 +23,11 @@ import numpy as np
 
 from .gaussian import NotPositiveDefinite, check_sigma
 from .moments import mean_square_error
-from .sampler import PaimConfig, RunRecord, run_ipc, run_paim
+from .sampler import PaimConfig, RunRecord, check_settings, run_ipc, run_paim
 from .targets import (
     BananaParams,
     TargetDensity,
+    check_box,
     grid_expectation,
     make_banana_target,
     make_gaussian_mixture_target,
@@ -66,7 +67,7 @@ def make_target(name: str, params: Optional[dict] = None) -> TargetDensity:
                 _numbers(params["covs"], "target.params.covs"),
                 None if weights is None else _numbers(weights, "target.params.weights"),
             )
-    except (KeyError, TypeError, ValueError, NotPositiveDefinite) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for target {name!r}: {exc}") from exc
     raise ConfigError(f"unknown target {name!r} (expected banana, gaussian, or gaussian_mixture)")
 
@@ -124,14 +125,10 @@ class ExperimentConfig:
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         # Checked once per study, before the grid oracle runs.
-        if self.box_lower.shape != self.box_upper.shape or self.box_lower.ndim != 1:
-            raise ConfigError("box bounds must be 1-D vectors of equal length")
-        if not (np.isfinite(self.box_lower).all() and np.isfinite(self.box_upper).all()):
-            raise ConfigError("initialization box bounds must be finite")
-        if not np.all(self.box_lower < self.box_upper):
-            raise ConfigError("initialization box is degenerate (lower >= upper somewhere)")
         try:
-            check_sigma("sigma", self.sigma)
+            check_box("initialization box", self.box_lower, self.box_upper)
+            check_settings(self.n_chains, self.total_samples, self.t_train, self.t_stop, self.epsilon, self.sigma,
+                           sigma_name="sigma")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -331,7 +328,14 @@ def replicate(config: ExperimentConfig) -> SummaryReport:
             seed=int(sample_ss.generate_state(1, dtype=np.uint64)[0]),
         )
         for name, runner in runners.items():
-            record = runner(run_config, target)
+            try:
+                record = runner(run_config, target)
+            except NotPositiveDefinite as exc:
+                # The initial and target covariances were checked before
+                # the run, so the one that failed is a refreshed proposal's.
+                raise ConfigError(
+                    f"sampler.epsilon {config.epsilon:g} did not keep a refreshed proposal positive definite: {exc}"
+                ) from exc
             summaries[name].add(record)
             records.setdefault(name, record)
             del record  # the next run must not hold this one alive

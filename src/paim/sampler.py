@@ -30,11 +30,11 @@ depend on how many other chains are active.
 
 Once adaptation has stopped (from step ``t_stop`` on, and from the start
 in :func:`run_ipc`), each chain is a plain independence sampler whose
-candidates do not depend on its state. If no ``on_step`` observer is
-attached, the run then advances in blocks of many steps, up to
-:data:`BLOCK` chain-iterations per :meth:`ChainEnsemble.advance` call,
-with the same records as step by step. An attached observer keeps the
-frozen phase per-step, so it still sees every step.
+candidates do not depend on its state. The run then advances in blocks
+of many steps, up to :data:`BLOCK` chain-iterations per
+:meth:`ChainEnsemble.advance` call, with the same records as step by
+step. An ``on_step`` observer sees each block once, so attaching one
+does not change which calls the run makes.
 
 The proposals are arrays, not objects. :class:`ChainEnsemble` holds
 every chain's mixture as stacked means (n, 2, d), covariances
@@ -269,6 +269,30 @@ def activation(counts) -> np.ndarray:
 
 # ----------------------------- run driver -----------------------------
 
+def check_settings(n_chains: int, total_samples: int, t_train: int, t_stop: float, epsilon: float,
+                   init_sigma: float, sigma_name: str = "init_sigma") -> None:
+    """Raise ValueError unless the scalar settings of a run are usable.
+
+    At least one chain and one sample per chain, training strictly
+    before the stop, an ``epsilon`` that lifts a pivot above
+    ``PIVOT_FLOOR``, and an initial covariance scale that passes
+    :func:`~paim.gaussian.check_sigma` (reported as ``sigma_name``).
+    None of these needs the target, so a study checks them before any
+    oracle runs.
+    """
+    if n_chains < 1:
+        raise ValueError("n_chains must be at least 1")
+    if total_samples < n_chains:
+        raise ValueError("total_samples must be at least n_chains")
+    if not t_train < t_stop:
+        raise ValueError("t_train must be strictly below t_stop")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if not epsilon > PIVOT_FLOOR:
+        raise ValueError(f"epsilon must be above {PIVOT_FLOOR:.0e}, got {epsilon}")
+    check_sigma(sigma_name, init_sigma)
+
+
 @dataclass
 class PaimConfig:
     """Run settings for the adaptive parallel sampler.
@@ -300,17 +324,7 @@ class PaimConfig:
         return self.init_states.shape[1]
 
     def validate(self) -> None:
-        if self.n_chains < 1:
-            raise ValueError("n_chains must be at least 1")
-        if self.total_samples < self.n_chains:
-            raise ValueError("total_samples must be at least n_chains")
-        if not self.t_train < self.t_stop:
-            raise ValueError("t_train must be strictly below t_stop")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not self.epsilon > PIVOT_FLOOR:
-            raise ValueError(f"epsilon must be above {PIVOT_FLOOR:.0e}, got {self.epsilon}")
-        check_sigma("init_sigma", self.init_sigma)
+        check_settings(self.n_chains, self.total_samples, self.t_train, self.t_stop, self.epsilon, self.init_sigma)
         if self.init_means.shape != (self.n_chains, 2, self.dim):
             raise ValueError(
                 f"init_means must have shape ({self.n_chains}, 2, {self.dim}), got {self.init_means.shape}"
@@ -325,15 +339,18 @@ class PaimConfig:
 class SchedulerState:
     """Mutable view of one run, handed to the ``on_step`` callback.
 
-    ``active`` holds the set that the *next* step will use (adaptation
-    replaces it at the end of a step). ``global_moments`` and the n
-    ``clusters`` are row views of the live accumulators, and
+    The callback runs once per block: ``steps`` is the block's length
+    and ``step`` its last step. While adapting, a block is one step;
+    once frozen, it is as many steps as one :meth:`ChainEnsemble.advance`
+    call ran. ``active`` holds the set that the *next* block will use
+    (adaptation replaces it at the end of a step). ``global_moments`` and
+    the n ``clusters`` are row views of the live accumulators, and
     ``chains.means`` and ``chains.covs`` the live proposal parameters;
-    copy what must outlive the callback. The callback sees every step:
-    attaching one keeps the frozen phase per-step instead of in blocks.
+    copy what must outlive the callback.
     """
 
     step: int
+    steps: int
     total_drawn: int
     global_moments: RunningMoments
     clusters: list[RunningMoments]
@@ -429,16 +446,15 @@ def run_paim(
     fixes the output ordering and the stop point: the last
     step runs only the first ``total_samples - drawn`` active chains, so
     exactly ``total_samples`` samples are produced and recorded.
-    ``on_step`` (if given) is invoked after each completed step, once
-    assignment and any adaptation are done.
 
     There is one step loop, which advances the chains one block of
-    steps at a time. While adapting, or whenever ``on_step`` is given,
-    a block is one step. From step ``t_stop`` on without an observer,
-    the active set no longer changes, so a block is as many full steps
-    as fit in :data:`BLOCK` chain-iterations (at least one); the last,
-    partial step is a block of its own. The records are bit-identical
-    either way.
+    steps at a time. While adapting, a block is one step. From step
+    ``t_stop`` on, the active set no longer changes, so a block is as
+    many full steps as fit in :data:`BLOCK` chain-iterations (at least
+    one); the last, partial step is a block of its own. The records are
+    bit-identical to advancing step by step. ``on_step`` (if given) is
+    invoked after each block but the last, once assignment and any
+    adaptation are done; it does not change the blocks.
     """
     config.validate()
     if target.dim != config.dim:
@@ -466,6 +482,7 @@ def run_paim(
 
     state = SchedulerState(
         step=-1,
+        steps=0,
         total_drawn=0,
         global_moments=global_moments,
         clusters=[moments[j] for j in range(n)],
@@ -479,8 +496,8 @@ def run_paim(
         # The last step runs only as many chains as samples are missing.
         run = np.flatnonzero(active)[: total - drawn]
         steps = 1
-        if on_step is None and t + 1 >= config.t_stop:
-            # Frozen and unobserved: take as many full steps as fit in a block.
+        if t + 1 >= config.t_stop:
+            # Frozen: take as many full steps as fit in a block.
             steps = max(1, min(BLOCK, total - drawn) // run.size)
         activity_rows.append(active.copy())
         activity_steps.append(steps)
@@ -508,6 +525,7 @@ def run_paim(
 
         if on_step is not None:
             state.step = t
+            state.steps = steps
             state.total_drawn = drawn
             state.active = active
             on_step(state)

@@ -121,6 +121,26 @@ def make_gaussian_mixture_target(means, covs, weights=None) -> TargetDensity:
     return TargetDensity(d, log_density)
 
 
+def check_box(name: str, lower: np.ndarray, upper: np.ndarray) -> None:
+    """Raise ValueError unless ``lower`` and ``upper`` bound a usable box.
+
+    They must be 1-D vectors of equal length with finite entries, each
+    lower bound strictly below its upper one, and every width ``upper -
+    lower`` finite as a double, so that a uniform draw or a grid over the
+    box stays finite. ``name`` starts each message.
+    """
+    if lower.ndim != 1 or lower.shape != upper.shape:
+        raise ValueError(f"{name} bounds must be 1-D vectors of equal length")
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise ValueError(f"{name} bounds must be finite")
+    if not np.all(lower < upper):
+        raise ValueError(f"{name} is degenerate (lower >= upper somewhere)")
+    with np.errstate(over="ignore"):
+        width = upper - lower
+    if not np.isfinite(width).all():
+        raise ValueError(f"{name} is too wide: upper - lower overflows a double")
+
+
 def grid_expectation(target: TargetDensity, lower, upper, points_per_axis: int) -> np.ndarray:
     """E[X] over a uniform tensor grid, normalized against the grid mass.
 
@@ -134,10 +154,9 @@ def grid_expectation(target: TargetDensity, lower, upper, points_per_axis: int) 
         raise ValueError("tensor grids are limited to dim <= 3")
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if lower.shape != (d,) or upper.shape != (d,):
-        raise ValueError(f"bounds must have shape ({d},)")
-    if not np.all(lower < upper):
-        raise ValueError("lower bounds must be strictly below upper bounds")
+    check_box("grid", lower, upper)
+    if lower.shape != (d,):
+        raise ValueError(f"grid bounds must have shape ({d},)")
     if points_per_axis < 2:
         raise ValueError("need at least two points per axis")
 

@@ -414,6 +414,24 @@ BAD_INPUTS = {
         run_argv(mixture(covs=[[[1, 0], [0, 1]], [[1, 0], [0, True]]])),
         "bad config value: target.params.covs must be",
     ),
+    # a two-state cluster's rank-1 scatter rounds to a negative pivot that 1e-20 cannot lift
+    "epsilon-too-small-for-the-scatter": (
+        run_argv(lambda c: c.update(
+            target={"name": "banana"},
+            sampler={"n_chains": 5, "total_samples": 2000, "t_train": 1, "epsilon": 1e-20},
+            init={"box_lower": [-15.0, -15.0], "box_upper": [15.0, 15.0], "sigma": 10.0},
+            base_seed=0,
+        )),
+        "sampler.epsilon 1e-20 did not keep a refreshed proposal positive definite: pivot -4.441e-16 at column 1",
+    ),
+    "box-width-overflows": (
+        run_argv(lambda c: c["init"].update(box_lower=[-1e308, -1e308], box_upper=[1e308, 1e308])),
+        "initialization box is too wide: upper - lower overflows a double",
+    ),
+    "grid-width-overflows": (
+        run_argv(lambda c: c.update(truth={"grid": {"lower": [-1e308, 0], "upper": [1e308, 1], "points_per_axis": 11}})),
+        "grid is too wide: upper - lower overflows a double",
+    ),
     "mixture-weights-strings": (
         run_argv(mixture(weights=["0.5", "0.5"])),
         "bad config value: target.params.weights must be a number or a list of numbers, got ['0.5', '0.5']",

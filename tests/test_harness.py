@@ -3,11 +3,13 @@ import math
 import weakref
 
 import numpy as np
+import pytest
 
 from paim import harness
 from paim.harness import (
     CONFIG_FIELDS,
     ELLIPSE_MASS,
+    ConfigError,
     ExperimentConfig,
     ellipse_radius,
     emit_outputs,
@@ -187,3 +189,42 @@ def test_replicate_keeps_only_the_first_replications_records(monkeypatch):
     alive = [ref() for ref in made if ref() is not None]
     assert len(alive) == 2
     assert alive[0] is report.records["paim"] and alive[1] is report.records["ipc"]
+
+
+class OracleRan(Exception):
+    pass
+
+
+# (section, key, value, message): a sampler setting each check rejects
+BAD_SETTINGS = {
+    "no-chains": ("sampler", "n_chains", 0, "n_chains must be at least 1"),
+    "fewer-samples-than-chains": ("sampler", "total_samples", 3, "total_samples must be at least n_chains"),
+    "train-not-before-stop": ("sampler", "t_stop", 2, "t_train must be strictly below t_stop"),
+    "epsilon-zero": ("sampler", "epsilon", 0.0, "epsilon must be positive and finite"),
+    "epsilon-below-pivot-floor": ("sampler", "epsilon", 1e-320, "epsilon must be above 1e-300"),
+    "sigma-negative": ("init", "sigma", -1.0, "sigma must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SETTINGS) + ["good"])
+def test_bad_sampler_setting_is_rejected_before_the_grid_oracle(monkeypatch, case):
+    # A 3-D grid truth costs seconds; a setting that cannot run must not wait for it.
+    def oracle(*args):
+        raise OracleRan
+
+    monkeypatch.setattr(harness, "grid_expectation", oracle)
+    eye = np.eye(3).tolist()
+    raw = {
+        "target": {"name": "gaussian_mixture", "params": {"means": [[0, 0, 0], [3, 3, 3]], "covs": [eye, eye]}},
+        "sampler": {"n_chains": 4, "total_samples": 100, "t_train": 2},
+        "init": {"box_lower": [-5.0] * 3, "box_upper": [5.0] * 3, "sigma": 2.0},
+        "truth": "grid",
+    }
+    if case == "good":
+        with pytest.raises(OracleRan):
+            replicate(ExperimentConfig.from_dict(raw))
+        return
+    section, key, value, message = BAD_SETTINGS[case]
+    raw[section][key] = value
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        replicate(ExperimentConfig.from_dict(raw))

@@ -5,6 +5,7 @@ from itertools import repeat
 import numpy as np
 import pytest
 
+import paim.sampler
 from paim.gaussian import cholesky
 from paim.moments import MomentStack
 from paim.sampler import (
@@ -790,9 +791,10 @@ class TestRunPaim:
 
     def test_adaptation_window_respected(self):
         rng = np.random.default_rng(73)
+        # Long enough that frozen blocks, not only the last one, follow t_stop.
         cfg = small_config(
             n_chains=4,
-            total_samples=120,
+            total_samples=3 * BLOCK,
             t_train=1,
             t_stop=5,
             init_means=rng.uniform(-15, 15, (4, 2, 2)),
@@ -807,8 +809,8 @@ class TestRunPaim:
         counts = dict(seen)
         # cluster growth stops once the step counter reaches t_stop
         frozen = [v for s, v in counts.items() if s >= 5]
-        assert len(set(frozen)) == 1
-        assert record.samples.shape[0] == 120
+        assert len(frozen) >= 2 and len(set(frozen)) == 1
+        assert record.samples.shape[0] == 3 * BLOCK
 
     def test_suspension_happens_on_spread_out_chains(self):
         rng = np.random.default_rng(74)
@@ -919,8 +921,9 @@ def two_modes(d):
 
 
 class TestFrozenBlocks:
-    """Without an observer the frozen tail runs in blocks of iterations; an
-    observer keeps it per-step. The records must not tell the two apart."""
+    """The frozen tail runs in blocks of iterations, whether or not an
+    observer is attached. With ``BLOCK`` at 1 it runs step by step, and
+    the records must not tell the two apart."""
 
     CASES = {
         # 20 chains frozen at step 10, most of them suspended by then
@@ -934,15 +937,39 @@ class TestFrozenBlocks:
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_observed_run_matches_blocked_run(self, name):
+    def test_observed_run_matches_blocked_run(self, name, monkeypatch):
         make_config, make_target = self.CASES[name]
         config = make_config()
         assert config.total_samples % BLOCK and config.total_samples % config.n_chains
-        steps = []
-        observed = run_paim(config, make_target(), on_step=lambda state: steps.append(state.step))
         blocked = run_paim(make_config(), make_target())
-        assert steps == list(range(observed.t_total - 1))
+        seen = []
+        monkeypatch.setattr(paim.sampler, "BLOCK", 1)
+        stepwise = run_paim(config, make_target(), on_step=lambda state: seen.append((state.step, state.steps)))
+        assert seen == [(t, 1) for t in range(stepwise.t_total - 1)]
         for field in dataclasses.fields(blocked):
-            np.testing.assert_array_equal(getattr(blocked, field.name), getattr(observed, field.name), err_msg=field.name)
+            np.testing.assert_array_equal(getattr(blocked, field.name), getattr(stepwise, field.name), err_msg=field.name)
         if name.endswith("suspended"):
-            assert not observed.activity[int(config.t_stop)].all()
+            assert not stepwise.activity[int(config.t_stop)].all()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_observed_run_makes_the_same_advance_calls(self, name, monkeypatch):
+        make_config, make_target = self.CASES[name]
+        calls = []
+        advance = ChainEnsemble.advance
+
+        def spy(self, run, steps=1):
+            calls.append((run.tolist(), steps))
+            return advance(self, run, steps)
+
+        monkeypatch.setattr(ChainEnsemble, "advance", spy)
+        run_paim(make_config(), make_target())
+        unobserved = calls.copy()
+        calls.clear()
+        seen = []
+        record = run_paim(make_config(), make_target(), on_step=lambda state: seen.append((state.step, state.steps)))
+        assert calls == unobserved
+        # One callback per block but the last; ``step`` is the block's last step.
+        blocks = [steps for _, steps in calls]
+        assert [steps for _, steps in seen] == blocks[:-1]
+        assert [step for step, _ in seen] == (np.cumsum(blocks[:-1]) - 1).tolist()
+        assert sum(blocks) == record.t_total
