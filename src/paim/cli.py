@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -26,6 +27,12 @@ def _comma_ints(text: str) -> list[int]:
     if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return values
+
+
+# A negative number, in exponent form too. argparse before Python 3.13
+# takes only -N and -N.N for a number, so it reads "--bounds -1e1 10" as
+# an option "-1e1" and reports "expected 2 arguments".
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,6 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_p.add_argument("--bounds", type=float, nargs=2, default=[-15.0, 15.0], metavar=("LOW", "HIGH"),
                           help="per-axis grid bounds")
     oracle_p.add_argument("--points", type=int, default=2001, help="grid points per axis")
+    oracle_p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 

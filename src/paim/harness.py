@@ -329,7 +329,16 @@ def replicate(config: ExperimentConfig) -> SummaryReport:
         )
         for name, runner in runners.items():
             try:
-                record = runner(run_config, target)
+                # An overflow would turn the moments into inf and NaN, and
+                # the refresh would then blame epsilon for a NaN pivot.
+                with np.errstate(over="raise"):
+                    record = runner(run_config, target)
+            except FloatingPointError as exc:
+                width = float(np.max(config.box_upper - config.box_lower))
+                raise ConfigError(
+                    f"initialization box width {width:g} and init.sigma {config.sigma:g} are too large "
+                    f"for the target's scale: the run overflowed a double ({exc})"
+                ) from exc
             except NotPositiveDefinite as exc:
                 # The initial and target covariances were checked before
                 # the run, so the one that failed is a refreshed proposal's.
@@ -360,8 +369,8 @@ def replicate(config: ExperimentConfig) -> SummaryReport:
 # 17 significant digits write every double so that it reads back exactly.
 FLOAT_FORMAT = "%.17g"
 
-# Rows formatted per string operation in _write_rows; bounds the memory
-# of one block's text.
+# Rows formatted per string operation; bounds the memory of one block's
+# text and temporaries.
 ROWS_PER_BLOCK = 1024
 
 
@@ -369,20 +378,51 @@ def _fmt(value: float) -> str:
     return FLOAT_FORMAT % value
 
 
-def _write_rows(fh, row_format: str, n_rows: int, columns) -> None:
-    """Write ``n_rows`` lines, one per row of a table given by columns.
+def _write_samples(fh, record: RunRecord) -> None:
+    """Write samples.csv's rows, ``ROWS_PER_BLOCK`` rows per string operation.
 
-    ``columns(start, stop)`` returns the 1-D columns of rows ``start`` to
-    ``stop - 1``; ``row_format`` is a %-format for one line (newline
-    included) with one field per column. Whole blocks of rows are
-    formatted by one string operation, not one per row, and only one
-    block's columns exist at a time. ``np.savetxt`` writes the same
-    bytes but formats row by row: for a 20,000-row ``samples.csv`` it
-    took 79 ms against 33 ms here (medians of 15, 2-core Intel Xeon).
+    Independence MH repeats a state on every rejection, so a block holds
+    few distinct coordinates. Each is formatted once with ``FLOAT_FORMAT``,
+    found by ``np.unique`` over the block's int64 bit patterns (which keeps
+    ``-0.0`` apart from ``0.0``), and the rows take the text through ``%s``
+    fields. Only one block's columns and text exist at a time. On the
+    20,000-row PAIM record of the three-mode mixture run at ``t_stop`` 20
+    this took 22 ms, against 45 ms for ``%.17g`` per coordinate (medians of
+    15, 2-core Intel Xeon).
     """
-    for start in range(0, n_rows, ROWS_PER_BLOCK):
-        block = [column.tolist() for column in columns(start, min(start + ROWS_PER_BLOCK, n_rows))]
-        fh.write((row_format * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
+    m, dim = record.samples.shape
+    row_format = "%d,%d,%d," + "%s," * dim + "%d\n"
+    for start in range(0, m, ROWS_PER_BLOCK):
+        stop = min(start + ROWS_PER_BLOCK, m)
+        bits = np.ascontiguousarray(record.samples[start:stop]).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        text = (",".join([FLOAT_FORMAT] * distinct.size) % tuple(distinct.view(np.float64).tolist())).split(",")
+        coords = np.array(text, dtype=object)[inverse.reshape(bits.shape)]
+        columns = (record.sample_step[start:stop].tolist(), record.sample_chain[start:stop].tolist(),
+                   record.sample_iteration[start:stop].tolist(), *coords.T.tolist(),
+                   record.sample_accepted[start:stop].astype(np.uint8).tolist())
+        fh.write((row_format * (stop - start)) % tuple(chain.from_iterable(zip(*columns))))
+
+
+def _write_activity(fh, record: RunRecord) -> None:
+    """Write activity.csv's rows, one (step, chain, active) row each.
+
+    The active set stays the same over long runs of steps (from ``t_stop``
+    on it never changes), so each run of equal rows of ``record.activity``
+    builds the text of one step once, with the step number left as the
+    separator of ``str.join``. Steps are written in blocks of about
+    ``ROWS_PER_BLOCK`` rows. On the 99,520 rows of the same record this took
+    4 ms, against 52 ms for three ``%d`` per row.
+    """
+    activity = record.activity
+    t_total, n = activity.shape
+    changes = np.flatnonzero(np.any(activity[1:] != activity[:-1], axis=1)) + 1
+    bounds = [0, *changes.tolist(), t_total]
+    steps_per_block = max(1, ROWS_PER_BLOCK // n)
+    for first, end in zip(bounds[:-1], bounds[1:]):
+        pieces = [""] + [",%d,%d\n" % row for row in enumerate(activity[first].tolist())]
+        for start in range(first, end, steps_per_block):
+            fh.write("".join([str(t).join(pieces) for t in range(start, min(start + steps_per_block, end))]))
 
 
 def emit_outputs(record: RunRecord, report: Optional[SummaryReport], out_dir: str) -> list[str]:
@@ -393,35 +433,26 @@ def emit_outputs(record: RunRecord, report: Optional[SummaryReport], out_dir: st
     params.json   final proposal parameters per chain plus the shared fit
     summary.json  the aggregated report (skipped when report is None)
     ellipses.csv  90%-mass ellipses of the final active chains
+
+    The two CSV writers cost per distinct value, not per row:
+    ``_write_samples`` formats each distinct coordinate of a block once,
+    and ``_write_activity`` builds one row template per run of equal
+    active sets.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    dim = record.dim
     path = os.path.join(out_dir, "samples.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        coords = ",".join(f"x_{i + 1}" for i in range(dim))
+        coords = ",".join(f"x_{i + 1}" for i in range(record.dim))
         fh.write(f"t,chain,k_n,{coords},accepted\n")
-        columns = (record.sample_step, record.sample_chain, record.sample_iteration, *record.samples.T,
-                   record.sample_accepted)
-        _write_rows(
-            fh,
-            "%d,%d,%d," + ",".join([FLOAT_FORMAT] * dim) + ",%d\n",
-            record.samples.shape[0],
-            lambda start, stop: [column[start:stop] for column in columns],
-        )
+        _write_samples(fh, record)
     written.append(path)
 
     path = os.path.join(out_dir, "activity.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,chain,active\n")
-        active = record.activity.ravel()
-
-        def activity_columns(start, stop):
-            index = np.arange(start, stop)
-            return [index // record.n_chains, index % record.n_chains, active[start:stop]]
-
-        _write_rows(fh, "%d,%d,%d\n", active.size, activity_columns)
+        _write_activity(fh, record)
     written.append(path)
 
     path = os.path.join(out_dir, "params.json")

@@ -211,6 +211,31 @@ def test_benchmark_table1_without_a_list_exits_2(capsys, option, value):
     assert err[-1] == f"paim benchmark: error: argument {option}: expected comma-separated integers, got {value!r}"
 
 
+@pytest.mark.parametrize("bounds", [["-1e1", "10"], ["-10", "10"], ["-1E+1", "1e1"]], ids=" ".join)
+def test_oracle_takes_negative_bounds(capsys, bounds):
+    params = json.dumps({"mean": [0.0, 0.0], "sigma": 1.0})
+    assert main(["oracle", "--target", "gaussian", "--params", params, "--points", "101", "--bounds", *bounds]) == 0
+    line = capsys.readouterr().out.strip()
+    assert all(abs(float(v)) < 1e-12 for v in line.split()[1:])
+
+
+@pytest.mark.parametrize("bounds, message", [
+    pytest.param(["x", "10"], "argument --bounds: invalid float value: 'x'", id="x 10"),
+    pytest.param(["-1e1"], "argument --bounds: expected 2 arguments", id="-1e1"),
+    pytest.param(["-1e1", "-1ex"], "argument --bounds: expected 2 arguments", id="-1e1 -1ex"),
+])
+def test_oracle_malformed_bounds_exit_2(capsys, bounds, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--target", "gaussian", "--params", '{"mean": [0, 0]}', "--bounds", *bounds])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert err[0].startswith("usage: paim oracle")
+    assert [line for line in err if "error:" in line] == [err[-1]]
+    assert err[-1] == f"paim oracle: error: {message}"
+
+
 def run_argv(edit):
     """``paim run`` argv on ``small_config()`` after ``edit(config)``."""
 
@@ -428,6 +453,16 @@ BAD_INPUTS = {
         run_argv(lambda c: c["init"].update(box_lower=[-1e308, -1e308], box_upper=[1e308, 1e308])),
         "initialization box is too wide: upper - lower overflows a double",
     ),
+    # the scatter and the target's quadratic form overflow, and nothing may blame epsilon for the NaN
+    "init-scale-overflows": (
+        run_argv(lambda c: c.update(
+            sampler={"n_chains": 5, "total_samples": 2000, "t_train": 1},
+            init={"box_lower": [-1e160, -1e160], "box_upper": [1e160, 1e160], "sigma": 1e150},
+        )),
+        "initialization box width 2e+160 and init.sigma 1e+150 are too large for the target's scale: "
+        "the run overflowed a double (overflow encountered in",
+    ),
+    "oracle-bounds-reversed": (lambda _: ["oracle", "--bounds", "10", "-1e1"], "grid is degenerate"),
     "grid-width-overflows": (
         run_argv(lambda c: c.update(truth={"grid": {"lower": [-1e308, 0], "upper": [1e308, 1], "points_per_axis": 11}})),
         "grid is too wide: upper - lower overflows a double",
@@ -467,18 +502,46 @@ def banana_config():
     )
 
 
-def test_run_output_files_match_golden_digest(tmp_path, capsys):
+def frozen_mixture_config():
+    """An ``algorithm: both`` run on a three-mode mixture whose adaptation
+    stops at step 20, so most of its rows come from the frozen tail."""
+    return small_config(
+        target={"name": "gaussian_mixture", "params": {
+            "means": [[-8.0, -8.0], [0.0, 8.0], [8.0, -4.0]],
+            "covs": [[[1.0, 0.5], [0.5, 1.0]], [[2.0, 0.0], [0.0, 0.5]], [[1.0, -0.3], [-0.3, 1.0]]],
+            "weights": [0.5, 0.3, 0.2],
+        }},
+        sampler={"n_chains": 10, "total_samples": 2000, "t_train": 10, "t_stop": 20},
+        init={"box_lower": [-15.0, -15.0], "box_upper": [15.0, 15.0], "sigma": 10.0},
+        base_seed=11,
+        truth=[-2.4, -2.4],
+    )
+
+
+def run_files_digest(tmp_path, capsys, config) -> str:
+    """SHA-256 over the names and bytes of the files ``paim run`` writes
+    for ``config``, an ``algorithm: both`` study."""
     out = tmp_path / "out"
-    assert main(["run", "--config", str(write_config(tmp_path, banana_config())), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
     capsys.readouterr()
     h = hashlib.sha256()
     for name in ("paim", "ipc"):
         for f in OUTPUT_FILES:
             h.update(f"{name}/{f}\n".encode("utf-8"))
             h.update((out / name / f).read_bytes())
-    assert h.hexdigest() == GOLDEN_RUN_FILES
+    return h.hexdigest()
 
 
-# SHA-256 over the names and bytes of the ten files above. The files must
-# not depend on how the run record holds the final proposals.
+def test_run_output_files_match_golden_digest(tmp_path, capsys):
+    assert run_files_digest(tmp_path, capsys, banana_config()) == GOLDEN_RUN_FILES
+
+
+def test_frozen_run_output_files_match_golden_digest(tmp_path, capsys):
+    assert run_files_digest(tmp_path, capsys, frozen_mixture_config()) == GOLDEN_FROZEN_RUN_FILES
+
+
+# SHA-256 over the names and bytes of the ten files of each run above. The
+# files must not depend on how the run record holds the final proposals,
+# nor on how the writers group rows.
 GOLDEN_RUN_FILES = "67c9b8ffd7b923edb7f7568dd6308dc0d02655deb1dc73f8a7fc4ea19d753503"
+GOLDEN_FROZEN_RUN_FILES = "467ad52673fdd463cb42348cea838bbdd9da51374c1a3fdc474bbad8c97d240b"

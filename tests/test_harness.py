@@ -18,7 +18,7 @@ from paim.harness import (
     resolve_truth,
 )
 from paim.sampler import PaimConfig, RunRecord, run_paim
-from paim.targets import grid_expectation, make_gaussian_target
+from paim.targets import grid_expectation, make_gaussian_mixture_target, make_gaussian_target
 
 
 def row_by_row_csvs(record) -> dict[str, str]:
@@ -61,24 +61,82 @@ def test_csvs_match_row_by_row_formatting_for_a_run(tmp_path):
     assert_csvs_match_row_by_row(record, tmp_path)
 
 
-def test_csvs_match_row_by_row_formatting_for_edge_values(tmp_path):
-    values = [0.0, -0.0, 5e-324, 1e-310, 1.7976931348623157e308, math.inf, -math.inf, 0.1, 1 / 3, -2.5e-7]
-    samples = np.array(values).reshape(-1, 1)
+def record_of(samples, activity) -> RunRecord:
+    """A hand-made record of ``samples`` (m, d) and ``activity`` (t, n),
+    for the CSV writers only."""
     m = samples.shape[0]
-    record = RunRecord(
+    n = activity.shape[1]
+    return RunRecord(
         samples=samples,
         sample_step=np.arange(m, dtype=np.int64),
-        sample_chain=np.zeros(m, dtype=np.int64),
+        sample_chain=np.arange(m, dtype=np.int64) % n,
         sample_iteration=np.arange(1, m + 1, dtype=np.int64),
         sample_accepted=np.arange(m) % 3 == 0,
-        activity=np.ones((m, 1), dtype=bool),
-        budgets=np.array([m], dtype=np.int64),
-        proposal_means=np.zeros((1, 2, 1)),
-        proposal_covs=np.ones((1, 2, 1, 1)),
+        activity=activity,
+        budgets=np.full(n, m, dtype=np.int64),
+        proposal_means=np.zeros((n, 2, samples.shape[1])),
+        proposal_covs=np.ones((n, 2, samples.shape[1], samples.shape[1])),
         global_mean=None,
         global_cov=None,
     )
+
+
+def test_csvs_match_row_by_row_formatting_for_edge_values(tmp_path):
+    values = [0.0, -0.0, 5e-324, 1e-310, 1.7976931348623157e308, math.inf, -math.inf, 0.1, 1 / 3, -2.5e-7]
+    samples = np.array(values).reshape(-1, 1)
+    assert_csvs_match_row_by_row(record_of(samples, np.ones((samples.shape[0], 1), dtype=bool)), tmp_path)
+
+
+@pytest.mark.parametrize("rows_per_block", [harness.ROWS_PER_BLOCK, 12])
+def test_csvs_match_row_by_row_formatting_for_a_frozen_tail(tmp_path, monkeypatch, rows_per_block):
+    monkeypatch.setattr(harness, "ROWS_PER_BLOCK", rows_per_block)
+    rng = np.random.default_rng(1)
+    n, d, t_stop = 5, 2, 60
+    config = PaimConfig(
+        n_chains=n,
+        total_samples=6000,
+        t_train=2,
+        t_stop=t_stop,
+        init_means=rng.uniform(-8, 8, (n, 2, d)),
+        init_states=rng.uniform(-8, 8, (n, d)),
+        init_sigma=4.0,
+        seed=1,
+    )
+    target = make_gaussian_mixture_target(np.array([[-4.0, -4.0], [4.0, 3.0]]), np.array([np.eye(2)] * 2), None)
+    record = run_paim(config, target)
+    # the frozen tail spans several blocks of samples.csv and activity.csv
+    assert (record.sample_step >= t_stop).sum() > 4 * harness.ROWS_PER_BLOCK
+    assert record.t_total - t_stop > 4 * harness.ROWS_PER_BLOCK // n
+    # and the active set changes inside a block of activity.csv, not only at its edges
+    act = record.activity
+    changes = np.flatnonzero(np.any(act[1:] != act[:-1], axis=1)) + 1
+    assert (changes % (harness.ROWS_PER_BLOCK // n)).any()
     assert_csvs_match_row_by_row(record, tmp_path)
+
+
+def test_csvs_match_row_by_row_formatting_when_the_active_set_changes_every_step(tmp_path):
+    rng = np.random.default_rng(4)
+    n, t = 3, 2000  # several blocks of activity.csv
+    activity = np.zeros((t, n), dtype=bool)
+    activity[0] = True
+    for s in range(1, t):
+        # a random nonempty active set other than the last one
+        row = activity[s - 1]
+        while (row == activity[s - 1]).all() or not row.any():
+            row = rng.random(n) < 0.5
+        activity[s] = row
+    assert np.any(activity[1:] != activity[:-1], axis=1).all()
+    assert_csvs_match_row_by_row(record_of(rng.normal(size=(t, 2)), activity), tmp_path)
+
+
+def test_csvs_match_row_by_row_formatting_for_repeated_and_special_coordinates(tmp_path):
+    pool = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1e-310, 1.7976931348623157e308, 0.1, -1 / 3, 7.0, 1e16, 123456789.125])
+    rng = np.random.default_rng(5)
+    m = harness.ROWS_PER_BLOCK // 2  # one block
+    samples = pool[rng.integers(pool.size, size=(m, 3))]
+    samples[1::2] = samples[::2]  # every other state repeated, as after a rejection
+    assert_csvs_match_row_by_row(record_of(samples, np.ones((m // 4, 4), dtype=bool)), tmp_path)
 
 
 def experiment_with_truth(truth, dim):
