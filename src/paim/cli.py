@@ -1,8 +1,15 @@
 """Command-line entry points.
 
-    paim run --config cfg.json [--seed S] [--out DIR]
-    paim benchmark table1 --n 5,10 --ttrain 1,10,20 --reps 200
+    paim run --config cfg.json [--seed S] [--out DIR] [--workers K]
+    paim benchmark table1 --n 5,10 --ttrain 1,10,20 --reps 200 [--workers K]
     paim oracle --target banana --bounds -15 15 --points 2001
+
+``--workers K`` runs up to K of a study's (replication, algorithm) runs
+at once, in this process and K - 1 forked ones; the default is every
+CPU this process may use, and ``--workers 1`` runs them one after
+another in this process.
+The output is the same for every K. ``paim benchmark`` reports each
+cell's seconds and an ETA on stderr; stdout holds only the results.
 """
 
 from __future__ import annotations
@@ -12,10 +19,11 @@ import json
 import os
 import re
 import sys
+import time
 
 import numpy as np
 
-from .harness import ConfigError, ExperimentConfig, emit_outputs, make_target, replicate
+from .harness import ConfigError, ExperimentConfig, emit_outputs, make_target, replicate, usable_workers
 from .targets import AllZeroMass, grid_expectation
 
 
@@ -34,6 +42,8 @@ def _comma_ints(text: str) -> list[int]:
 # an option "-1e1" and reports "expected 2 arguments".
 NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
+WORKERS_HELP = "processes making runs at once, this one included (default: every usable CPU; 1: only this one)"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="paim", description="Adaptive parallel independence-Metropolis sampling")
@@ -43,6 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="path to a JSON experiment config")
     run_p.add_argument("--seed", type=int, default=None, help="override the config base_seed")
     run_p.add_argument("--out", default=None, help="override the config output directory")
+    run_p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
 
     bench_p = sub.add_parser("benchmark", help="run a predefined benchmark suite")
     bench_p.add_argument("suite", choices=["table1"], help="benchmark to run")
@@ -52,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--samples", type=int, default=5000, help="total samples per run")
     bench_p.add_argument("--seed", type=int, default=0, help="base seed")
     bench_p.add_argument("--out", default=None, help="optional directory for per-cell summary.json files")
+    bench_p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
 
     oracle_p = sub.add_parser("oracle", help="print the grid-oracle E[X] of a target")
     oracle_p.add_argument("--target", default="banana", help="target name (banana, gaussian, gaussian_mixture)")
@@ -69,7 +81,7 @@ def cmd_run(args) -> int:
         config.base_seed = args.seed
     if args.out is not None:
         config.output_dir = args.out
-    report = replicate(config)
+    report = replicate(config, args.workers)
     if len(report.records) == 1:
         (record,) = report.records.values()
         written = emit_outputs(record, report, config.output_dir)
@@ -83,8 +95,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    workers = usable_workers(args.workers)  # checked before the grid oracle runs
     truth = grid_expectation(make_target("banana"), [-15.0, -15.0], [15.0, 15.0], 2001)
     cells: dict[tuple[int, int], float] = {}
+    total, done = len(args.ttrain) * len(args.n), 0
+    start = last = time.perf_counter()
     for t_train in args.ttrain:
         for n in args.n:
             config = ExperimentConfig(
@@ -101,7 +116,7 @@ def cmd_benchmark(args) -> int:
                 base_seed=args.seed,
                 truth=truth,
             )
-            report = replicate(config)
+            report = replicate(config, workers)
             cells[(t_train, n)] = report.reduction_pct
             if args.out is not None:
                 cell_dir = os.path.join(args.out, f"ttrain{t_train}_n{n}")
@@ -110,6 +125,13 @@ def cmd_benchmark(args) -> int:
                     json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
                     fh.write("\n")
             print(f"cell t_train={t_train} n={n}: reduction {report.reduction_pct:.2f}%", flush=True)
+            # Progress goes to stderr, so that stdout holds only the results.
+            # The ETA assumes each cell left costs the mean of those done.
+            done += 1
+            now = time.perf_counter()
+            print(f"cell {done}/{total} t_train={t_train} n={n}: {now - last:.1f} s, "
+                  f"ETA {(now - start) / done * (total - done):.0f} s", file=sys.stderr, flush=True)
+            last = now
 
     print()
     print(f"MSE reduction (%) of adaptive vs fixed proposals, banana target, "

@@ -257,14 +257,26 @@ class AlgorithmSummary:
     acceptance_rates: list = field(default_factory=list)
     final_active: list = field(default_factory=list)
 
-    def add(self, record: RunRecord) -> None:
-        """Append one run's summary. The E[X] estimate of a run is the
-        mean of its recorded samples."""
-        self.estimates.append([float(v) for v in record.samples.mean(axis=0)])
-        self.budgets.append([int(k) for k in record.budgets])
-        self.t_total.append(record.t_total)
-        self.acceptance_rates.append(record.acceptance_rate)
-        self.final_active.append(record.final_active_count)
+    def add(self, row: tuple) -> None:
+        """Append one run's row, as :func:`summary_row` made it."""
+        estimate, budgets, t_total, acceptance_rate, final_active = row
+        self.estimates.append(estimate)
+        self.budgets.append(budgets)
+        self.t_total.append(t_total)
+        self.acceptance_rates.append(acceptance_rate)
+        self.final_active.append(final_active)
+
+
+def summary_row(record: RunRecord) -> tuple:
+    """One run's entries of :class:`AlgorithmSummary`, in its field order.
+    The E[X] estimate of a run is the mean of its recorded samples."""
+    return (
+        [float(v) for v in record.samples.mean(axis=0)],
+        [int(k) for k in record.budgets],
+        record.t_total,
+        record.acceptance_rate,
+        record.final_active_count,
+    )
 
 
 @dataclass
@@ -293,61 +305,144 @@ class SummaryReport:
         }
 
 
-def replicate(config: ExperimentConfig) -> SummaryReport:
-    """Run R seeded replications of the requested algorithm(s).
+def replication_config(config: ExperimentConfig, rep: int) -> PaimConfig:
+    """The run settings of replication ``rep``: its own initialization
+    draw and sampling seed, from child ``rep`` of ``config.base_seed``'s
+    seed sequence. Both algorithms of a replication run these settings."""
+    # Child rep of SeedSequence(base_seed).spawn(R), made without the others.
+    init_ss, sample_ss = np.random.SeedSequence(config.base_seed, spawn_key=(rep,)).spawn(2)
+    init_means, init_states = random_init(
+        config.n_chains, config.box_lower, config.box_upper, np.random.default_rng(init_ss)
+    )
+    return PaimConfig(
+        n_chains=config.n_chains,
+        total_samples=config.total_samples,
+        t_train=config.t_train,
+        t_stop=config.t_stop,
+        epsilon=config.epsilon,
+        init_means=init_means,
+        init_states=init_states,
+        init_sigma=config.sigma,
+        seed=int(sample_ss.generate_state(1, dtype=np.uint64)[0]),
+    )
 
-    Within a replication the adaptive and baseline samplers run the
-    same :class:`PaimConfig`, so they share the initialization draw and
-    the sampling seed, and the only thing separating them is the
-    adaptation itself. Each run is summarised as it finishes; only the
-    first replication's full records are kept, on the report
-    (``records``) for file emission, so memory does not grow with R.
+
+def run_one(config: ExperimentConfig, rep: int, name: str) -> tuple[tuple, Optional[RunRecord]]:
+    """Run algorithm ``name`` ("paim" or "ipc") on replication ``rep``.
+
+    Returns the run's :func:`summary_row`, and its record for replication
+    0 only (None otherwise), so a worker sends back little more than the
+    row. The target is rebuilt here, since a worker process cannot be sent
+    one. A failure that the config caused is raised as a ConfigError.
     """
     target = make_target(config.target_name, config.target_params)
+    runner = {"paim": run_paim, "ipc": run_ipc}[name]
+    try:
+        # An overflow would turn the moments into inf and NaN, and the
+        # refresh would then blame epsilon for a NaN pivot.
+        with np.errstate(over="raise"):
+            record = runner(replication_config(config, rep), target)
+    except FloatingPointError as exc:
+        width = float(np.max(config.box_upper - config.box_lower))
+        raise ConfigError(
+            f"initialization box width {width:g} and init.sigma {config.sigma:g} are too large "
+            f"for the target's scale: the run overflowed a double ({exc})"
+        ) from exc
+    except NotPositiveDefinite as exc:
+        # The initial and target covariances were checked before the run,
+        # so the one that failed is a refreshed proposal's. Its ridge
+        # epsilon is absolute, and cannot lift a pivot that the rounding
+        # error of the states' second moments, ~ eps * scale**2, pushed
+        # below zero: name that scale next to epsilon.
+        width = float(np.max(config.box_upper - config.box_lower))
+        scale = max(width, config.sigma)
+        rounding = np.finfo(float).eps * scale * scale
+        raise ConfigError(
+            f"sampler.epsilon {config.epsilon:g} did not keep a refreshed proposal positive definite: {exc}; "
+            f"at the initialization scale (box width {width:g}, init.sigma {config.sigma:g}) the states' "
+            f"second moments carry rounding errors of ~{rounding:.1e}, "
+            f"{'more' if rounding >= config.epsilon else 'less'} than epsilon"
+        ) from exc
+    return summary_row(record), (record if rep == 0 else None)
+
+
+def usable_workers(workers: Optional[int] = None) -> int:
+    """``workers``, checked, or by default every CPU this process may use.
+    A value outside 1 to the usable CPUs is a ConfigError."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if workers is None:
+        return cpus
+    if isinstance(workers, bool) or not isinstance(workers, int) or not 1 <= workers <= cpus:
+        raise ConfigError(f"workers must be an integer from 1 to the {cpus} usable CPUs, got {workers!r}")
+    return workers
+
+
+def run_all(config: ExperimentConfig, runs: list, workers: int) -> list:
+    """``[run_one(config, rep, name) for rep, name in runs]``, with up to
+    ``workers`` runs at once.
+
+    This process is one of the workers: it hands every run but the first
+    to a pool of ``workers - 1`` forked processes, makes the first, and
+    then makes, in order, each run that no pool process has started yet
+    (its future cancels). So a study of two runs forks one process, and
+    the pool's start-up cost is paid once per call, whatever R is.
+
+    ``fork`` gives each worker the parent's imported modules, numpy among
+    them, at no import cost. The pool forks all its workers when it
+    starts, before it starts its own thread; the only other threads paim
+    starts are those of numpy's OpenBLAS, which stops them before a fork.
+    The pool is shut down on return or on a failure, cancelling the runs
+    not yet started, so no worker outlives this call. Its modules are
+    imported here, so that ``import paim`` does not pay for them.
+    """
+    if workers == 1:
+        return [run_one(config, rep, name) for rep, name in runs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [None] + [pool.submit(run_one, config, rep, name) for rep, name in runs[1:]]
+        here = {}
+        for i, ((rep, name), future) in enumerate(zip(runs, futures)):
+            if future is None or future.cancel():  # no worker has started it
+                here[i] = run_one(config, rep, name)
+        return [here[i] if i in here else future.result() for i, future in enumerate(futures)]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def replicate(config: ExperimentConfig, workers: Optional[int] = None) -> SummaryReport:
+    """Run R seeded replications of the requested algorithm(s).
+
+        replicate(config)             # every usable CPU, at most one per run
+        replicate(config, workers=1)  # one run after another, in this process
+
+    Within a replication the adaptive and baseline samplers run the
+    same :class:`PaimConfig` (:func:`replication_config`), so they share
+    the initialization draw and the sampling seed, and the only thing
+    separating them is the adaptation itself. Each (replication,
+    algorithm) run depends on nothing else, so up to ``workers`` of them
+    run at once, this process and ``workers - 1`` forked ones
+    (:func:`usable_workers`, :func:`run_all`). The runs are folded into
+    the report in (replication, algorithm) order, so it is the same for
+    every ``workers``. Each run comes back as its summary row; only the
+    first replication's full records come back too, kept on the report
+    (``records``) for file emission, so memory does not grow with R.
+    """
+    names = ("paim", "ipc") if config.algorithm == "both" else (config.algorithm,)
+    runs = [(rep, name) for rep in range(config.replications) for name in names]
+    # Without fork, a pool would re-import paim in every worker: run here.
+    workers = min(usable_workers(workers), len(runs) if hasattr(os, "fork") else 1)
+    target = make_target(config.target_name, config.target_params)
     truth = resolve_truth(config, target)
-    runners = {"paim": run_paim, "ipc": run_ipc}
-    if config.algorithm != "both":
-        runners = {config.algorithm: runners[config.algorithm]}
-    summaries = {name: AlgorithmSummary() for name in runners}
+    summaries = {name: AlgorithmSummary() for name in names}
     records: dict[str, RunRecord] = {}
 
-    for rep_ss in np.random.SeedSequence(config.base_seed).spawn(config.replications):
-        init_ss, sample_ss = rep_ss.spawn(2)
-        init_means, init_states = random_init(
-            config.n_chains, config.box_lower, config.box_upper, np.random.default_rng(init_ss)
-        )
-        run_config = PaimConfig(
-            n_chains=config.n_chains,
-            total_samples=config.total_samples,
-            t_train=config.t_train,
-            t_stop=config.t_stop,
-            epsilon=config.epsilon,
-            init_means=init_means,
-            init_states=init_states,
-            init_sigma=config.sigma,
-            seed=int(sample_ss.generate_state(1, dtype=np.uint64)[0]),
-        )
-        for name, runner in runners.items():
-            try:
-                # An overflow would turn the moments into inf and NaN, and
-                # the refresh would then blame epsilon for a NaN pivot.
-                with np.errstate(over="raise"):
-                    record = runner(run_config, target)
-            except FloatingPointError as exc:
-                width = float(np.max(config.box_upper - config.box_lower))
-                raise ConfigError(
-                    f"initialization box width {width:g} and init.sigma {config.sigma:g} are too large "
-                    f"for the target's scale: the run overflowed a double ({exc})"
-                ) from exc
-            except NotPositiveDefinite as exc:
-                # The initial and target covariances were checked before
-                # the run, so the one that failed is a refreshed proposal's.
-                raise ConfigError(
-                    f"sampler.epsilon {config.epsilon:g} did not keep a refreshed proposal positive definite: {exc}"
-                ) from exc
-            summaries[name].add(record)
-            records.setdefault(name, record)
-            del record  # the next run must not hold this one alive
+    for (_, name), (row, record) in zip(runs, run_all(config, runs, workers)):
+        summaries[name].add(row)
+        if record is not None:
+            records[name] = record
 
     for summary in summaries.values():
         summary.mse = mean_square_error(summary.estimates, truth)

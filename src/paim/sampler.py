@@ -36,6 +36,13 @@ of many steps, up to :data:`BLOCK` chain-iterations per
 step. An ``on_step`` observer sees each block once, so attaching one
 does not change which calls the run makes.
 
+Without a finite ``t_stop`` the proposals adapt for the whole run, and
+nothing guarantees that the chains are ergodic for the target: the
+adaptation does not provably diminish, which is the condition of
+Roberts & Rosenthal (2007). The default ``t_stop=inf``, Table 1's
+setting, is therefore an empirical choice; a finite ``t_stop`` leaves a
+plain independence sampler after the freeze.
+
 The proposals are arrays, not objects. :class:`ChainEnsemble` holds
 every chain's mixture as stacked means (n, 2, d), covariances
 (n, 2, d, d) and their Cholesky factors, column 0 the global component
@@ -303,6 +310,11 @@ class PaimConfig:
     ``math.inf`` to never stop adapting; ``t_train`` counts the leading
     steps that only collect assignments (use ``t_train=-1`` with
     ``t_stop=0`` to disable adaptation entirely).
+
+    The default ``t_stop=math.inf`` is Table 1's setting, but it carries
+    no ergodicity guarantee: adaptation that never stops need not
+    diminish (Roberts & Rosenthal 2007). A finite ``t_stop`` makes every
+    chain a valid independence sampler from that step on.
     """
 
     n_chains: int

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import re
 
 import numpy as np
 import pytest
 
+import paim.harness
 from paim.cli import main
 
 
@@ -184,6 +187,28 @@ def test_benchmark_table1_prints_cells_and_table_and_writes_summaries(tmp_path, 
     assert lines[3].split() == ["t_train", "N=5"]
     assert lines[4].split() == ["1", f"{reduction:.2f}"]
     assert len(lines) == 5
+
+
+def test_benchmark_table1_is_the_same_for_any_worker_count(tmp_path, capsys, two_cpus):
+    def benchmark(workers):
+        out = tmp_path / f"workers{workers}"
+        args = ["benchmark", "table1", "--n", "5,10", "--ttrain", "1,10", "--reps", "3", "--samples", "200",
+                "--out", str(out), "--workers", workers]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        summaries = {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("summary.json"))}
+        return captured, summaries
+
+    (out1, summaries1), (out2, summaries2) = benchmark("1"), benchmark("2")
+    assert len(summaries1) == 4 and summaries1 == summaries2
+    assert out1.out == out2.out
+    # one progress line per cell on stderr, with the cell's seconds and an ETA
+    for captured in (out1, out2):
+        progress = captured.err.splitlines()
+        assert len(progress) == 4
+        for done, (line, cell) in enumerate(zip(progress, ["t_train=1 n=5", "t_train=1 n=10", "t_train=10 n=5",
+                                                           "t_train=10 n=10"]), 1):
+            assert re.fullmatch(rf"cell {done}/4 {cell}: \d+\.\d s, ETA \d+ s", line), line
 
 
 def test_benchmark_table1_without_replications_exits_2(capsys):
@@ -484,6 +509,66 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     assert len(err) == 1, err
     assert err[0].startswith("error: " + message), err[0]
     assert "Traceback" not in captured.err
+
+
+# Box and init.sigma 1e150 dwarf epsilon 0.4: the states' second moments
+# round off by far more than epsilon can lift, and the line says so. With
+# two workers this process makes the PAIM run that fails, while a forked
+# worker makes the IPC run.
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_refresh_broken_by_the_init_scale_names_the_scale(tmp_path, capsys, two_cpus, forks, workers):
+    config = small_config(
+        sampler={"n_chains": 5, "total_samples": 2000, "t_train": 1},
+        init={"box_lower": [-1e150, -1e150], "box_upper": [1e150, 1e150], "sigma": 1e150},
+    )
+    argv = ["run", "--config", str(write_config(tmp_path, config)), "--out", str(tmp_path / "out"), "--workers", workers]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: sampler.epsilon 0.4 did not keep a refreshed proposal positive definite: pivot 0.000e+00 at column 1 "
+        "(floor 1e-300); at the initialization scale (box width 2e+150, init.sigma 1e+150) the states' second "
+        "moments carry rounding errors of ~8.9e+284, more than epsilon"
+    ]
+    assert forks[0] == (0 if workers == "1" else 1)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_config_error_in_a_worker_reaches_the_cli_as_the_same_line(tmp_path, capsys, monkeypatch, two_cpus, forks):
+    # With two workers and one replication the forked worker makes the IPC
+    # run, and only that run fails.
+    def overflowing(*args):
+        raise FloatingPointError("overflow encountered in multiply")
+
+    monkeypatch.setattr(paim.harness, "run_ipc", overflowing)
+    argv = ["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(tmp_path / "out")]
+    errors = []
+    for workers in ("1", "2"):
+        assert main(argv + ["--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err.splitlines())
+    assert errors[0] == errors[1] == [
+        "error: initialization box width 10 and init.sigma 3 are too large for the target's scale: "
+        "the run overflowed a double (overflow encountered in multiply)"
+    ]
+    assert forks[0] == 1
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "3"])
+@pytest.mark.parametrize("command", [
+    lambda config: ["run", "--config", str(config)],
+    lambda _: ["benchmark", "table1", "--n", "5", "--ttrain", "1", "--reps", "1", "--samples", "20"],
+], ids=["run", "benchmark"])
+def test_bad_workers_exit_2_with_one_error_line_and_start_no_process(tmp_path, capsys, two_cpus, forks, command, workers):
+    argv = command(write_config(tmp_path, small_config())) + ["--workers", workers]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: workers must be an integer from 1 to the 2 usable CPUs, got {workers}"]
+    assert forks[0] == 0
 
 
 OUTPUT_FILES = ("samples.csv", "activity.csv", "params.json", "summary.json", "ellipses.csv")

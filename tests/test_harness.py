@@ -1,5 +1,7 @@
 import gc
 import math
+import multiprocessing
+import os
 import weakref
 
 import numpy as np
@@ -220,7 +222,9 @@ def test_ellipse_radius_holds_the_chi_square_mass():
         assert abs(float(mass) - ELLIPSE_MASS) < 1e-13, dim
 
 
-def test_replicate_keeps_only_the_first_replications_records(monkeypatch):
+def kept_records(monkeypatch):
+    """Weak references to every RunRecord that this process makes or
+    unpickles, and the number of them alive as each run here starts."""
     # RunRecord is an unhashable dataclass, so weak references sit in a list
     made = []
     live_at_start = []
@@ -235,11 +239,21 @@ def test_replicate_keeps_only_the_first_replications_records(monkeypatch):
 
         return run
 
+    def setstate(self, state):  # a record a worker sends back
+        self.__dict__.update(state)
+        made.append(weakref.ref(self))
+
     monkeypatch.setattr(harness, "run_paim", kept(harness.run_paim))
     monkeypatch.setattr(harness, "run_ipc", kept(harness.run_ipc))
+    monkeypatch.setattr(RunRecord, "__setstate__", setstate, raising=False)
+    return made, live_at_start
+
+
+def test_replicate_keeps_only_the_first_replications_records(monkeypatch):
+    made, live_at_start = kept_records(monkeypatch)
     config = experiment_with_truth([0.2, 0.2], 2)
     config.replications = 4
-    report = replicate(config)
+    report = replicate(config, workers=1)
     gc.collect()
     # while later replications run, only replication 0's two records live
     assert live_at_start == [0, 1, 2, 2, 2, 2, 2, 2]
@@ -247,6 +261,65 @@ def test_replicate_keeps_only_the_first_replications_records(monkeypatch):
     alive = [ref() for ref in made if ref() is not None]
     assert len(alive) == 2
     assert alive[0] is report.records["paim"] and alive[1] is report.records["ipc"]
+
+
+def test_replicate_in_workers_keeps_only_the_first_replications_records(monkeypatch, two_cpus):
+    # This process makes replication 0's PAIM run and the runs that the
+    # worker has not started; the worker's records reach it only pickled.
+    made, live_at_start = kept_records(monkeypatch)
+    config = experiment_with_truth([0.2, 0.2], 2)
+    config.replications = 6
+    report = replicate(config, workers=2)
+    gc.collect()
+    assert live_at_start[0] == 0 and max(live_at_start) <= 2
+    alive = [ref() for ref in made if ref() is not None]
+    assert len(alive) == 2
+    assert {id(record) for record in alive} == {id(report.records["paim"]), id(report.records["ipc"])}
+    assert report.to_dict() == replicate(config, workers=1).to_dict()
+
+
+# This process is one of the workers, so a pool of k forks k - 1.
+@pytest.mark.parametrize("cpus, workers, replications, algorithm, expected", [
+    (2, 1, 3, "both", 0),     # one after another, in this process
+    (2, 2, 1, "paim", 0),     # a single run needs no pool
+    (2, 2, 1, "both", 1),     # PAIM here, IPC beside it
+    (2, 2, 3, "both", 1),
+    (2, None, 3, "ipc", 1),   # the default: every usable CPU
+    (3, 3, 1, "both", 1),     # at most one worker per run
+    (3, None, 2, "both", 2),
+])
+def test_pool_forks_one_process_fewer_than_workers_and_none_outlives_replicate(
+    monkeypatch, forks, cpus, workers, replications, algorithm, expected
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    config = experiment_with_truth([0.2, 0.2], 2)
+    config.replications = replications
+    config.algorithm = algorithm
+    report = replicate(config, workers=workers)
+    assert forks[0] == expected
+    assert multiprocessing.active_children() == []
+    assert sorted(report.records) == sorted(["paim", "ipc"] if algorithm == "both" else [algorithm])
+    assert report.to_dict() == replicate(config, workers=1).to_dict()
+
+
+@pytest.mark.parametrize("workers", [0, -1, 3, 2.0, True])
+def test_bad_worker_count_is_rejected_before_any_run(monkeypatch, two_cpus, forks, workers):
+    def oracle(*args):
+        raise OracleRan
+
+    monkeypatch.setattr(harness, "grid_expectation", oracle)
+    with pytest.raises(ConfigError, match=f"^workers must be an integer from 1 to the 2 usable CPUs, got {workers!r}$"):
+        replicate(experiment_with_truth("grid", 2), workers=workers)
+    assert forks[0] == 0
+
+
+def test_without_fork_the_runs_go_in_this_process(monkeypatch, two_cpus):
+    config = experiment_with_truth([0.2, 0.2], 2)
+    config.replications = 2
+    expected = replicate(config, workers=1).to_dict()
+    monkeypatch.delattr(os, "fork")
+    assert replicate(config, workers=2).to_dict() == expected
+    assert replicate(config).to_dict() == expected
 
 
 class OracleRan(Exception):
