@@ -52,6 +52,9 @@ def make_target(name: str, params: Optional[dict] = None) -> TargetDensity:
         if name == "banana":
             return make_banana_target(BananaParams(**params))
         if name == "gaussian":
+            _check_fields(params, ("mean", "cov", "sigma"), "target.params.")
+            if "cov" in params and "sigma" in params:
+                raise ValueError("give target.params.cov or target.params.sigma, not both")
             mean = _numbers(params["mean"], "target.params.mean")
             if "cov" in params:
                 cov = _numbers(params["cov"], "target.params.cov")
@@ -61,6 +64,7 @@ def make_target(name: str, params: Optional[dict] = None) -> TargetDensity:
                 cov = sigma * sigma * np.eye(mean.size)
             return make_gaussian_target(mean, cov)
         if name == "gaussian_mixture":
+            _check_fields(params, ("means", "covs", "weights"), "target.params.")
             weights = params.get("weights")
             return make_gaussian_mixture_target(
                 _numbers(params["means"], "target.params.means"),
@@ -142,9 +146,7 @@ class ExperimentConfig:
             values = raw.get(section, {}) if section else raw
             if not isinstance(values, dict):
                 raise ConfigError(f"config field {section} must be a JSON object")
-            unknown = sorted(set(values) - set(fields))
-            if unknown:
-                raise ConfigError(f"unknown config field: {section + '.' if section else ''}{unknown[0]}")
+            _check_fields(values, fields, section + "." if section else "")
         try:
             target = raw["target"]
             sampler = raw["sampler"]
@@ -184,6 +186,13 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
 
+def _check_fields(values: dict, fields, path: str) -> None:
+    # A misspelt key would otherwise be ignored, its default silently used.
+    unknown = sorted(set(values) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown config field: {path}{unknown[0]}")
+
+
 def _integer(value, name: str) -> int:
     # int() would truncate 2.7 and accept true, running a wrong but
     # plausible study.
@@ -220,14 +229,23 @@ def _string(value, name: str) -> str:
 def _parse_truth(raw) -> Union[np.ndarray, GridSpec, str, None]:
     if raw is None or raw == "grid":
         return raw
-    if isinstance(raw, dict) and "grid" in raw:
-        g = raw["grid"]
+    if not isinstance(raw, dict):
+        return _numbers(raw, "truth")
+    _check_fields(raw, ("grid",), "truth.")
+    if "grid" not in raw:
+        raise ConfigError("missing config field: truth.grid")
+    g = raw["grid"]
+    if not isinstance(g, dict):
+        raise ConfigError(f"bad config value: truth.grid must be a JSON object, got {g!r}")
+    _check_fields(g, ("lower", "upper", "points_per_axis"), "truth.grid.")
+    try:
         return GridSpec(
             lower=_numbers(g["lower"], "truth.grid.lower"),
             upper=_numbers(g["upper"], "truth.grid.upper"),
             points_per_axis=_integer(g["points_per_axis"], "truth.grid.points_per_axis"),
         )
-    return _numbers(raw, "truth")
+    except KeyError as exc:
+        raise ConfigError(f"missing config field: truth.grid.{exc.args[0]}") from exc
 
 
 def resolve_truth(config: ExperimentConfig, target: TargetDensity) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,8 +30,9 @@ class MomentStack:
     ``scatter[j]``: the sum of outer products of deviations from the
     mean, i.e. (count - 1) times the sample covariance. The single-pass
     update reproduces the direct two-pass formulas to ~1e-10 relative
-    and keeps every scatter exactly symmetric. Indexing or iterating
-    yields :class:`RunningMoments` views of single rows.
+    and keeps every scatter exactly symmetric. Callers read the three
+    arrays directly; :func:`stacked_covariance` turns rows of them into
+    covariances.
     """
 
     __slots__ = ("count", "mean", "scatter")
@@ -41,18 +42,19 @@ class MomentStack:
         self.mean = np.zeros((n, dim))
         self.scatter = np.zeros((n, dim, dim))
 
-    def push(self, rows: Iterable[int], xs: Sequence[np.ndarray]) -> None:
+    def push(self, rows: Sequence[int], xs: Sequence[np.ndarray]) -> None:
         """Push ``xs[i]`` into row ``rows[i]``, in order, in one batch.
 
-        ``xs`` holds the points (m, d); ``rows`` may be longer, even
-        endless, since only its first m entries are read. Each point
-        updates its row's count and mean on its own, in order, through
-        the row view. The scatter increments are then formed in one
-        stacked product and added to their rows in the same order, so a
-        row ends with the bits it gets from the same points pushed into
-        it alone, one at a time.
+        ``xs`` holds the points (m, d) and ``rows`` their m row indices;
+        a length mismatch is a ValueError. Each point updates its row's
+        count and mean on its own, in order. The scatter increments are
+        then formed in one stacked product and added to their rows in the
+        same order, so a row ends with the bits it gets from the same
+        points pushed into it alone, one at a time.
         """
         xs = np.asarray(xs, dtype=float)
+        if len(rows) != len(xs):
+            raise ValueError(f"{len(rows)} rows given for {len(xs)} points")
         if not len(xs):
             return
         mean = self.mean
@@ -60,38 +62,25 @@ class MomentStack:
             raise ValueError(f"points of shape {xs.shape[1:]} pushed into accumulators of dim {mean.shape[1]}")
         counts = self.count.tolist()
         deltas = np.empty(xs.shape)
-        taken = []
         scale = []
-        for k, j in zip(range(len(xs)), rows):
+        for k, j in enumerate(rows):
             m = mean[j]
             delta = np.subtract(xs[k], m, out=deltas[k])
             c = counts[j] + 1
             counts[j] = c
             m += delta / c
-            taken.append(j)
             scale.append((c - 1) / c)
-        deltas = deltas[: len(taken)]
         # (x - new mean) is delta * (c-1)/c, so each outer-product
         # increment stays symmetric to the last bit; np.add.at adds them
         # unbuffered, so a row's increments land one after another.
-        np.add.at(self.scatter, taken, deltas[:, :, None] * deltas[:, None, :] * np.array(scale)[:, None, None])
+        np.add.at(self.scatter, rows, deltas[:, :, None] * deltas[:, None, :] * np.array(scale)[:, None, None])
         self.count[:] = counts
-
-    def __len__(self) -> int:
-        return self.count.shape[0]
-
-    def __getitem__(self, j: int) -> "RunningMoments":
-        if not 0 <= j < len(self):
-            raise IndexError(f"row {j} out of range for {len(self)} accumulators")
-        return RunningMoments(self, j)
-
-    def __iter__(self) -> Iterator["RunningMoments"]:
-        return (self[j] for j in range(len(self)))
 
 
 class RunningMoments:
     """A live view of one row of a :class:`MomentStack`: ``count``,
-    ``mean`` and ``scatter`` read the row as it is now."""
+    ``mean`` and ``scatter`` read the row as it is now. The sampler hands
+    observers one per cluster, as ``SchedulerState.clusters``."""
 
     __slots__ = ("stack", "row")
 
@@ -110,10 +99,6 @@ class RunningMoments:
     @property
     def scatter(self) -> np.ndarray:
         return self.stack.scatter[self.row]
-
-    def covariance(self, epsilon: float) -> np.ndarray:
-        """Sample covariance plus ``epsilon * I``; see :func:`stacked_covariance`."""
-        return stacked_covariance(self.stack.count[self.row, None], self.scatter[None], epsilon)[0]
 
 
 def mean_square_error(estimates, truth) -> float:

@@ -47,12 +47,13 @@ The proposals are arrays, not objects. :class:`ChainEnsemble` holds
 every chain's mixture as stacked means (n, 2, d), covariances
 (n, 2, d, d) and their Cholesky factors, column 0 the global component
 and column 1 the local one; the run record and the ``on_step`` view
-read those arrays. The adaptation state is stacked the same way. The N
-clusters and the global fit are the rows of one
-:class:`~paim.moments.MomentStack`; :func:`assign` finds every new
-state's nearest local mean with one distance matrix, and the step then
-makes one batched push: every new state into the global row and into
-its cluster, each row in generation order. A refresh computes the
+read those arrays. The adaptation state is stacked the same way: the N
+clusters and the global fit are rows 0..N-1 and N of the arrays of one
+:class:`~paim.moments.MomentStack`, which ``on_step`` observers get too.
+Every adaptive step, the last one included, finds each new state's
+nearest local mean with one distance matrix (:func:`assign`) and makes
+one batched push: every new state into the global row and into its
+cluster, each row in generation order. A refresh computes the
 covariances of every row in one stacked step and factors them with one
 stacked :func:`cholesky` call, writing the results straight into the
 ensemble.
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -355,16 +355,17 @@ class SchedulerState:
     and ``step`` its last step. While adapting, a block is one step;
     once frozen, it is as many steps as one :meth:`ChainEnsemble.advance`
     call ran. ``active`` holds the set that the *next* block will use
-    (adaptation replaces it at the end of a step). ``global_moments`` and
-    the n ``clusters`` are row views of the live accumulators, and
-    ``chains.means`` and ``chains.covs`` the live proposal parameters;
-    copy what must outlive the callback.
+    (adaptation replaces it at the end of a step). ``moments`` is the
+    live :class:`~paim.moments.MomentStack`: row j < n is chain j's
+    cluster and row n the global fit. ``clusters`` holds row views of its
+    first n rows. ``chains.means`` and ``chains.covs`` are the live
+    proposal parameters. Copy what must outlive the callback.
     """
 
     step: int
     steps: int
     total_drawn: int
-    global_moments: RunningMoments
+    moments: MomentStack
     clusters: list[RunningMoments]
     active: np.ndarray
     chains: ChainEnsemble
@@ -417,26 +418,23 @@ def chain_streams(seed: int, n_chains: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n_chains)]
 
 
-def sample_indices(activity: np.ndarray, last: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step, chain and 1-based per-chain iteration of each sample of a run.
+def sample_indices(activity: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step, chain and 1-based per-chain iteration of each of a run's ``total`` samples.
 
-    Step t ran the chains of ``activity[t]`` in ascending index, except
-    the last step, which ran only the first ``last`` of them; the samples
-    are in that order. The rows are read about :data:`BLOCK` cells at a
-    time, so the temporaries do not grow with the run.
+    Step t ran the chains of ``activity[t]`` in ascending index until
+    ``total`` samples were drawn, so the samples are the first ``total``
+    cells of ``activity`` in row-major order. The rows are read about
+    :data:`BLOCK` cells at a time, so the temporaries do not grow with
+    the run.
     """
     t_total, n = activity.shape
-    total = int(activity[:-1].sum()) + last
     steps, chains, iterations = (np.empty(total, dtype=np.int64) for _ in range(3))
     before = np.zeros(n, dtype=np.int64)  # each chain's iterations before the chunk
     chunk = max(1, BLOCK // n)
     k = 0
     for first in range(0, t_total, chunk):
         ran = activity[first : first + chunk]
-        if first + chunk >= t_total:
-            ran = ran.copy()
-            ran[-1, np.flatnonzero(ran[-1])[last:]] = False
-        rows, cols = np.nonzero(ran)
+        rows, cols = (cells[: total - k] for cells in np.nonzero(ran))
         counts = np.cumsum(ran, axis=0, dtype=np.int64) + before
         end = k + rows.size
         steps[k:end] = rows + first
@@ -483,7 +481,6 @@ def run_paim(
     # local mean is defined before the first assignment.
     moments = MomentStack(n + 1, dim)
     moments.push(range(n), config.init_states)
-    global_moments = moments[n]
     active = np.ones(n, dtype=bool)
 
     samples = np.empty((total, dim))
@@ -496,8 +493,8 @@ def run_paim(
         step=-1,
         steps=0,
         total_drawn=0,
-        global_moments=global_moments,
-        clusters=[moments[j] for j in range(n)],
+        moments=moments,
+        clusters=[RunningMoments(moments, j) for j in range(n)],
         active=active,
         chains=chains,
     )
@@ -521,13 +518,10 @@ def run_paim(
         sample_accepted[drawn:end] = accepted.ravel()
         drawn = end
         if t < config.t_stop:
-            # One push per step: every new state into the global row and,
-            # unless the run is complete, into the cluster of its nearest local mean.
-            if drawn == total:
-                moments.push(repeat(n), new)
-            else:
-                chosen = assign(new, chains.means[:, 1]).tolist()
-                moments.push([n] * run.size + chosen, np.concatenate((new, new)))
+            # One push per step: every new state into the global row and
+            # into the cluster of its nearest local mean.
+            chosen = assign(new, chains.means[:, 1]).tolist()
+            moments.push([n] * run.size + chosen, np.concatenate((new, new)))
         if drawn == total:
             break
 
@@ -545,7 +539,8 @@ def run_paim(
     activity = np.repeat(np.stack(activity_rows), activity_steps, axis=0)
     # Which step, chain and iteration made each sample follows from the active
     # sets, so the loop records only what the chains produced.
-    sample_step, sample_chain, sample_iteration = sample_indices(activity, run.size)
+    sample_step, sample_chain, sample_iteration = sample_indices(activity, total)
+    fitted = moments.count[n] > 0  # the global row; a run that never adapts leaves it empty
     return RunRecord(
         samples=samples,
         sample_step=sample_step,
@@ -556,8 +551,8 @@ def run_paim(
         budgets=chains.iterations.copy(),
         proposal_means=chains.means,
         proposal_covs=chains.covs,
-        global_mean=global_moments.mean.copy() if global_moments.count > 0 else None,
-        global_cov=global_moments.covariance(config.epsilon) if global_moments.count > 0 else None,
+        global_mean=moments.mean[n].copy() if fitted else None,
+        global_cov=stacked_covariance(moments.count[n:], moments.scatter[n:], config.epsilon)[0] if fitted else None,
     )
 
 

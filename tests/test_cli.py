@@ -289,6 +289,11 @@ def banana(**params):
     return lambda c: c.update(target={"name": "banana", "params": params})
 
 
+def gaussian(**params):
+    """The Gaussian target of ``small_config()`` with ``params`` in place of its ``sigma``."""
+    return lambda c: c.update(target={"name": "gaussian", "params": {"mean": [1.0, -1.0], **params}})
+
+
 def mixture(**params):
     """A two-mode mixture target whose ``params`` replace its parameters."""
     params = {"means": [[-4, -4], [4, 3]], "covs": [np.eye(2).tolist()] * 2, **params}
@@ -327,7 +332,7 @@ BAD_INPUTS = {
     "banana-eta-nan": (run_argv(banana(eta2=math.nan)), "bad parameters for target 'banana': eta2 must be"),
     "banana-eta-zero": (run_argv(banana(eta3=0.0)), "bad parameters for target 'banana': eta1, eta2, eta3"),
     "gaussian-cov-shape": (
-        run_argv(lambda c: c["target"]["params"].update(cov=np.eye(3).tolist())),
+        run_argv(gaussian(cov=np.eye(3).tolist())),
         "bad parameters for target 'gaussian': a mean of shape (2,) does not match a cov of shape (3, 3)",
     ),
     "target-params-list": (run_argv(lambda c: c["target"].update(params=[1])), "target params must be a JSON object"),
@@ -367,7 +372,7 @@ BAD_INPUTS = {
         "epsilon must be above 1e-300, got 1e-320",
     ),
     "gaussian-cov-asymmetric": (
-        run_argv(lambda c: c["target"]["params"].update(cov=[[1, 5], [0, 1]])),
+        run_argv(gaussian(cov=[[1, 5], [0, 1]])),
         "bad parameters for target 'gaussian': matrix is asymmetric by 5.000e+00",
     ),
     "oracle-gaussian-cov-asymmetric": (
@@ -449,7 +454,7 @@ BAD_INPUTS = {
         "bad config value: target.params.mean must be a number or a list of numbers, got ['1', False]",
     ),
     "gaussian-cov-strings": (
-        run_argv(lambda c: c["target"]["params"].update(cov=[["1", 0], [0, 1]])),
+        run_argv(gaussian(cov=[["1", 0], [0, 1]])),
         "bad config value: target.params.cov must be",
     ),
     "gaussian-sigma-bool": (
@@ -495,6 +500,49 @@ BAD_INPUTS = {
     "mixture-weights-strings": (
         run_argv(mixture(weights=["0.5", "0.5"])),
         "bad config value: target.params.weights must be a number or a list of numbers, got ['0.5', '0.5']",
+    ),
+    # a misspelt target parameter would leave its default in place: equal weights, or sigma 1
+    "mixture-unknown-key": (run_argv(mixture(weight=[0.9, 0.1])), "unknown config field: target.params.weight"),
+    "oracle-mixture-unknown-key": (
+        lambda _: ["oracle", "--target", "gaussian_mixture", "--params",
+                   '{"means": [[0, 0], [6, 0]], "covs": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]], "weight": [0.9, 0.1]}'],
+        "unknown config field: target.params.weight",
+    ),
+    "gaussian-unknown-key": (
+        run_argv(gaussian(covariance=np.eye(2).tolist())),
+        "unknown config field: target.params.covariance",
+    ),
+    "oracle-gaussian-unknown-key": (
+        lambda _: ["oracle", "--target", "gaussian", "--params", '{"mean": [0, 0], "covariance": [[4, 0], [0, 4]]}'],
+        "unknown config field: target.params.covariance",
+    ),
+    "gaussian-cov-with-sigma": (
+        run_argv(lambda c: c["target"]["params"].update(cov=np.eye(2).tolist())),
+        "bad parameters for target 'gaussian': give target.params.cov or target.params.sigma, not both",
+    ),
+    "oracle-gaussian-cov-with-sigma": (
+        lambda _: ["oracle", "--target", "gaussian", "--params",
+                   '{"mean": [0, 0], "cov": [[1, 0], [0, 1]], "sigma": 2}'],
+        "bad parameters for target 'gaussian': give target.params.cov or target.params.sigma, not both",
+    ),
+    "truth-grid-not-an-object": (
+        run_argv(lambda c: c.update(truth={"grid": 5})),
+        "bad config value: truth.grid must be a JSON object, got 5",
+    ),
+    "truth-without-grid": (run_argv(lambda c: c.update(truth={})), "missing config field: truth.grid"),
+    "truth-grid-without-upper": (
+        run_argv(lambda c: c.update(truth={"grid": {"lower": [0, 0], "points_per_axis": 11}})),
+        "missing config field: truth.grid.upper",
+    ),
+    "truth-unknown-key": (
+        run_argv(lambda c: c.update(truth={"grid": {"lower": [0, 0], "upper": [1, 1], "points_per_axis": 11},
+                                           "pts": 5})),
+        "unknown config field: truth.pts",
+    ),
+    "truth-grid-unknown-key": (
+        run_argv(lambda c: c.update(truth={"grid": {"lower": [0, 0], "upper": [1, 1], "points_per_axis": 11,
+                                                    "pts": 5}})),
+        "unknown config field: truth.grid.pts",
     ),
 }
 
@@ -615,6 +663,21 @@ def run_files_digest(tmp_path, capsys, config) -> str:
             h.update(f"{name}/{f}\n".encode("utf-8"))
             h.update((out / name / f).read_bytes())
     return h.hexdigest()
+
+
+def test_run_seed_overrides_the_config_base_seed(tmp_path, capsys):
+    def written(name, config, *options):
+        out = tmp_path / name
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out", str(out), *options]) == 0
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    flag = written("flag", small_config(base_seed=0), "--seed", "8")
+    capsys.readouterr()
+    assert sorted(str(p) for p in flag) == sorted(f"{name}/{f}" for name in ("paim", "ipc") for f in OUTPUT_FILES)
+    assert flag == written("config", small_config(base_seed=8))
+    assert flag != written("default", small_config(base_seed=0))
 
 
 def test_run_output_files_match_golden_digest(tmp_path, capsys):

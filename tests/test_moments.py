@@ -1,10 +1,8 @@
-from itertools import repeat
-
 import numpy as np
 import pytest
 
 from paim.gaussian import regularize
-from paim.moments import MomentStack, mean_square_error, stacked_covariance
+from paim.moments import MomentStack, RunningMoments, mean_square_error, stacked_covariance
 import reference
 
 
@@ -17,53 +15,59 @@ def block_moments(points):
 
 
 def accumulated(points, dim):
-    """Row view of a one-row stack after pushing ``points`` in order."""
+    """A one-row stack after pushing ``points`` in order."""
+    xs = np.asarray(points, dtype=float).reshape(-1, dim)
     stack = MomentStack(1, dim)
-    stack.push(repeat(0), np.asarray(points, dtype=float).reshape(-1, dim))
-    return stack[0]
+    stack.push([0] * len(xs), xs)
+    return stack
+
+
+def covariance(stack, epsilon):
+    """The covariance of a one-row stack."""
+    return stacked_covariance(stack.count, stack.scatter, epsilon)[0]
 
 
 class TestPush:
     def test_scalar_sequence(self):
         acc = accumulated([1.0, 2.0, 3.0], 1)
-        assert acc.count == 3
-        assert acc.mean[0] == pytest.approx(2.0)
-        assert acc.scatter[0, 0] == pytest.approx(2.0)
-        assert acc.covariance(0.4)[0, 0] == pytest.approx(1.4)
+        assert acc.count[0] == 3
+        assert acc.mean[0, 0] == pytest.approx(2.0)
+        assert acc.scatter[0, 0, 0] == pytest.approx(2.0)
+        assert covariance(acc, 0.4)[0, 0] == pytest.approx(1.4)
 
     def test_two_points(self):
         acc = accumulated([[0.0, 0.0], [2.0, 0.0]], 2)
-        np.testing.assert_allclose(acc.mean, [1.0, 0.0])
-        np.testing.assert_allclose(acc.scatter, [[2.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_allclose(acc.mean[0], [1.0, 0.0])
+        np.testing.assert_allclose(acc.scatter[0], [[2.0, 0.0], [0.0, 0.0]])
 
     def test_matches_block_formulas(self):
         rng = np.random.default_rng(17)
         pts = rng.standard_normal((100, 2)) * 5 + 1
         acc = accumulated(pts, 2)
         mean, scatter = block_moments(pts)
-        np.testing.assert_allclose(acc.mean, mean, rtol=1e-10)
-        np.testing.assert_allclose(acc.scatter, scatter, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(acc.mean[0], mean, rtol=1e-10)
+        np.testing.assert_allclose(acc.scatter[0], scatter, rtol=1e-10, atol=1e-12)
 
     def test_block_equivalence_thousand_points(self):
         rng = np.random.default_rng(23)
         pts = rng.standard_normal((1000, 3)) * np.array([1.0, 10.0, 100.0]) + rng.uniform(-5, 5, 3)
         acc = accumulated(pts, 3)
         mean, scatter = block_moments(pts)
-        np.testing.assert_allclose(acc.mean, mean, rtol=1e-10)
-        np.testing.assert_allclose(acc.scatter, scatter, rtol=1e-10)
+        np.testing.assert_allclose(acc.mean[0], mean, rtol=1e-10)
+        np.testing.assert_allclose(acc.scatter[0], scatter, rtol=1e-10)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(29)
         pts = rng.standard_normal((64, 2))
         a = accumulated(pts, 2)
         b = accumulated(pts[rng.permutation(64)], 2)
-        np.testing.assert_allclose(a.mean, b.mean, rtol=1e-10)
-        np.testing.assert_allclose(a.scatter, b.scatter, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(a.mean[0], b.mean[0], rtol=1e-10)
+        np.testing.assert_allclose(a.scatter[0], b.scatter[0], rtol=1e-10, atol=1e-12)
 
     def test_scatter_exactly_symmetric(self):
         rng = np.random.default_rng(31)
         acc = accumulated(rng.standard_normal((500, 2)) * 1e8, 2)
-        assert np.array_equal(acc.scatter, acc.scatter.T)
+        assert np.array_equal(acc.scatter[0], acc.scatter[0].T)
 
     def test_dimension_mismatch(self):
         for point in (np.zeros(3), np.zeros(1), np.zeros((2, 2))):
@@ -73,16 +77,16 @@ class TestPush:
 
 class TestCovariance:
     def test_empty_is_epsilon_eye(self):
-        np.testing.assert_allclose(accumulated([], 2).covariance(0.4), np.diag([0.4, 0.4]))
+        np.testing.assert_allclose(covariance(accumulated([], 2), 0.4), np.diag([0.4, 0.4]))
 
     def test_single_point_is_epsilon_eye(self):
         acc = accumulated([3.0, -1.0], 2)
-        np.testing.assert_allclose(acc.covariance(0.4), np.diag([0.4, 0.4]))
+        np.testing.assert_allclose(covariance(acc, 0.4), np.diag([0.4, 0.4]))
 
     def test_hand_computed_sample_covariance(self):
         acc = accumulated([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], 2)
         expected = np.array([[4 / 3 + 0.4, -2 / 3], [-2 / 3, 4 / 3 + 0.4]])
-        np.testing.assert_allclose(acc.covariance(0.4), expected, rtol=1e-12)
+        np.testing.assert_allclose(covariance(acc, 0.4), expected, rtol=1e-12)
 
     def test_always_positive_definite(self):
         rng = np.random.default_rng(37)
@@ -90,7 +94,7 @@ class TestCovariance:
             # degenerate cloud on a line: scatter is singular
             u = rng.standard_normal(n_points)
             acc = accumulated(np.stack([u, 2.0 * u], axis=1), 2)
-            eigs = np.linalg.eigvalsh(acc.covariance(0.4))
+            eigs = np.linalg.eigvalsh(covariance(acc, 0.4))
             assert eigs.min() > 0.0
 
 
@@ -118,36 +122,30 @@ class TestMomentStack:
         stack = MomentStack(2, 3)
         stack.push([1, 1], np.arange(6.0).reshape(2, 3))
         before = [a.copy() for a in (stack.count, stack.mean, stack.scatter)]
-        for rows, xs in (([], []), ([], np.empty((0, 3))), (repeat(0), np.empty((0, 3)))):
+        for rows, xs in (([], []), ([], np.empty((0, 3))), (np.empty(0, dtype=np.int64), np.empty((0, 3)))):
             stack.push(rows, xs)
             for held, now in zip(before, (stack.count, stack.mean, stack.scatter)):
                 np.testing.assert_array_equal(now, held)
 
-    def test_endless_rows_stop_at_the_last_point(self):
-        def rows(limit):
-            yield from repeat(0, limit)
-            raise AssertionError("push read a row past its last point")
-
-        for m in (1, 5):
-            stack = MomentStack(1, 2)
-            stack.push(rows(m), np.ones((m, 2)))
-            assert stack.count.tolist() == [m]
-            stack.push(repeat(0), np.ones((m, 2)))
-            assert stack.count.tolist() == [2 * m]
+    def test_push_rejects_rows_of_another_length(self):
+        stack = MomentStack(2, 2)
+        for rows, m in (([0], 2), ([0, 1, 1], 2), ([], 1), ([1], 0)):
+            with pytest.raises(ValueError, match=f"{len(rows)} rows given for {m} points"):
+                stack.push(rows, np.ones((m, 2)))
+        assert stack.count.tolist() == [0, 0]
+        np.testing.assert_array_equal(stack.mean, np.zeros((2, 2)))
 
     def test_running_moments_is_a_row_view(self):
         stack = MomentStack(3, 2)
         stack.push([1, 1], [np.array([1.0, 2.0]), np.array([3.0, 4.0])])
-        row = stack[1]
-        assert row.count == 2 and stack[0].count == 0
+        row = RunningMoments(stack, 1)
+        assert row.count == 2 and RunningMoments(stack, 0).count == 0
         np.testing.assert_array_equal(row.mean, [2.0, 3.0])
         stack.push([1], [np.array([5.0, 6.0])])
         assert row.count == 3
         np.testing.assert_array_equal(row.mean, [3.0, 4.0])
         assert stack.count.tolist() == [0, 3, 0]
-        assert [m.count for m in stack] == [0, 3, 0]
-        with pytest.raises(IndexError):
-            stack[3]
+        assert [RunningMoments(stack, j).count for j in range(3)] == [0, 3, 0]
 
     def test_stacked_covariance_matches_rows(self):
         rng = np.random.default_rng(43)
@@ -159,7 +157,8 @@ class TestMomentStack:
             count = int(stack.count[j])
             sample = stack.scatter[j] / (count - 1) if count >= 2 else np.zeros((3, 3))
             np.testing.assert_array_equal(covs[j], regularize(sample, 0.4))
-            np.testing.assert_array_equal(covs[j], stack[j].covariance(0.4))
+            alone = stacked_covariance(stack.count[j : j + 1], stack.scatter[j : j + 1], 0.4)[0]
+            np.testing.assert_array_equal(covs[j], alone)
         np.testing.assert_array_equal(
             stacked_covariance(stack.count[[4, 0]], stack.scatter[[4, 0]], 0.4), covs[[4, 0]]
         )

@@ -1,13 +1,12 @@
 import dataclasses
 import math
-from itertools import repeat
 
 import numpy as np
 import pytest
 
 import paim.sampler
 from paim.gaussian import cholesky
-from paim.moments import MomentStack
+from paim.moments import MomentStack, stacked_covariance
 from paim.sampler import (
     BLOCK,
     ChainEnsemble,
@@ -509,7 +508,7 @@ class TestAssign:
                 rows[n] = reference.welford_push(*rows[n], x)
             for x, j in zip(new, per_state_assignment(new, held["means"])):
                 rows[j] = reference.welford_push(*rows[j], x)
-            stack = state.global_moments.stack
+            stack = state.moments
             for j, (count, mean, scatter) in enumerate(rows):
                 assert stack.count[j] == count
                 np.testing.assert_array_equal(stack.mean[j], mean)
@@ -539,9 +538,9 @@ class TestRefreshedProposals:
     def test_global_component_shared_exactly(self):
         rng = np.random.default_rng(50)
         moments = MomentStack(5, 2)
-        moments.push(repeat(4), rng.standard_normal((40, 2)))
+        moments.push([4] * 40, rng.standard_normal((40, 2)))
         for i in range(4):
-            moments.push(repeat(i), rng.standard_normal((i + 1, 2)))
+            moments.push([i] * (i + 1), rng.standard_normal((i + 1, 2)))
         chains = refit_ensemble(moments, 0.4)
         for j in range(1, 4):
             assert all(np.array_equal(held[j, 0], held[0, 0]) for held in (chains.means, chains.covs))
@@ -589,7 +588,7 @@ class TestRefreshedProposals:
         for d in (1, 2, 3):
             moments = MomentStack(6, d)
             for j, n_points in enumerate((0, 1, 2, 5, 30, 40)):
-                moments.push(repeat(j), rng.standard_normal((n_points, d)) * 3.0)
+                moments.push([j] * n_points, rng.standard_normal((n_points, d)) * 3.0)
             chains = refit_ensemble(moments, 0.4)
             first = [getattr(chains, name).copy() for name in names]
             refit_ensemble(moments, 0.4, chains)
@@ -612,10 +611,15 @@ class TestRefreshedProposals:
                 x = rng.standard_normal(d) * rng.uniform(0.5, 4.0, d)
                 moments.push([6, int(rng.integers(0, 5))], [x, x])  # row 5 stays empty
             chains = refit_ensemble(moments, 0.3)
-            g = moments[6]
-            shared = (g.mean.copy(), g.covariance(0.3))
+
+            def fit(j):
+                """Row j's mean and covariance, computed from that row alone."""
+                cov = stacked_covariance(moments.count[j : j + 1], moments.scatter[j : j + 1], 0.3)[0]
+                return moments.mean[j].copy(), cov
+
+            shared = fit(6)
             for j in range(6):
-                fresh = (moments[j].mean.copy(), moments[j].covariance(0.3))
+                fresh = fit(j)
                 for c, (mean, cov) in enumerate((shared, fresh)):
                     lower, log_det_half = cholesky(cov)
                     np.testing.assert_array_equal(chains.means[j, c], mean)
@@ -704,6 +708,10 @@ class TestPaimConfig:
         cfg.init_means = np.zeros((4, 2, 3))
         with pytest.raises(ValueError, match="init_means"):
             cfg.validate()
+        cfg = small_config()
+        cfg.init_states = np.zeros((3, 2))
+        with pytest.raises(ValueError, match=r"^init_states must have shape \(4, 2\), got \(3, 2\)$"):
+            cfg.validate()
 
 
 class InvariantProbe:
@@ -721,8 +729,11 @@ class InvariantProbe:
         if state.step < self.config.t_stop:
             self.expected_assigned += state.total_drawn - self.prev_drawn
         self.prev_drawn = state.total_drawn
-        assert sum(c.count for c in state.clusters) == self.expected_assigned
-        assert state.global_moments.count == self.expected_assigned - self.config.n_chains
+        counts = state.moments.count
+        assert counts[:-1].sum() == self.expected_assigned
+        assert counts[-1] == self.expected_assigned - self.config.n_chains
+        # ``clusters`` are live views of the first n rows
+        assert [c.count for c in state.clusters] == counts[:-1].tolist()
         if self.config.t_train < state.step < self.config.t_stop:
             means, covs = state.chains.means, state.chains.covs
             for j in range(self.config.n_chains):
@@ -803,7 +814,7 @@ class TestRunPaim:
         seen = []
 
         def watch(state):
-            seen.append((state.step, sum(c.count for c in state.clusters)))
+            seen.append((state.step, int(state.moments.count[:-1].sum())))
 
         record = run_paim(cfg, self.banana(), on_step=watch)
         counts = dict(seen)
@@ -854,7 +865,7 @@ class TestRunPaim:
 
         def watch(state):
             if state.step == cfg.t_train + 1:
-                first["counts"] = [c.count for c in state.clusters]
+                first["counts"] = state.moments.count[:-1].tolist()
                 first["means"] = state.chains.means.copy()
                 first["covs"] = state.chains.covs.copy()
 
@@ -911,7 +922,8 @@ def test_sample_indices_match_a_step_by_step_walk(n, t_total):
             done[j] += 1
             for values, value in zip(expected, (t, j, done[j])):
                 values.append(value)
-    for got, want in zip(sample_indices(activity, last), expected):
+    total = int(activity[:-1].sum()) + last
+    for got, want in zip(sample_indices(activity, total), expected):
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
 

@@ -165,6 +165,13 @@ class TestGridExpectation:
             grid_expectation(tgt, [1.0, -1.0], [1.0, 1.0], 11)
         with pytest.raises(ValueError):
             grid_expectation(tgt, [-1.0, -1.0], [1.0, 1.0], 1)
+        with pytest.raises(ValueError, match=r"^grid bounds must have shape \(2,\)$"):
+            grid_expectation(tgt, [-1.0] * 3, [1.0] * 3, 3)
+        for lower, upper in (([[-1.0, -1.0]], [[1.0, 1.0]]), ([-1.0, -1.0], [1.0, 1.0, 1.0])):
+            with pytest.raises(ValueError, match="^grid bounds must be 1-D vectors of equal length$"):
+                grid_expectation(tgt, lower, upper, 3)
+        with pytest.raises(ValueError, match="^tensor grids are limited to dim <= 3$"):
+            grid_expectation(make_gaussian_target(np.zeros(4), np.eye(4)), [-1.0] * 4, [1.0] * 4, 3)
 
 
 def nan_right_half():
