@@ -50,6 +50,7 @@ def make_target(name: str, params: Optional[dict] = None) -> TargetDensity:
         raise ConfigError("target params must be a JSON object")
     try:
         if name == "banana":
+            _check_fields(params, ("b", "eta1", "eta2", "eta3"), "target.params.")
             return make_banana_target(BananaParams(**params))
         if name == "gaussian":
             _check_fields(params, ("mean", "cov", "sigma"), "target.params.")

@@ -47,10 +47,17 @@ class MomentStack:
 
         ``xs`` holds the points (m, d) and ``rows`` their m row indices;
         a length mismatch is a ValueError. Each point updates its row's
-        count and mean on its own, in order. The scatter increments are
-        then formed in one stacked product and added to their rows in the
-        same order, so a row ends with the bits it gets from the same
-        points pushed into it alone, one at a time.
+        count and mean on its own, in order: the mean recurrence
+        ``mean + (x - mean) / count`` runs one coordinate at a time over
+        Python floats, whose ``-``, ``/`` and ``+`` round exactly as
+        numpy's do. The deltas from each point's pre-push mean are then
+        one numpy subtract, so an overflow warns or raises under the
+        caller's ``np.errstate``, and the scatter increments are formed
+        in one stacked product and added to their rows in the same
+        order. A row thus ends with the bits it gets from the same points
+        pushed into it alone, one at a time. Python floats signal nothing,
+        so a point pushed into a mean already at inf makes it NaN without
+        a warning; the overflow that made the inf has warned or raised.
         """
         xs = np.asarray(xs, dtype=float)
         if len(rows) != len(xs):
@@ -61,19 +68,27 @@ class MomentStack:
         if xs.shape[1:] != mean.shape[1:]:
             raise ValueError(f"points of shape {xs.shape[1:]} pushed into accumulators of dim {mean.shape[1]}")
         counts = self.count.tolist()
-        deltas = np.empty(xs.shape)
-        scale = []
-        for k, j in enumerate(rows):
-            m = mean[j]
-            delta = np.subtract(xs[k], m, out=deltas[k])
+        after = []  # each point's row count once it is in
+        for j in rows:
             c = counts[j] + 1
             counts[j] = c
-            m += delta / c
-            scale.append((c - 1) / c)
+            after.append(c)
+        before = np.empty(xs.shape)  # each point's row mean before it
+        for i in range(xs.shape[1]):
+            mu = mean[:, i].tolist()
+            pre = []
+            for j, x, c in zip(rows, xs[:, i].tolist(), after):
+                m = mu[j]
+                pre.append(m)
+                mu[j] = m + (x - m) / c
+            mean[:, i] = mu
+            before[:, i] = pre
+        deltas = xs - before
+        after = np.array(after, dtype=float)
         # (x - new mean) is delta * (c-1)/c, so each outer-product
         # increment stays symmetric to the last bit; np.add.at adds them
         # unbuffered, so a row's increments land one after another.
-        np.add.at(self.scatter, rows, deltas[:, :, None] * deltas[:, None, :] * np.array(scale)[:, None, None])
+        np.add.at(self.scatter, rows, deltas[:, :, None] * deltas[:, None, :] * ((after - 1) / after)[:, None, None])
         self.count[:] = counts
 
 

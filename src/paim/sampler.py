@@ -53,7 +53,9 @@ clusters and the global fit are rows 0..N-1 and N of the arrays of one
 Every adaptive step, the last one included, finds each new state's
 nearest local mean with one distance matrix (:func:`assign`) and makes
 one batched push: every new state into the global row and into its
-cluster, each row in generation order. A refresh computes the
+cluster, each row in generation order. The push runs the Welford mean
+recurrence over Python floats, one coordinate at a time, and forms the
+scatter increments in one stacked product. A refresh computes the
 covariances of every row in one stacked step and factors them with one
 stacked :func:`cholesky` call, writing the results straight into the
 ensemble.

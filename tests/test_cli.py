@@ -502,6 +502,11 @@ BAD_INPUTS = {
         "bad config value: target.params.weights must be a number or a list of numbers, got ['0.5', '0.5']",
     ),
     # a misspelt target parameter would leave its default in place: equal weights, or sigma 1
+    "banana-unknown-key": (run_argv(banana(bb=1)), "unknown config field: target.params.bb"),
+    "oracle-banana-unknown-key": (
+        lambda _: ["oracle", "--params", '{"b": 5, "bb": 1}'],
+        "unknown config field: target.params.bb",
+    ),
     "mixture-unknown-key": (run_argv(mixture(weight=[0.9, 0.1])), "unknown config field: target.params.weight"),
     "oracle-mixture-unknown-key": (
         lambda _: ["oracle", "--target", "gaussian_mixture", "--params",

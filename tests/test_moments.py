@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,25 +100,103 @@ class TestCovariance:
             assert eigs.min() > 0.0
 
 
+def same_bits(a, b) -> bool:
+    """Equal bit for bit: -0.0 differs from 0.0, and NaNs compare by payload."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def fp_errors(caught) -> list:
+    """The kinds of the numpy floating-point warnings in ``caught``, e.g.
+    'overflow' or 'invalid value', without the ufunc that raised them."""
+    return sorted({str(w.message).split(" encountered")[0] for w in caught})
+
+
+def pushed_alone(n, d, batches):
+    """Rows (count, mean, scatter) after pushing every ``(rows, xs)`` batch
+    one point at a time with the reference update, and the kinds of
+    floating-point warnings of each batch."""
+    alone = [(0, np.zeros(d), np.zeros((d, d))) for _ in range(n)]
+    errors = []
+    for rows, xs in batches:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for j, x in zip(rows, np.asarray(xs, dtype=float)):
+                alone[j] = reference.welford_push(*alone[j], x)
+        errors.append(fp_errors(caught))
+    return alone, errors
+
+
+def assert_rows_match(stack, alone):
+    for j, (count, mean, scatter) in enumerate(alone):
+        assert stack.count[j] == count
+        assert same_bits(stack.mean[j], mean), (j, stack.mean[j], mean)
+        assert same_bits(stack.scatter[j], scatter), (j, stack.scatter[j], scatter)
+
+
 class TestMomentStack:
     def test_rows_match_sequential_single_pushes(self):
         rng = np.random.default_rng(41)
         for d in range(1, 7):
-            for scale in (1e-8, 1.0, 1e8):
+            # 0.0 makes signed-zero points; 1e-310 subnormal ones
+            for scale in (0.0, 1e-310, 1e-8, 1.0, 1e8):
                 stack = MomentStack(4, d)
-                alone = [(0, np.zeros(d), np.zeros((d, d))) for _ in range(4)]
+                batches = []
                 for size in (0, 1, 2, 7, 40, 300, 1, 0, 13):
                     # a step's states: most go to the global row (row 3), the
                     # rest to the clusters, often several to the same one
-                    rows = np.where(rng.random(size) < 0.6, 3, rng.integers(0, 3, size))
+                    rows = np.where(rng.random(size) < 0.6, 3, rng.integers(0, 3, size)).tolist()
                     xs = (rng.standard_normal((size, d)) + rng.uniform(-3, 3, d)) * scale
-                    stack.push(rows.tolist(), xs)
-                    for j, x in zip(rows, xs):
-                        alone[j] = reference.welford_push(*alone[j], x)
-                for j, (count, mean, scatter) in enumerate(alone):
-                    assert stack.count[j] == count
-                    np.testing.assert_array_equal(stack.mean[j], mean)
-                    np.testing.assert_array_equal(stack.scatter[j], scatter)
+                    stack.push(rows, xs)
+                    batches.append((rows, xs))
+                alone, errors = pushed_alone(4, d, batches)
+                assert_rows_match(stack, alone)
+                assert not any(errors)
+
+    def test_overflow_raises_under_errstate_raise(self):
+        stack = MomentStack(2, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack.push([0], [[-1e308, 0.0]])
+        # x - mean overflows; the mean recurrence over Python floats alone
+        # would signal nothing
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow encountered in subtract"):
+            stack.push([1, 0], [[1.0, 2.0], [1e308, 0.0]])
+
+    def test_overflow_warns_as_single_pushes(self):
+        batches = [
+            ([0, 1], [[-1e308, 1.0], [2.0, 3.0]]),  # row 0's scatter overflows
+            ([1, 0], [[4.0, 5.0], [1e308, 2.0]]),  # x - mean overflows: row 0's mean goes to inf
+            ([0, 1], [[3.0, 0.0], [5.0, 6.0]]),  # a point into that mean
+        ]
+        stack = MomentStack(2, 2)
+        errors = []
+        with np.errstate(all="warn"):
+            alone, expected = pushed_alone(2, 2, batches)
+            for rows, xs in batches:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    stack.push(rows, xs)
+                errors.append(fp_errors(caught))
+        assert_rows_match(stack, alone)
+        assert errors[:2] == expected[:2] == [["invalid value", "overflow"], ["overflow"]]
+        # The mean recurrence runs on Python floats, which signal nothing:
+        # the NaN that a point makes of a mean already at inf comes without
+        # numpy's second warning, after the overflow has warned once.
+        assert np.isnan(stack.mean[0, 0])
+        assert (errors[2], expected[2]) == ([], ["invalid value"])
+
+    def test_rows_as_list_range_or_int_array(self):
+        xs = np.random.default_rng(47).standard_normal((5, 3))
+
+        def built(rows):
+            stack = MomentStack(5, 3)
+            stack.push(rows, xs)
+            stack.push(rows, xs[::-1])
+            return stack.count, stack.mean, stack.scatter
+
+        for listed, more in (([4, 0, 4, 4, 1], ()), ([0, 1, 2, 3, 4], (range(5),))):
+            for rows in (np.array(listed), np.array(listed, dtype=np.int32), *more):
+                assert all(same_bits(a, b) for a, b in zip(built(rows), built(listed))), rows
 
     def test_empty_push_changes_nothing(self):
         stack = MomentStack(2, 3)
