@@ -20,10 +20,20 @@ import os
 import re
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from .harness import ConfigError, ExperimentConfig, emit_outputs, make_target, replicate, usable_workers
+from .harness import (
+    ConfigError,
+    ExperimentConfig,
+    default_grid,
+    emit_outputs,
+    make_target,
+    replicate,
+    usable_workers,
+    write_json,
+)
 from .targets import AllZeroMass, grid_expectation
 
 
@@ -68,19 +78,21 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_p = sub.add_parser("oracle", help="print the grid-oracle E[X] of a target")
     oracle_p.add_argument("--target", default="banana", help="target name (banana, gaussian, gaussian_mixture)")
     oracle_p.add_argument("--params", default=None, help="JSON object of target parameters")
-    oracle_p.add_argument("--bounds", type=float, nargs=2, default=[-15.0, 15.0], metavar=("LOW", "HIGH"),
-                          help="per-axis grid bounds")
-    oracle_p.add_argument("--points", type=int, default=2001, help="grid points per axis")
+    oracle_p.add_argument("--bounds", type=float, nargs=2, default=None, metavar=("LOW", "HIGH"),
+                          help="per-axis grid bounds (default: -15 15)")
+    oracle_p.add_argument("--points", type=int, default=None,
+                          help="grid points per axis (default: 2001, or 201 for a 3-D target)")
     oracle_p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 
 def cmd_run(args) -> int:
     config = ExperimentConfig.load(args.config)
+    # replace() runs the config's checks again, on the overridden value.
     if args.seed is not None:
-        config.base_seed = args.seed
+        config = replace(config, base_seed=args.seed)
     if args.out is not None:
-        config.output_dir = args.out
+        config = replace(config, output_dir=args.out)
     report = replicate(config, args.workers)
     if len(report.records) == 1:
         (record,) = report.records.values()
@@ -95,43 +107,45 @@ def cmd_run(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    workers = usable_workers(args.workers)  # checked before the grid oracle runs
-    truth = grid_expectation(make_target("banana"), [-15.0, -15.0], [15.0, 15.0], 2001)
+    # The workers and every cell's config are checked before the grid oracle runs.
+    workers = usable_workers(args.workers)
+    configs = {
+        (t_train, n): ExperimentConfig(
+            algorithm="both",
+            target_name="banana",
+            target_params={},
+            n_chains=n,
+            total_samples=args.samples,
+            t_train=t_train,
+            box_lower=[-15.0, -15.0],
+            box_upper=[15.0, 15.0],
+            sigma=10.0,
+            replications=args.reps,
+            base_seed=args.seed,
+        )
+        for t_train in args.ttrain
+        for n in args.n
+    }
+    grid = default_grid(2)
+    truth = grid_expectation(make_target("banana"), grid.lower, grid.upper, grid.points_per_axis)
     cells: dict[tuple[int, int], float] = {}
-    total, done = len(args.ttrain) * len(args.n), 0
+    total, done = len(configs), 0
     start = last = time.perf_counter()
-    for t_train in args.ttrain:
-        for n in args.n:
-            config = ExperimentConfig(
-                algorithm="both",
-                target_name="banana",
-                target_params={},
-                n_chains=n,
-                total_samples=args.samples,
-                t_train=t_train,
-                box_lower=[-15.0, -15.0],
-                box_upper=[15.0, 15.0],
-                sigma=10.0,
-                replications=args.reps,
-                base_seed=args.seed,
-                truth=truth,
-            )
-            report = replicate(config, workers)
-            cells[(t_train, n)] = report.reduction_pct
-            if args.out is not None:
-                cell_dir = os.path.join(args.out, f"ttrain{t_train}_n{n}")
-                os.makedirs(cell_dir, exist_ok=True)
-                with open(os.path.join(cell_dir, "summary.json"), "w", encoding="utf-8") as fh:
-                    json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            print(f"cell t_train={t_train} n={n}: reduction {report.reduction_pct:.2f}%", flush=True)
-            # Progress goes to stderr, so that stdout holds only the results.
-            # The ETA assumes each cell left costs the mean of those done.
-            done += 1
-            now = time.perf_counter()
-            print(f"cell {done}/{total} t_train={t_train} n={n}: {now - last:.1f} s, "
-                  f"ETA {(now - start) / done * (total - done):.0f} s", file=sys.stderr, flush=True)
-            last = now
+    for (t_train, n), config in configs.items():
+        report = replicate(replace(config, truth=truth), workers)
+        cells[(t_train, n)] = report.reduction_pct
+        if args.out is not None:
+            cell_dir = os.path.join(args.out, f"ttrain{t_train}_n{n}")
+            os.makedirs(cell_dir, exist_ok=True)
+            write_json(os.path.join(cell_dir, "summary.json"), report.to_dict())
+        print(f"cell t_train={t_train} n={n}: reduction {report.reduction_pct:.2f}%", flush=True)
+        # Progress goes to stderr, so that stdout holds only the results.
+        # The ETA assumes each cell left costs the mean of those done.
+        done += 1
+        now = time.perf_counter()
+        print(f"cell {done}/{total} t_train={t_train} n={n}: {now - last:.1f} s, "
+              f"ETA {(now - start) / done * (total - done):.0f} s", file=sys.stderr, flush=True)
+        last = now
 
     print()
     print(f"MSE reduction (%) of adaptive vs fixed proposals, banana target, "
@@ -147,10 +161,12 @@ def cmd_benchmark(args) -> int:
 def cmd_oracle(args) -> int:
     params = json.loads(args.params) if args.params else {}
     target = make_target(args.target, params)
-    low, high = args.bounds
-    lower = np.full(target.dim, low)
-    upper = np.full(target.dim, high)
-    value = grid_expectation(target, lower, upper, args.points)
+    grid = default_grid(target.dim)
+    if args.bounds is not None:
+        grid = replace(grid, lower=np.full(target.dim, args.bounds[0]), upper=np.full(target.dim, args.bounds[1]))
+    if args.points is not None:
+        grid = replace(grid, points_per_axis=args.points)
+    value = grid_expectation(target, grid.lower, grid.upper, grid.points_per_axis)
     print("E[X]: " + " ".join(f"{v:.17g}" for v in value))
     return 0
 
@@ -165,6 +181,9 @@ def main(argv=None) -> int:
         return cmd_oracle(args)
     except (ConfigError, AllZeroMass, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

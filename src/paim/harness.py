@@ -95,6 +95,13 @@ class GridSpec:
     points_per_axis: int
 
 
+def default_grid(dim: int) -> GridSpec:
+    """The oracle's grid when none is given: -15 to 15 on every axis, with
+    2001 points per axis up to 2-D and 201 in 3-D, where 2001 would score
+    2001 times as many points as the whole 2-D grid."""
+    return GridSpec(np.full(dim, -15.0), np.full(dim, 15.0), 2001 if dim <= 2 else 201)
+
+
 # The keys of a config file, per section ("" is the top level).
 CONFIG_FIELDS = {
     "": ("algorithm", "target", "sampler", "init", "replications", "base_seed", "output_dir", "truth"),
@@ -129,6 +136,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r} (expected paim, ipc, or both)")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be non-negative, got {self.base_seed}")
         # Checked once per study, before the grid oracle runs.
         try:
             check_box("initialization box", self.box_lower, self.box_upper)
@@ -255,8 +264,7 @@ def resolve_truth(config: ExperimentConfig, target: TargetDensity) -> np.ndarray
     if truth is None:
         raise ConfigError("no ground truth: give a truth vector or a grid directive")
     if isinstance(truth, str) and truth == "grid":
-        d = target.dim
-        truth = GridSpec(np.full(d, -15.0), np.full(d, 15.0), 2001 if d <= 2 else 201)
+        truth = default_grid(target.dim)
     if isinstance(truth, GridSpec):
         return grid_expectation(target, truth.lower, truth.upper, truth.points_per_axis)
     truth = np.asarray(truth, dtype=float)
@@ -570,16 +578,12 @@ def emit_outputs(record: RunRecord, report: Optional[SummaryReport], out_dir: st
     written.append(path)
 
     path = os.path.join(out_dir, "params.json")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(_params_payload(record), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, _params_payload(record))
     written.append(path)
 
     if report is not None:
         path = os.path.join(out_dir, "summary.json")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, report.to_dict())
         written.append(path)
 
     path = os.path.join(out_dir, "ellipses.csv")
@@ -588,6 +592,14 @@ def emit_outputs(record: RunRecord, report: Optional[SummaryReport], out_dir: st
     written.append(path)
 
     return written
+
+
+def write_json(path: str, payload) -> None:
+    """Write ``payload`` to ``path`` as every JSON output file is written:
+    indented by 2, keys sorted, with a trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _params_payload(record: RunRecord) -> dict:
@@ -610,14 +622,14 @@ def _params_payload(record: RunRecord) -> dict:
     }
 
 
-def ellipse_radius(dim: int, mass: float = ELLIPSE_MASS) -> float:
-    """Mahalanobis radius of the ellipsoid holding ``mass`` probability:
-    the square root of the chi-square(dim) quantile at ``mass``."""
+def ellipse_radius(dim: int) -> float:
+    """Mahalanobis radius of the ellipsoid holding ``ELLIPSE_MASS``
+    probability: the square root of the chi-square(dim) quantile at it."""
     # Imported here, not at the top: scipy costs more start-up time and
     # memory than the rest of paim, and only file output needs it.
     from scipy.special import gammaincinv
 
-    return float(np.sqrt(2.0 * gammaincinv(dim / 2.0, mass)))
+    return float(np.sqrt(2.0 * gammaincinv(dim / 2.0, ELLIPSE_MASS)))
 
 
 def _ellipses_csv(record: RunRecord) -> str:

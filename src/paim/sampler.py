@@ -16,7 +16,10 @@ proposal parameters and the active set are refreshed. A chain whose
 cluster holds a small share of the assigned states is suspended, which
 reallocates its iterations to better-placed chains; its local mean
 keeps competing for new states, so it is revived as soon as its share
-grows back.
+grows back. The run record keeps only what the chains produced: the
+samples, their acceptance flags, each step's active set and the final
+proposals. Both clocks of each sample, and each chain's budget, are read
+from the active sets (:class:`RunRecord`).
 
 The fixed-proposal baseline, :func:`run_ipc`, is this same sampler with
 adaptation off. A step's chains advance together through
@@ -65,6 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -116,14 +120,13 @@ class ChainEnsemble:
     """The N chains of one run: states, streams, target values, proposals.
 
     Row j of every array belongs to chain j: ``current`` (n, d) is its
-    state, ``iterations`` its iteration count and ``rngs[j]`` its random
-    stream. The ensemble owns the run's ``target``, and ``log_target[j]``
-    is the target log-density at chain j's state. That is the one cached
-    density: the target never changes and is the costly one, so every
-    state is scored under it once, the initial states here and each
-    candidate when it is drawn. The mixture density at a state is not
-    cached, because an adaptive step refits every proposal;
-    :meth:`advance` rescores the states it runs.
+    state and ``rngs[j]`` its random stream. The ensemble owns the run's
+    ``target``, and ``log_target[j]`` is the target log-density at chain
+    j's state. That is the one cached density: the target never changes
+    and is the costly one, so every state is scored under it once, the
+    initial states here and each candidate when it is drawn. The mixture
+    density at a state is not cached, because an adaptive step refits
+    every proposal; :meth:`advance` rescores the states it runs.
 
     The ensemble is the only holder of the proposal parameters: means
     ``means`` (n, 2, d), covariances ``covs`` (n, 2, d, d), their
@@ -138,7 +141,6 @@ class ChainEnsemble:
         n, d = self.current.shape
         self.rngs = list(rngs)
         self.target = target
-        self.iterations = np.zeros(n, dtype=np.int64)
         self.log_target: list[float] = target.log_density_batch(self.current).tolist()
         self.means = np.array(np.broadcast_to(means, (n, 2, d)), dtype=float)
         self.covs = np.array(np.broadcast_to(covs, (n, 2, d, d)), dtype=float)
@@ -226,7 +228,6 @@ class ChainEnsemble:
                 held.append(row)
         states = pool[held].reshape(m, steps, d).swapaxes(0, 1)
         self.current[run] = states[-1]
-        self.iterations[run] += steps
         return states, np.array(accepted, dtype=bool).reshape(m, steps).T
 
 
@@ -375,20 +376,42 @@ class SchedulerState:
 
 @dataclass
 class RunRecord:
-    """Everything one run produced, in generation order."""
+    """Everything one run produced, in generation order.
+
+    Step t ran the chains of ``activity[t]`` in ascending index until L
+    samples were drawn, so the samples are the first L cells of
+    ``activity`` in row-major order. Which step, chain and per-chain
+    iteration made each sample, and each chain's budget, follow from
+    that: they are read from ``activity`` once, on first use, and are not
+    stored.
+    """
 
     samples: np.ndarray            # (L, dim)
-    sample_step: np.ndarray        # (L,) step index of each sample
-    sample_chain: np.ndarray       # (L,) chain index of each sample
-    sample_iteration: np.ndarray   # (L,) per-chain iteration number, 1-based
     sample_accepted: np.ndarray    # (L,) whether the candidate was accepted
     activity: np.ndarray           # (t_total, n_chains) active set per step; the last step
                                    # runs only its first L - drawn active chains
-    budgets: np.ndarray            # (n_chains,) final per-chain iteration counts
     proposal_means: np.ndarray     # (n_chains, 2, dim) final global and local means
     proposal_covs: np.ndarray      # (n_chains, 2, dim, dim) final global and local covariances
     global_mean: Optional[np.ndarray]
     global_cov: Optional[np.ndarray]
+
+    @cached_property
+    def _indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        steps, chains = (cells[: len(self.samples)] for cells in np.nonzero(self.activity))
+        budgets = np.bincount(chains, minlength=self.n_chains)
+        # A stable sort lists each chain's samples in generation order, and
+        # the i-th sample of a chain is its iteration i.
+        order = np.argsort(chains, kind="stable")
+        rank = np.arange(1, chains.size + 1)
+        rank -= np.repeat(np.cumsum(budgets) - budgets, budgets)
+        iterations = np.empty_like(rank)
+        iterations[order] = rank
+        return steps, chains, iterations, budgets
+
+    sample_step = property(lambda self: self._indices[0], doc="(L,) step index of each sample")
+    sample_chain = property(lambda self: self._indices[1], doc="(L,) chain index of each sample")
+    sample_iteration = property(lambda self: self._indices[2], doc="(L,) 1-based per-chain iteration of each sample")
+    budgets = property(lambda self: self._indices[3], doc="(n_chains,) iterations each chain ran")
 
     @property
     def t_total(self) -> int:
@@ -418,33 +441,6 @@ def chain_streams(seed: int, n_chains: int) -> list[np.random.Generator]:
     is unchanged by how many other chains happen to be active.
     """
     return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n_chains)]
-
-
-def sample_indices(activity: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step, chain and 1-based per-chain iteration of each of a run's ``total`` samples.
-
-    Step t ran the chains of ``activity[t]`` in ascending index until
-    ``total`` samples were drawn, so the samples are the first ``total``
-    cells of ``activity`` in row-major order. The rows are read about
-    :data:`BLOCK` cells at a time, so the temporaries do not grow with
-    the run.
-    """
-    t_total, n = activity.shape
-    steps, chains, iterations = (np.empty(total, dtype=np.int64) for _ in range(3))
-    before = np.zeros(n, dtype=np.int64)  # each chain's iterations before the chunk
-    chunk = max(1, BLOCK // n)
-    k = 0
-    for first in range(0, t_total, chunk):
-        ran = activity[first : first + chunk]
-        rows, cols = (cells[: total - k] for cells in np.nonzero(ran))
-        counts = np.cumsum(ran, axis=0, dtype=np.int64) + before
-        end = k + rows.size
-        steps[k:end] = rows + first
-        chains[k:end] = cols
-        iterations[k:end] = counts[rows, cols]
-        before = counts[-1]
-        k = end
-    return steps, chains, iterations
 
 
 def run_paim(
@@ -538,19 +534,11 @@ def run_paim(
             state.active = active
             on_step(state)
 
-    activity = np.repeat(np.stack(activity_rows), activity_steps, axis=0)
-    # Which step, chain and iteration made each sample follows from the active
-    # sets, so the loop records only what the chains produced.
-    sample_step, sample_chain, sample_iteration = sample_indices(activity, total)
     fitted = moments.count[n] > 0  # the global row; a run that never adapts leaves it empty
     return RunRecord(
         samples=samples,
-        sample_step=sample_step,
-        sample_chain=sample_chain,
-        sample_iteration=sample_iteration,
         sample_accepted=sample_accepted,
-        activity=activity,
-        budgets=chains.iterations.copy(),
+        activity=np.repeat(np.stack(activity_rows), activity_steps, axis=0),
         proposal_means=chains.means,
         proposal_covs=chains.covs,
         global_mean=moments.mean[n].copy() if fitted else None,

@@ -90,26 +90,39 @@ def make_banana_target(params: BananaParams = BananaParams()) -> TargetDensity:
     return TargetDensity(2, log_density)
 
 
+def check_finite(**arrays) -> None:
+    """Raise ValueError naming the first of ``arrays`` with a non-finite entry."""
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+
+
 def make_gaussian_target(mean, cov) -> TargetDensity:
-    """Gaussian target; rejects an asymmetric or non-PD covariance at construction."""
+    """Gaussian target; rejects a non-finite mean and an asymmetric, non-PD
+    or non-finite covariance at construction."""
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
         raise ValueError(f"a mean of shape {mean.shape} does not match a cov of shape {cov.shape}")
+    check_finite(mean=mean, cov=cov)
     check_symmetric(cov)
     lower, log_det_half = cholesky(cov)
     return TargetDensity(mean.shape[0], lambda xs: log_gaussian_pdf_stacked(xs - mean, lower, log_det_half))
 
 
 def make_gaussian_mixture_target(means, covs, weights=None) -> TargetDensity:
-    """Finite Gaussian mixture target, evaluated in log space; rejects an
-    asymmetric or non-PD covariance at construction."""
+    """Finite Gaussian mixture target, evaluated in log space; rejects
+    non-finite means, asymmetric, non-PD or non-finite covariances and
+    weights that are not positive and finite at construction."""
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
     k, d = means.shape
     weights = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=float)
     if covs.shape != (k, d, d) or weights.shape != (k,):
         raise ValueError(f"{k} means of dimension {d} need covs of shape ({k}, {d}, {d}) and {k} weights")
+    check_finite(means=means, covs=covs)
+    if not (np.isfinite(weights).all() and (weights > 0.0).all()):
+        raise ValueError("weights must be positive and finite")
     check_symmetric(covs)
     lowers, log_det_halves = cholesky(covs)
     log_w = np.log(weights)

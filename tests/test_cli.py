@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import paim.cli
 import paim.harness
 from paim.cli import main
 
@@ -177,7 +178,9 @@ def test_benchmark_table1_prints_cells_and_table_and_writes_summaries(tmp_path, 
     args = ["benchmark", "table1", "--n", "5", "--ttrain", "1", "--reps", "2", "--samples", "200", "--out", str(out)]
     assert main(args) == 0
     lines = capsys.readouterr().out.splitlines()
-    summary = json.loads((out / "ttrain1_n5" / "summary.json").read_text(encoding="utf-8"))
+    text = (out / "ttrain1_n5" / "summary.json").read_text(encoding="utf-8")
+    summary = json.loads(text)
+    assert text == json.dumps(summary, indent=2, sort_keys=True) + "\n"  # as paim run writes it
     assert summary["replications"] == 2 and summary["target"] == "banana"
     assert [len(b) for b in summary["paim"]["budgets"]] == [5, 5]
     reduction = summary["reduction_pct"]
@@ -209,6 +212,27 @@ def test_benchmark_table1_is_the_same_for_any_worker_count(tmp_path, capsys, two
         for done, (line, cell) in enumerate(zip(progress, ["t_train=1 n=5", "t_train=1 n=10", "t_train=10 n=5",
                                                            "t_train=10 n=10"]), 1):
             assert re.fullmatch(rf"cell {done}/4 {cell}: \d+\.\d s, ETA \d+ s", line), line
+
+
+def test_benchmark_table1_checks_every_cell_before_the_grid_oracle(capsys, monkeypatch):
+    def oracle(*args):
+        raise AssertionError("the grid oracle ran")
+
+    monkeypatch.setattr(paim.cli, "grid_expectation", oracle)
+    args = ["benchmark", "table1", "--n", "5,10", "--ttrain", "1", "--reps", "1", "--samples", "8"]
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: total_samples must be at least n_chains"]
+
+
+@pytest.mark.parametrize("dim, points", [(1, 2001), (2, 2001), (3, 201)])
+def test_oracle_default_grid_is_the_harness_default(capsys, monkeypatch, dim, points):
+    calls = []
+    monkeypatch.setattr(paim.cli, "grid_expectation", lambda target, *grid: calls.append(grid) or np.zeros(dim))
+    assert main(["oracle", "--target", "gaussian", "--params", json.dumps({"mean": [0.0] * dim})]) == 0
+    ((lower, upper, got),) = calls
+    assert got == points
+    np.testing.assert_array_equal(lower, [-15.0] * dim)
+    np.testing.assert_array_equal(upper, [15.0] * dim)
 
 
 def test_benchmark_table1_without_replications_exits_2(capsys):
@@ -548,6 +572,39 @@ BAD_INPUTS = {
         run_argv(lambda c: c.update(truth={"grid": {"lower": [0, 0], "upper": [1, 1], "points_per_axis": 11,
                                                     "pts": 5}})),
         "unknown config field: truth.grid.pts",
+    ),
+    "oracle-mixture-weights-negative": (
+        lambda _: ["oracle", "--target", "gaussian_mixture", "--params",
+                   '{"means": [[0, 0], [6, 0]], "covs": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]], "weights": [-0.5, 1.5]}'],
+        "bad parameters for target 'gaussian_mixture': weights must be positive and finite",
+    ),
+    # JSON reads 1e400 as inf
+    "gaussian-mean-overflows": (
+        run_argv(gaussian(mean=[1e400, 0.0])),
+        "bad parameters for target 'gaussian': mean must be finite",
+    ),
+    "gaussian-cov-infinite": (
+        run_argv(gaussian(cov=[[math.inf, 0.0], [0.0, 1.0]])),
+        "bad parameters for target 'gaussian': cov must be finite",
+    ),
+    "mixture-means-nan": (
+        run_argv(mixture(means=[[math.nan, -4.0], [4.0, 3.0]])),
+        "bad parameters for target 'gaussian_mixture': means must be finite",
+    ),
+    "base-seed-negative": (run_argv(lambda c: c.update(base_seed=-1)), "base_seed must be non-negative, got -1"),
+    "run-seed-negative": (
+        lambda tmp_path: run_argv(lambda c: None)(tmp_path) + ["--seed", "-3"],
+        "base_seed must be non-negative, got -3",
+    ),
+    "benchmark-seed-negative": (
+        lambda _: ["benchmark", "table1", "--n", "5", "--ttrain", "1", "--reps", "1", "--samples", "20", "--seed", "-2"],
+        "base_seed must be non-negative, got -2",
+    ),
+    # 1.6e18 bytes of samples: more than a 64-bit address space holds, so
+    # the allocation fails at once and touches no memory
+    "total-samples-unallocatable": (
+        run_argv(lambda c: c["sampler"].update(total_samples=10**17)),
+        "out of memory: Unable to allocate",
     ),
 }
 

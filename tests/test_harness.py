@@ -70,12 +70,8 @@ def record_of(samples, activity) -> RunRecord:
     n = activity.shape[1]
     return RunRecord(
         samples=samples,
-        sample_step=np.arange(m, dtype=np.int64),
-        sample_chain=np.arange(m, dtype=np.int64) % n,
-        sample_iteration=np.arange(1, m + 1, dtype=np.int64),
         sample_accepted=np.arange(m) % 3 == 0,
         activity=activity,
-        budgets=np.full(n, m, dtype=np.int64),
         proposal_means=np.zeros((n, 2, samples.shape[1])),
         proposal_covs=np.ones((n, 2, samples.shape[1], samples.shape[1])),
         global_mean=None,
@@ -139,6 +135,12 @@ def test_csvs_match_row_by_row_formatting_for_repeated_and_special_coordinates(t
     samples = pool[rng.integers(pool.size, size=(m, 3))]
     samples[1::2] = samples[::2]  # every other state repeated, as after a rejection
     assert_csvs_match_row_by_row(record_of(samples, np.ones((m // 4, 4), dtype=bool)), tmp_path)
+
+
+def test_write_json_indents_sorts_keys_and_ends_the_file_with_a_newline(tmp_path):
+    path = tmp_path / "payload.json"
+    harness.write_json(str(path), {"b": [1, None], "a": 0.1})
+    assert path.read_bytes() == b'{\n  "a": 0.1,\n  "b": [\n    1,\n    null\n  ]\n}\n'
 
 
 def experiment_with_truth(truth, dim):
