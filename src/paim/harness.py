@@ -13,7 +13,6 @@ can be written out as CSV/JSON for plotting.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field
 from itertools import chain
@@ -102,11 +101,18 @@ def default_grid(dim: int) -> GridSpec:
     return GridSpec(np.full(dim, -15.0), np.full(dim, 15.0), 2001 if dim <= 2 else 201)
 
 
-# The keys of a config file, per section ("" is the top level).
+# The keys of a config file, per section ("" is the top level), and those
+# of them that have no default.
 CONFIG_FIELDS = {
     "": ("algorithm", "target", "sampler", "init", "replications", "base_seed", "output_dir", "truth"),
     "target": ("name", "params"),
     "sampler": ("n_chains", "total_samples", "t_train", "t_stop", "epsilon"),
+    "init": ("box_lower", "box_upper", "sigma"),
+}
+REQUIRED_FIELDS = {
+    "": ("target", "sampler", "init"),
+    "target": ("name",),
+    "sampler": ("n_chains", "total_samples", "t_train"),
     "init": ("box_lower", "box_upper", "sigma"),
 }
 
@@ -130,6 +136,16 @@ class ExperimentConfig:
     truth: Union[np.ndarray, GridSpec, str, None] = None  # "grid": the default grid box
 
     def __post_init__(self):
+        # Named as in a config file, however the config was built.
+        self.n_chains = _integer(self.n_chains, "sampler.n_chains")
+        self.total_samples = _integer(self.total_samples, "sampler.total_samples")
+        self.t_train = _integer(self.t_train, "sampler.t_train")
+        self.t_stop = _number(self.t_stop, "sampler.t_stop")
+        self.epsilon = _number(self.epsilon, "sampler.epsilon")
+        self.sigma = _number(self.sigma, "init.sigma")
+        self.replications = _integer(self.replications, "replications")
+        self.base_seed = _integer(self.base_seed, "base_seed")
+        self.output_dir = _string(self.output_dir, "output_dir")
         self.box_lower = np.asarray(self.box_lower, dtype=float)
         self.box_upper = np.asarray(self.box_upper, dtype=float)
         if self.algorithm not in ("paim", "ipc", "both"):
@@ -149,38 +165,40 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """Parse a config file's object; an unknown key is an error, so a
-        misspelt or retired field cannot be silently ignored."""
+        misspelt or retired field cannot be silently ignored. A missing
+        key is named by its path, such as ``sampler.n_chains``."""
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
+        # The top level comes first, so every section exists past it.
         for section, fields in CONFIG_FIELDS.items():
-            values = raw.get(section, {}) if section else raw
+            values = raw[section] if section else raw
             if not isinstance(values, dict):
                 raise ConfigError(f"config field {section} must be a JSON object")
-            _check_fields(values, fields, section + "." if section else "")
+            path = section + "." if section else ""
+            _check_fields(values, fields, path)
+            missing = [key for key in REQUIRED_FIELDS[section] if key not in values]
+            if missing:
+                raise ConfigError(f"missing config field: {path}{missing[0]}")
+        target, sampler, init = raw["target"], raw["sampler"], raw["init"]
+        t_stop = sampler.get("t_stop")  # null: never stop adapting
         try:
-            target = raw["target"]
-            sampler = raw["sampler"]
-            init = raw["init"]
-            t_stop = sampler.get("t_stop")  # null: never stop adapting
             return cls(
                 algorithm=raw.get("algorithm", "both"),
                 target_name=target["name"],
                 target_params=target.get("params"),
-                n_chains=_integer(sampler["n_chains"], "sampler.n_chains"),
-                total_samples=_integer(sampler["total_samples"], "sampler.total_samples"),
-                t_train=_integer(sampler["t_train"], "sampler.t_train"),
-                t_stop=cls.t_stop if t_stop is None else _number(t_stop, "sampler.t_stop"),
-                epsilon=_number(sampler.get("epsilon", cls.epsilon), "sampler.epsilon"),
+                n_chains=sampler["n_chains"],
+                total_samples=sampler["total_samples"],
+                t_train=sampler["t_train"],
+                t_stop=cls.t_stop if t_stop is None else t_stop,
+                epsilon=sampler.get("epsilon", cls.epsilon),
                 box_lower=_numbers(init["box_lower"], "init.box_lower"),
                 box_upper=_numbers(init["box_upper"], "init.box_upper"),
-                sigma=_number(init["sigma"], "init.sigma"),
-                replications=_integer(raw.get("replications", 1), "replications"),
-                base_seed=_integer(raw.get("base_seed", 0), "base_seed"),
-                output_dir=_string(raw.get("output_dir", "out"), "output_dir"),
+                sigma=init["sigma"],
+                replications=raw.get("replications", 1),
+                base_seed=raw.get("base_seed", 0),
+                output_dir=raw.get("output_dir", "out"),
                 truth=_parse_truth(raw.get("truth")),
             )
-        except KeyError as exc:
-            raise ConfigError(f"missing config field: {exc.args[0]}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
 
@@ -205,15 +223,16 @@ def _check_fields(values: dict, fields, path: str) -> None:
 
 def _integer(value, name: str) -> int:
     # int() would truncate 2.7 and accept true, running a wrong but
-    # plausible study.
-    if isinstance(value, bool) or not isinstance(value, int):
+    # plausible study. A numpy integer is stored as an int, which JSON
+    # can write.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"bad config value: {name} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _number(value, name: str) -> float:
     # float() would accept true and "30".
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"bad config value: {name} must be a number, got {value!r}")
     return float(value)
 
@@ -277,33 +296,28 @@ def resolve_truth(config: ExperimentConfig, target: TargetDensity) -> np.ndarray
 
 @dataclass
 class AlgorithmSummary:
-    mse: float = math.nan      # set by replicate once every replication has run
-    estimates: list = field(default_factory=list)  # per-replication E[X] estimates
-    budgets: list = field(default_factory=list)    # per-replication K_n vectors
-    t_total: list = field(default_factory=list)
-    acceptance_rates: list = field(default_factory=list)
-    final_active: list = field(default_factory=list)
+    """One algorithm's results over R replications: the MSE of its E[X]
+    estimates against the truth, and per replication, in order, the values
+    of that run's :func:`summary_row` under each other field's name."""
 
-    def add(self, row: tuple) -> None:
-        """Append one run's row, as :func:`summary_row` made it."""
-        estimate, budgets, t_total, acceptance_rate, final_active = row
-        self.estimates.append(estimate)
-        self.budgets.append(budgets)
-        self.t_total.append(t_total)
-        self.acceptance_rates.append(acceptance_rate)
-        self.final_active.append(final_active)
+    mse: float
+    estimates: list  # E[X] estimates
+    budgets: list    # K_n vectors
+    t_total: list
+    acceptance_rates: list
+    final_active: list
 
 
-def summary_row(record: RunRecord) -> tuple:
-    """One run's entries of :class:`AlgorithmSummary`, in its field order.
-    The E[X] estimate of a run is the mean of its recorded samples."""
-    return (
-        [float(v) for v in record.samples.mean(axis=0)],
-        [int(k) for k in record.budgets],
-        record.t_total,
-        record.acceptance_rate,
-        record.final_active_count,
-    )
+def summary_row(record: RunRecord) -> dict:
+    """One run's entries of :class:`AlgorithmSummary`, keyed by its field
+    names. The E[X] estimate of a run is the mean of its recorded samples."""
+    return {
+        "estimates": [float(v) for v in record.samples.mean(axis=0)],
+        "budgets": [int(k) for k in record.budgets],
+        "t_total": record.t_total,
+        "acceptance_rates": record.acceptance_rate,
+        "final_active": record.final_active_count,
+    }
 
 
 @dataclass
@@ -314,8 +328,14 @@ class SummaryReport:
     truth: list
     paim: Optional[AlgorithmSummary] = None
     ipc: Optional[AlgorithmSummary] = None
-    reduction_pct: Optional[float] = None
     records: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def reduction_pct(self) -> Optional[float]:
+        """PAIM's MSE below IPC's, in percent of IPC's; None unless both ran and IPC's is positive."""
+        if self.paim is None or self.ipc is None or not self.ipc.mse > 0.0:
+            return None
+        return 100.0 * (self.ipc.mse - self.paim.mse) / self.ipc.mse
 
     def to_dict(self) -> dict:
         def algo(s):
@@ -354,7 +374,7 @@ def replication_config(config: ExperimentConfig, rep: int) -> PaimConfig:
     )
 
 
-def run_one(config: ExperimentConfig, rep: int, name: str) -> tuple[tuple, Optional[RunRecord]]:
+def run_one(config: ExperimentConfig, rep: int, name: str) -> tuple[dict, Optional[RunRecord]]:
     """Run algorithm ``name`` ("paim" or "ipc") on replication ``rep``.
 
     Returns the run's :func:`summary_row`, and its record for replication
@@ -451,11 +471,12 @@ def replicate(config: ExperimentConfig, workers: Optional[int] = None) -> Summar
     separating them is the adaptation itself. Each (replication,
     algorithm) run depends on nothing else, so up to ``workers`` of them
     run at once, this process and ``workers - 1`` forked ones
-    (:func:`usable_workers`, :func:`run_all`). The runs are folded into
-    the report in (replication, algorithm) order, so it is the same for
-    every ``workers``. Each run comes back as its summary row; only the
-    first replication's full records come back too, kept on the report
-    (``records``) for file emission, so memory does not grow with R.
+    (:func:`usable_workers`, :func:`run_all`). Each run comes back as its
+    named :func:`summary_row`, and each algorithm's summary is built whole
+    from its rows in replication order, so the report is the same for
+    every ``workers``. Only the first replication's full records come back
+    too, kept on the report (``records``) for file emission, so memory does
+    not grow with R.
     """
     names = ("paim", "ipc") if config.algorithm == "both" else (config.algorithm,)
     runs = [(rep, name) for rep in range(config.replications) for name in names]
@@ -463,17 +484,17 @@ def replicate(config: ExperimentConfig, workers: Optional[int] = None) -> Summar
     workers = min(usable_workers(workers), len(runs) if hasattr(os, "fork") else 1)
     target = make_target(config.target_name, config.target_params)
     truth = resolve_truth(config, target)
-    summaries = {name: AlgorithmSummary() for name in names}
+    rows: dict[str, list[dict]] = {name: [] for name in names}
     records: dict[str, RunRecord] = {}
-
     for (_, name), (row, record) in zip(runs, run_all(config, runs, workers)):
-        summaries[name].add(row)
+        rows[name].append(row)
         if record is not None:
             records[name] = record
-
-    for summary in summaries.values():
-        summary.mse = mean_square_error(summary.estimates, truth)
-    report = SummaryReport(
+    summaries = {}
+    for name, named_rows in rows.items():
+        columns = {key: [row[key] for row in named_rows] for key in named_rows[0]}
+        summaries[name] = AlgorithmSummary(mse=mean_square_error(columns["estimates"], truth), **columns)
+    return SummaryReport(
         algorithm=config.algorithm,
         target_name=config.target_name,
         replications=config.replications,
@@ -481,9 +502,6 @@ def replicate(config: ExperimentConfig, workers: Optional[int] = None) -> Summar
         records=records,
         **summaries,
     )
-    if report.paim is not None and report.ipc is not None and report.ipc.mse > 0.0:
-        report.reduction_pct = 100.0 * (report.ipc.mse - report.paim.mse) / report.ipc.mse
-    return report
 
 
 # ----------------------------- file outputs -----------------------------

@@ -395,6 +395,15 @@ class RunRecord:
     global_mean: Optional[np.ndarray]
     global_cov: Optional[np.ndarray]
 
+    def __post_init__(self):
+        # Every index property reads one active cell per sample.
+        m = len(self.samples)
+        if len(self.sample_accepted) != m:
+            raise ValueError(f"a record of {m} samples needs {m} accept flags, got {len(self.sample_accepted)}")
+        cells = int(np.count_nonzero(self.activity))
+        if cells < m:
+            raise ValueError(f"a record of {m} samples needs at least {m} active cells in its activity, got {cells}")
+
     @cached_property
     def _indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         steps, chains = (cells[: len(self.samples)] for cells in np.nonzero(self.activity))

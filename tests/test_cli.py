@@ -328,7 +328,7 @@ def mixture(**params):
 BAD_INPUTS = {
     "unknown-target": (run_argv(lambda c: c["target"].update(name="donut")), "unknown target 'donut'"),
     "unknown-algorithm": (run_argv(lambda c: c.update(algorithm="mcmc")), "unknown algorithm 'mcmc'"),
-    "missing-field": (run_argv(lambda c: c["sampler"].pop("n_chains")), "missing config field: n_chains"),
+    "missing-field": (run_argv(lambda c: c["sampler"].pop("n_chains")), "missing config field: sampler.n_chains"),
     "wrong-value-type": (run_argv(lambda c: c["sampler"].update(n_chains="four")), "bad config value:"),
     "unreadable-file": (run_file_argv(None), "cannot read config"),
     "invalid-json": (run_file_argv("{"), "config "),

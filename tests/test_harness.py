@@ -324,6 +324,69 @@ def test_without_fork_the_runs_go_in_this_process(monkeypatch, two_cpus):
     assert replicate(config).to_dict() == expected
 
 
+@pytest.mark.parametrize("path", [f"{section}.{key}" if section else key
+                                  for section, keys in harness.REQUIRED_FIELDS.items() for key in keys])
+def test_a_missing_key_is_named_by_its_path(path):
+    section, _, key = path.rpartition(".")
+    assert key in CONFIG_FIELDS[section]
+    raw = base_config()
+    del (raw[section] if section else raw)[key]
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_dict(raw)
+    assert str(info.value) == f"missing config field: {path}"
+
+
+def direct_config(**changes) -> ExperimentConfig:
+    """base_config(), built without a config file."""
+    return ExperimentConfig(**{
+        "algorithm": "both",
+        "target_name": "gaussian",
+        "target_params": {"mean": [0.2, 0.2], "sigma": 1.0},
+        "n_chains": 2,
+        "total_samples": 10,
+        "t_train": 1,
+        "box_lower": [-1.0, -1.0],
+        "box_upper": [1.0, 1.0],
+        "sigma": 1.0,
+        "truth": [0.2, 0.2],
+        **changes,
+    })
+
+
+# field -> (its path in a config file, what it must be, values that are not that)
+SCALAR_FIELDS = {
+    "n_chains": ("sampler.n_chains", "an integer", (True, 2.5, "3", None, np.float64(2.0), np.bool_(True))),
+    "total_samples": ("sampler.total_samples", "an integer", (False, 10.0, "10")),
+    "t_train": ("sampler.t_train", "an integer", (True, 1.0, [1])),
+    "replications": ("replications", "an integer", (True, 1.5, "1")),
+    "base_seed": ("base_seed", "an integer", (False, 0.0, "3", None)),
+    "t_stop": ("sampler.t_stop", "a number", (True, "30", None, [30])),
+    "epsilon": ("sampler.epsilon", "a number", (True, "0.4", np.bool_(True))),
+    "sigma": ("init.sigma", "a number", (False, "2", None, [1.0])),
+    "output_dir": ("output_dir", "a string", (5, None, b"out")),
+}
+
+
+@pytest.mark.parametrize("name, value", [(name, value) for name, (_, _, values) in SCALAR_FIELDS.items()
+                                         for value in values])
+def test_a_directly_built_config_checks_its_scalars(name, value):
+    path, kind, _ = SCALAR_FIELDS[name]
+    with pytest.raises(ConfigError) as info:
+        direct_config(**{name: value})
+    assert str(info.value) == f"bad config value: {path} must be {kind}, got {value!r}"
+
+
+def test_a_directly_built_config_stores_numpy_scalars_as_python_numbers():
+    # summary.json is written from these, and json cannot write a numpy scalar.
+    config = direct_config(n_chains=np.int64(2), total_samples=np.uint16(10), t_train=np.int8(1),
+                           replications=np.int32(2), base_seed=np.uint64(7), sigma=np.int64(2),
+                           epsilon=np.float32(0.5), t_stop=np.float64(30.0))
+    assert repr(config) == repr(direct_config(n_chains=2, total_samples=10, t_train=1, replications=2, base_seed=7,
+                                              sigma=2.0, epsilon=0.5, t_stop=30.0))
+    for name, (_, kind, _) in SCALAR_FIELDS.items():
+        assert type(getattr(config, name)) is {"an integer": int, "a number": float, "a string": str}[kind], name
+
+
 class OracleRan(Exception):
     pass
 

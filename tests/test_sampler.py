@@ -939,6 +939,19 @@ def record_of(activity, total, dim=2):
     )
 
 
+def test_a_record_whose_parts_disagree_is_refused():
+    # Four steps of two chains hold 8 samples, not 10: the index arrays
+    # would be shorter than the samples.
+    message = "^a record of 10 samples needs at least 10 active cells in its activity, got 8$"
+    with pytest.raises(ValueError, match=message):
+        record_of(np.ones((4, 2), dtype=bool), 10)
+    # The last step may run only some of its active chains.
+    record = record_of(np.ones((5, 2), dtype=bool), 9)
+    assert record.budgets.tolist() == [5, 4]
+    with pytest.raises(ValueError, match="^a record of 9 samples needs 9 accept flags, got 10$"):
+        dataclasses.replace(record, sample_accepted=np.ones(10, dtype=bool))
+
+
 def test_record_indices_of_a_long_sparse_run_take_little_memory():
     # 100,000 steps of 100 chains, 3 of them active: a running count over the
     # whole activity array would take 80 MB, one entry per sample 2.4 MB.
