@@ -4,6 +4,9 @@
     paim benchmark table1 --n 5,10 --ttrain 1,10,20 --reps 200 [--workers K]
     paim oracle --target banana --bounds -15 15 --points 2001
 
+The format of ``paim run``'s config file is described, with an
+example, on :class:`paim.harness.ExperimentConfig`.
+
 ``--workers K`` runs up to K of a study's (replication, algorithm) runs
 at once, in this process and K - 1 forked ones; the default is every
 CPU this process may use, and ``--workers 1`` runs them one after

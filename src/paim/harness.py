@@ -13,8 +13,9 @@ can be written out as CSV/JSON for plotting.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import chain
 from typing import Optional, Union
 
@@ -44,9 +45,7 @@ class ConfigError(Exception):
 
 def make_target(name: str, params: Optional[dict] = None) -> TargetDensity:
     """Build a target density from its config-file name and parameters."""
-    params = {} if params is None else params
-    if not isinstance(params, dict):
-        raise ConfigError("target params must be a JSON object")
+    params = _params(params, "target.params") or {}
     try:
         if name == "banana":
             _check_fields(params, ("b", "eta1", "eta2", "eta3"), "target.params.")
@@ -101,124 +100,14 @@ def default_grid(dim: int) -> GridSpec:
     return GridSpec(np.full(dim, -15.0), np.full(dim, 15.0), 2001 if dim <= 2 else 201)
 
 
-# The keys of a config file, per section ("" is the top level), and those
-# of them that have no default.
-CONFIG_FIELDS = {
-    "": ("algorithm", "target", "sampler", "init", "replications", "base_seed", "output_dir", "truth"),
-    "target": ("name", "params"),
-    "sampler": ("n_chains", "total_samples", "t_train", "t_stop", "epsilon"),
-    "init": ("box_lower", "box_upper", "sigma"),
-}
-REQUIRED_FIELDS = {
-    "": ("target", "sampler", "init"),
-    "target": ("name",),
-    "sampler": ("n_chains", "total_samples", "t_train"),
-    "init": ("box_lower", "box_upper", "sigma"),
-}
-
-
-@dataclass
-class ExperimentConfig:
-    algorithm: str                  # "paim", "ipc", or "both"
-    target_name: str
-    target_params: Optional[dict]
-    n_chains: int
-    total_samples: int
-    t_train: int
-    box_lower: np.ndarray
-    box_upper: np.ndarray
-    sigma: float
-    t_stop: float = PaimConfig.t_stop
-    epsilon: float = PaimConfig.epsilon
-    replications: int = 1
-    base_seed: int = 0
-    output_dir: str = "out"
-    truth: Union[np.ndarray, GridSpec, str, None] = None  # "grid": the default grid box
-
-    def __post_init__(self):
-        # Named as in a config file, however the config was built.
-        self.n_chains = _integer(self.n_chains, "sampler.n_chains")
-        self.total_samples = _integer(self.total_samples, "sampler.total_samples")
-        self.t_train = _integer(self.t_train, "sampler.t_train")
-        self.t_stop = _number(self.t_stop, "sampler.t_stop")
-        self.epsilon = _number(self.epsilon, "sampler.epsilon")
-        self.sigma = _number(self.sigma, "init.sigma")
-        self.replications = _integer(self.replications, "replications")
-        self.base_seed = _integer(self.base_seed, "base_seed")
-        self.output_dir = _string(self.output_dir, "output_dir")
-        self.box_lower = np.asarray(self.box_lower, dtype=float)
-        self.box_upper = np.asarray(self.box_upper, dtype=float)
-        if self.algorithm not in ("paim", "ipc", "both"):
-            raise ConfigError(f"unknown algorithm {self.algorithm!r} (expected paim, ipc, or both)")
-        if self.replications < 1:
-            raise ConfigError("replications must be at least 1")
-        if self.base_seed < 0:
-            raise ConfigError(f"base_seed must be non-negative, got {self.base_seed}")
-        # Checked once per study, before the grid oracle runs.
-        try:
-            check_box("initialization box", self.box_lower, self.box_upper)
-            check_settings(self.n_chains, self.total_samples, self.t_train, self.t_stop, self.epsilon, self.sigma,
-                           sigma_name="sigma")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Parse a config file's object; an unknown key is an error, so a
-        misspelt or retired field cannot be silently ignored. A missing
-        key is named by its path, such as ``sampler.n_chains``."""
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        # The top level comes first, so every section exists past it.
-        for section, fields in CONFIG_FIELDS.items():
-            values = raw[section] if section else raw
-            if not isinstance(values, dict):
-                raise ConfigError(f"config field {section} must be a JSON object")
-            path = section + "." if section else ""
-            _check_fields(values, fields, path)
-            missing = [key for key in REQUIRED_FIELDS[section] if key not in values]
-            if missing:
-                raise ConfigError(f"missing config field: {path}{missing[0]}")
-        target, sampler, init = raw["target"], raw["sampler"], raw["init"]
-        t_stop = sampler.get("t_stop")  # null: never stop adapting
-        try:
-            return cls(
-                algorithm=raw.get("algorithm", "both"),
-                target_name=target["name"],
-                target_params=target.get("params"),
-                n_chains=sampler["n_chains"],
-                total_samples=sampler["total_samples"],
-                t_train=sampler["t_train"],
-                t_stop=cls.t_stop if t_stop is None else t_stop,
-                epsilon=sampler.get("epsilon", cls.epsilon),
-                box_lower=_numbers(init["box_lower"], "init.box_lower"),
-                box_upper=_numbers(init["box_upper"], "init.box_upper"),
-                sigma=init["sigma"],
-                replications=raw.get("replications", 1),
-                base_seed=raw.get("base_seed", 0),
-                output_dir=raw.get("output_dir", "out"),
-                truth=_parse_truth(raw.get("truth")),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
-
-    @classmethod
-    def load(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
-
-
-def _check_fields(values: dict, fields, path: str) -> None:
+def _check_fields(values: dict, known, path: str, required=()) -> None:
     # A misspelt key would otherwise be ignored, its default silently used.
-    unknown = sorted(set(values) - set(fields))
+    unknown = sorted(set(values) - set(known))
     if unknown:
         raise ConfigError(f"unknown config field: {path}{unknown[0]}")
+    missing = [key for key in required if key not in values]
+    if missing:
+        raise ConfigError(f"missing config field: {path}{missing[0]}")
 
 
 def _integer(value, name: str) -> int:
@@ -238,15 +127,21 @@ def _number(value, name: str) -> float:
 
 
 def _numbers(value, name: str) -> np.ndarray:
-    # np.asarray(..., dtype=float) would accept ["1", false].
+    # np.asarray(..., dtype=float) would accept ["1", false]. A numeric
+    # array passes, so that checking a checked config changes nothing.
     def numeric(v) -> bool:
         if isinstance(v, list):
             return all(map(numeric, v))
+        if isinstance(v, np.ndarray):
+            return v.dtype.kind in "iuf"
         return not isinstance(v, bool) and isinstance(v, (int, float))
 
     if not numeric(value):
         raise ConfigError(f"bad config value: {name} must be a number or a list of numbers, got {value!r}")
-    return np.asarray(value, dtype=float)
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:  # lists of unequal lengths
+        raise ConfigError(f"bad config value: {name} must not be a ragged list, got {value!r}") from None
 
 
 def _string(value, name: str) -> str:
@@ -255,26 +150,161 @@ def _string(value, name: str) -> str:
     return value
 
 
-def _parse_truth(raw) -> Union[np.ndarray, GridSpec, str, None]:
-    if raw is None or raw == "grid":
-        return raw
-    if not isinstance(raw, dict):
-        return _numbers(raw, "truth")
-    _check_fields(raw, ("grid",), "truth.")
-    if "grid" not in raw:
-        raise ConfigError("missing config field: truth.grid")
-    g = raw["grid"]
-    if not isinstance(g, dict):
-        raise ConfigError(f"bad config value: truth.grid must be a JSON object, got {g!r}")
-    _check_fields(g, ("lower", "upper", "points_per_axis"), "truth.grid.")
-    try:
+def _algorithm(value, name: str) -> str:
+    if not (isinstance(value, str) and value in ("paim", "ipc", "both")):
+        raise ConfigError(f"unknown algorithm {value!r} (expected paim, ipc, or both)")
+    return value
+
+
+def _params(value, name: str) -> Optional[dict]:
+    # Worded as for the oracle's --params, which has no config path.
+    if value is not None and not isinstance(value, dict):
+        raise ConfigError("target params must be a JSON object")
+    return value
+
+
+def _truth(value, name: str) -> Union[np.ndarray, GridSpec, str, None]:
+    if value is None or isinstance(value, str) and value == "grid":
+        return value
+    if isinstance(value, dict):  # {"grid": {...}}, as a config file gives a GridSpec
+        _check_fields(value, ("grid",), f"{name}.", required=("grid",))
+        grid = value["grid"]
+        if not isinstance(grid, dict):
+            raise ConfigError(f"bad config value: {name}.grid must be a JSON object, got {grid!r}")
+        keys = [f.name for f in fields(GridSpec)]
+        _check_fields(grid, keys, f"{name}.grid.", required=keys)
+        value = GridSpec(**grid)
+    if isinstance(value, GridSpec):
         return GridSpec(
-            lower=_numbers(g["lower"], "truth.grid.lower"),
-            upper=_numbers(g["upper"], "truth.grid.upper"),
-            points_per_axis=_integer(g["points_per_axis"], "truth.grid.points_per_axis"),
+            lower=_numbers(value.lower, f"{name}.grid.lower"),
+            upper=_numbers(value.upper, f"{name}.grid.upper"),
+            points_per_axis=_integer(value.points_per_axis, f"{name}.grid.points_per_axis"),
         )
-    except KeyError as exc:
-        raise ConfigError(f"missing config field: truth.grid.{exc.args[0]}") from exc
+    return _numbers(value, name)
+
+
+# Each key of a config file, by its path, and the ExperimentConfig field
+# that it fills, with that field's check: check(value, path) returns the
+# value as the field holds it, or raises a ConfigError naming the path.
+CONFIG_KEYS = {
+    "algorithm": ("algorithm", _algorithm),
+    "target.name": ("target_name", _string),
+    "target.params": ("target_params", _params),
+    "sampler.n_chains": ("n_chains", _integer),
+    "sampler.total_samples": ("total_samples", _integer),
+    "sampler.t_train": ("t_train", _integer),
+    "sampler.t_stop": ("t_stop", _number),
+    "sampler.epsilon": ("epsilon", _number),
+    "init.box_lower": ("box_lower", _numbers),
+    "init.box_upper": ("box_upper", _numbers),
+    "init.sigma": ("sigma", _number),
+    "replications": ("replications", _integer),
+    "base_seed": ("base_seed", _integer),
+    "output_dir": ("output_dir", _string),
+    "truth": ("truth", _truth),
+}
+
+
+@dataclass(kw_only=True)
+class ExperimentConfig:
+    """One study's settings, read from a config file or built directly.
+
+    A config file (``paim run --config FILE``, :meth:`load`) holds one
+    JSON object, such as::
+
+        {
+          "algorithm": "both",
+          "target": {"name": "banana"},
+          "sampler": {"n_chains": 10, "total_samples": 2000, "t_train": 10, "t_stop": null},
+          "init": {"box_lower": [-15, -15], "box_upper": [15, 15], "sigma": 10},
+          "replications": 20,
+          "truth": "grid"
+        }
+
+    :data:`CONFIG_KEYS` names the field that each key fills. The keys of
+    the fields without a default are required: ``target.name``,
+    ``sampler.n_chains``, ``sampler.total_samples``, ``sampler.t_train``,
+    ``init.box_lower``, ``init.box_upper`` and ``init.sigma``; any other
+    key may be left out, and a key not in the table is an error.
+    ``"t_stop": null``, like leaving it out, means never stop adapting.
+    ``truth``, the E[X] the MSEs are measured against, is a vector,
+    ``"grid"`` for the grid oracle on :func:`default_grid`, ``{"grid":
+    {"lower": [...], "upper": [...], "points_per_axis": P}}`` for the
+    oracle on that grid (a :class:`GridSpec` when built directly), or
+    absent, which :func:`replicate` rejects.
+
+    A config file, a direct build and ``dataclasses.replace`` all go
+    through the same checks, each error naming the key's path.
+    """
+
+    algorithm: str = "both"         # "paim", "ipc", or "both"
+    target_name: str
+    target_params: Optional[dict] = None
+    n_chains: int
+    total_samples: int
+    t_train: int
+    box_lower: np.ndarray
+    box_upper: np.ndarray
+    sigma: float
+    t_stop: float = PaimConfig.t_stop
+    epsilon: float = PaimConfig.epsilon
+    replications: int = 1
+    base_seed: int = 0
+    output_dir: str = "out"
+    truth: Union[np.ndarray, GridSpec, str, None] = None  # "grid": the default grid box
+
+    def __post_init__(self):
+        for path, (name, check) in CONFIG_KEYS.items():
+            setattr(self, name, check(getattr(self, name), path))
+        if self.replications < 1:
+            raise ConfigError("replications must be at least 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be non-negative, got {self.base_seed}")
+        # Checked once per study, before the grid oracle runs.
+        try:
+            check_box("initialization box", self.box_lower, self.box_upper)
+            check_settings(self.n_chains, self.total_samples, self.t_train, self.t_stop, self.epsilon, self.sigma,
+                           sigma_name="sigma")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Build the config of a config file's object. An unknown key is an
+        error, so a misspelt or retired field cannot be silently ignored. A
+        missing key is named by its path, such as ``sampler.n_chains``, or
+        by its section's name if the section is missing too."""
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
+        values = {}  # by path
+        for key, value in raw.items():
+            if any(path.startswith(f"{key}.") for path in CONFIG_KEYS):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"config field {key} must be a JSON object")
+                values.update((f"{key}.{k}", v) for k, v in value.items())
+            else:
+                values[key] = value
+        _check_fields(values, CONFIG_KEYS, "")
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        for path, (name, _) in CONFIG_KEYS.items():
+            section = path.partition(".")[0]
+            if name in required and path not in values:
+                raise ConfigError(f"missing config field: {path if section in raw else section}")
+        kwargs = {CONFIG_KEYS[path][0]: value for path, value in values.items()}
+        if "t_stop" in kwargs and kwargs["t_stop"] is None:  # null: never stop adapting
+            kwargs["t_stop"] = math.inf
+        return cls(**kwargs)
+
+    @classmethod
+    def load(cls, path: str) -> "ExperimentConfig":
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        return cls.from_dict(raw)
 
 
 def resolve_truth(config: ExperimentConfig, target: TargetDensity) -> np.ndarray:
@@ -483,6 +513,9 @@ def replicate(config: ExperimentConfig, workers: Optional[int] = None) -> Summar
     # Without fork, a pool would re-import paim in every worker: run here.
     workers = min(usable_workers(workers), len(runs) if hasattr(os, "fork") else 1)
     target = make_target(config.target_name, config.target_params)
+    if config.box_lower.size != target.dim:  # before a grid oracle runs
+        raise ConfigError(f"target dim {target.dim} does not match config dim {config.box_lower.size}, "
+                          "the length of init.box_lower")
     truth = resolve_truth(config, target)
     rows: dict[str, list[dict]] = {name: [] for name in names}
     records: dict[str, RunRecord] = {}

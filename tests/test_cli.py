@@ -340,6 +340,15 @@ BAD_INPUTS = {
         run_argv(lambda c: c["init"].update(box_lower=[-5.0] * 3, box_upper=[5.0] * 3)),
         "target dim 2 does not match config dim 3",
     ),
+    # found before the 3-D grid oracle, which takes seconds, runs
+    "box-dim-not-target-dim": (
+        run_argv(lambda c: c.update(
+            target={"name": "gaussian_mixture",
+                    "params": {"means": [[0, 0, 0], [3, 3, 3]], "covs": [np.eye(3).tolist()] * 2}},
+            truth="grid",
+        )),
+        "target dim 3 does not match config dim 2, the length of init.box_lower",
+    ),
     "unknown-top-level-key": (
         run_argv(lambda c: c.update(discard_burn_in=True)),
         "unknown config field: discard_burn_in",

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import multiprocessing
@@ -9,7 +10,7 @@ import pytest
 
 from paim import harness
 from paim.harness import (
-    CONFIG_FIELDS,
+    CONFIG_KEYS,
     ELLIPSE_MASS,
     ConfigError,
     ExperimentConfig,
@@ -179,39 +180,46 @@ def base_config() -> dict:
     }
 
 
-# (section, key) -> a valid value that differs from base_config() or the default
+def with_key(raw: dict, path: str, value) -> dict:
+    """``raw`` with the key at ``path``, such as ``sampler.n_chains``, set to ``value``."""
+    section, _, key = path.rpartition(".")
+    (raw[section] if section else raw)[key] = value
+    return raw
+
+
+# key path -> a valid value that differs from base_config() or the default
 CONFIG_VARIANTS = {
-    ("", "algorithm"): "paim",
-    ("", "target"): {"name": "banana"},
-    ("", "sampler"): {"n_chains": 3, "total_samples": 10, "t_train": 1},
-    ("", "init"): {"box_lower": [-2.0, -2.0], "box_upper": [1.0, 1.0], "sigma": 1.0},
-    ("", "replications"): 2,
-    ("", "base_seed"): 1,
-    ("", "output_dir"): "elsewhere",
-    ("", "truth"): "grid",
-    ("target", "name"): "gaussian_mixture",
-    ("target", "params"): {"mean": [0.0, 0.0]},
-    ("sampler", "n_chains"): 3,
-    ("sampler", "total_samples"): 11,
-    ("sampler", "t_train"): 2,
-    ("sampler", "t_stop"): 30,
-    ("sampler", "epsilon"): 0.5,
-    ("init", "box_lower"): [-2.0, -1.0],
-    ("init", "box_upper"): [1.0, 2.0],
-    ("init", "sigma"): 2.0,
+    "algorithm": "paim",
+    "replications": 2,
+    "base_seed": 1,
+    "output_dir": "elsewhere",
+    "truth": "grid",
+    "target.name": "gaussian_mixture",
+    "target.params": {"mean": [0.0, 0.0]},
+    "sampler.n_chains": 3,
+    "sampler.total_samples": 11,
+    "sampler.t_train": 2,
+    "sampler.t_stop": 30,
+    "sampler.epsilon": 0.5,
+    "init.box_lower": [-2.0, -1.0],
+    "init.box_upper": [1.0, 2.0],
+    "init.sigma": 2.0,
 }
 
 
 def test_every_config_key_reaches_the_parsed_config():
     # A key the parser accepts but drops would be a config field that
     # nothing reads.
-    keys = {(section, key) for section, fields in CONFIG_FIELDS.items() for key in fields}
-    assert set(CONFIG_VARIANTS) == keys
+    assert set(CONFIG_VARIANTS) == set(CONFIG_KEYS)
     default = repr(ExperimentConfig.from_dict(base_config()))
-    for (section, key), value in CONFIG_VARIANTS.items():
-        raw = base_config()
-        (raw[section] if section else raw)[key] = value
-        assert repr(ExperimentConfig.from_dict(raw)) != default, (section, key)
+    for path, value in CONFIG_VARIANTS.items():
+        assert repr(ExperimentConfig.from_dict(with_key(base_config(), path, value))) != default, path
+
+
+def test_every_config_field_has_one_key():
+    # A field without a key could not be set from a file, nor checked.
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert sorted(name for name, _ in CONFIG_KEYS.values()) == sorted(fields)
 
 
 def test_ellipse_radius_holds_the_chi_square_mass():
@@ -224,18 +232,25 @@ def test_ellipse_radius_holds_the_chi_square_mass():
         assert abs(float(mass) - ELLIPSE_MASS) < 1e-13, dim
 
 
-def kept_records(monkeypatch):
-    """Weak references to every RunRecord that this process makes or
-    unpickles, and the number of them alive as each run here starts."""
+def kept_records(monkeypatch, config):
+    """Weak references to every RunRecord of ``config``'s study that this
+    process makes or unpickles; as each run here starts, the replications
+    of those alive; and the replication of each record a worker sends
+    back. A record carries its replication as ``rep``, set before a worker
+    pickles it."""
     # RunRecord is an unhashable dataclass, so weak references sit in a list
     made = []
     live_at_start = []
+    sent_back = []
+
+    rep_of_seed = {harness.replication_config(config, rep).seed: rep for rep in range(config.replications)}
 
     def kept(runner):
-        def run(*args):
+        def run(run_config, target):
             gc.collect()
-            live_at_start.append(sum(ref() is not None for ref in made))
-            record = runner(*args)
+            live_at_start.append([record.rep for ref in made if (record := ref()) is not None])
+            record = runner(run_config, target)
+            record.rep = rep_of_seed[run_config.seed]
             made.append(weakref.ref(record))
             return record
 
@@ -244,21 +259,22 @@ def kept_records(monkeypatch):
     def setstate(self, state):  # a record a worker sends back
         self.__dict__.update(state)
         made.append(weakref.ref(self))
+        sent_back.append(self.rep)
 
     monkeypatch.setattr(harness, "run_paim", kept(harness.run_paim))
     monkeypatch.setattr(harness, "run_ipc", kept(harness.run_ipc))
     monkeypatch.setattr(RunRecord, "__setstate__", setstate, raising=False)
-    return made, live_at_start
+    return made, live_at_start, sent_back
 
 
 def test_replicate_keeps_only_the_first_replications_records(monkeypatch):
-    made, live_at_start = kept_records(monkeypatch)
     config = experiment_with_truth([0.2, 0.2], 2)
     config.replications = 4
+    made, live_at_start, _ = kept_records(monkeypatch, config)
     report = replicate(config, workers=1)
     gc.collect()
     # while later replications run, only replication 0's two records live
-    assert live_at_start == [0, 1, 2, 2, 2, 2, 2, 2]
+    assert live_at_start == [[], [0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]
     assert len(report.paim.estimates) == len(report.ipc.estimates) == 4
     alive = [ref() for ref in made if ref() is not None]
     assert len(alive) == 2
@@ -268,12 +284,15 @@ def test_replicate_keeps_only_the_first_replications_records(monkeypatch):
 def test_replicate_in_workers_keeps_only_the_first_replications_records(monkeypatch, two_cpus):
     # This process makes replication 0's PAIM run and the runs that the
     # worker has not started; the worker's records reach it only pickled.
-    made, live_at_start = kept_records(monkeypatch)
     config = experiment_with_truth([0.2, 0.2], 2)
     config.replications = 6
+    made, live_at_start, sent_back = kept_records(monkeypatch, config)
     report = replicate(config, workers=2)
     gc.collect()
-    assert live_at_start[0] == 0 and max(live_at_start) <= 2
+    # The worker may send replication 0's IPC record back before or while
+    # this process makes any run, so only which records live can be fixed.
+    assert all(reps in ([], [0], [0, 0]) for reps in live_at_start), live_at_start
+    assert set(sent_back) <= {0}, sent_back
     alive = [ref() for ref in made if ref() is not None]
     assert len(alive) == 2
     assert {id(record) for record in alive} == {id(report.records["paim"]), id(report.records["ipc"])}
@@ -324,11 +343,12 @@ def test_without_fork_the_runs_go_in_this_process(monkeypatch, two_cpus):
     assert replicate(config).to_dict() == expected
 
 
-@pytest.mark.parametrize("path", [f"{section}.{key}" if section else key
-                                  for section, keys in harness.REQUIRED_FIELDS.items() for key in keys])
+# The keys of the fields without a default, and their sections.
+@pytest.mark.parametrize("path", ["target", "sampler", "init", "target.name", "sampler.n_chains",
+                                  "sampler.total_samples", "sampler.t_train", "init.box_lower",
+                                  "init.box_upper", "init.sigma"])
 def test_a_missing_key_is_named_by_its_path(path):
     section, _, key = path.rpartition(".")
-    assert key in CONFIG_FIELDS[section]
     raw = base_config()
     del (raw[section] if section else raw)[key]
     with pytest.raises(ConfigError) as info:
@@ -376,6 +396,39 @@ def test_a_directly_built_config_checks_its_scalars(name, value):
     assert str(info.value) == f"bad config value: {path} must be {kind}, got {value!r}"
 
 
+# (field, a value that it must not hold, the error that a config file holding it gets)
+BAD_VALUES = [
+    ("box_lower", ["-1", True], "bad config value: init.box_lower must be a number or a list of numbers, "
+                                "got ['-1', True]"),
+    ("box_lower", [[-1.0], [-1.0, 2.0]], "bad config value: init.box_lower must not be a ragged list, "
+                                         "got [[-1.0], [-1.0, 2.0]]"),
+    ("box_upper", [1.0, True], "bad config value: init.box_upper must be a number or a list of numbers, "
+                               "got [1.0, True]"),
+    ("truth", ["0.2", False], "bad config value: truth must be a number or a list of numbers, got ['0.2', False]"),
+    ("truth", "gird", "bad config value: truth must be a number or a list of numbers, got 'gird'"),
+    ("truth", {"grid": 5}, "bad config value: truth.grid must be a JSON object, got 5"),
+    ("target_params", [1], "target params must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", BAD_VALUES)
+def test_a_directly_built_config_fails_as_its_config_file_does(name, value, message):
+    (path,) = [path for path, (field, _) in CONFIG_KEYS.items() if field == name]
+    with pytest.raises(ConfigError) as from_file:
+        ExperimentConfig.from_dict(with_key(base_config(), path, value))
+    with pytest.raises(ConfigError) as direct:
+        direct_config(**{name: value})
+    assert str(from_file.value) == str(direct.value) == message
+
+
+def test_checking_a_checked_config_changes_nothing():
+    # As `paim benchmark` and the benchmark's workloads build theirs.
+    config = direct_config(box_lower=np.array([-1.0, -1.0]), truth=harness.GridSpec(np.zeros(2), np.ones(2), 11))
+    again = dataclasses.replace(config)
+    assert again.box_lower is config.box_lower and again.truth.lower is config.truth.lower
+    assert repr(again) == repr(config)
+
+
 def test_a_directly_built_config_stores_numpy_scalars_as_python_numbers():
     # summary.json is written from these, and json cannot write a numpy scalar.
     config = direct_config(n_chains=np.int64(2), total_samples=np.uint16(10), t_train=np.int8(1),
@@ -391,14 +444,16 @@ class OracleRan(Exception):
     pass
 
 
-# (section, key, value, message): a sampler setting each check rejects
+# (key path, value, message): a sampler setting each check rejects
 BAD_SETTINGS = {
-    "no-chains": ("sampler", "n_chains", 0, "n_chains must be at least 1"),
-    "fewer-samples-than-chains": ("sampler", "total_samples", 3, "total_samples must be at least n_chains"),
-    "train-not-before-stop": ("sampler", "t_stop", 2, "t_train must be strictly below t_stop"),
-    "epsilon-zero": ("sampler", "epsilon", 0.0, "epsilon must be positive and finite"),
-    "epsilon-below-pivot-floor": ("sampler", "epsilon", 1e-320, "epsilon must be above 1e-300"),
-    "sigma-negative": ("init", "sigma", -1.0, "sigma must be positive and finite"),
+    "no-chains": ("sampler.n_chains", 0, "n_chains must be at least 1"),
+    "fewer-samples-than-chains": ("sampler.total_samples", 3, "total_samples must be at least n_chains"),
+    "train-not-before-stop": ("sampler.t_stop", 2, "t_train must be strictly below t_stop"),
+    "epsilon-zero": ("sampler.epsilon", 0.0, "epsilon must be positive and finite"),
+    "epsilon-below-pivot-floor": ("sampler.epsilon", 1e-320, "epsilon must be above 1e-300"),
+    "sigma-negative": ("init.sigma", -1.0, "sigma must be positive and finite"),
+    "box-not-target-dim": ("init", {"box_lower": [-5.0] * 2, "box_upper": [5.0] * 2, "sigma": 2.0},
+                           "target dim 3 does not match config dim 2, the length of init.box_lower"),
 }
 
 
@@ -420,7 +475,22 @@ def test_bad_sampler_setting_is_rejected_before_the_grid_oracle(monkeypatch, cas
         with pytest.raises(OracleRan):
             replicate(ExperimentConfig.from_dict(raw))
         return
-    section, key, value, message = BAD_SETTINGS[case]
-    raw[section][key] = value
+    path, value, message = BAD_SETTINGS[case]
     with pytest.raises(ConfigError, match=f"^{message}"):
-        replicate(ExperimentConfig.from_dict(raw))
+        replicate(ExperimentConfig.from_dict(with_key(raw, path, value)))
+
+
+def test_adaptation_lowers_the_mse_on_a_table1_cell():
+    # The headline result, on the Table-1 cell N=10, T_train=10 cut to
+    # L=2000 and R=20, at a fixed seed: the paired difference of the
+    # squared errors (IPC - PAIM) is above 0 by more than two of its
+    # standard errors (here 71.5% lower MSE, z 3.69, PAIM better in 17 of 20).
+    config = ExperimentConfig(target_name="banana", n_chains=10, total_samples=2000, t_train=10,
+                              box_lower=[-15.0, -15.0], box_upper=[15.0, 15.0], sigma=10.0,
+                              replications=20, base_seed=0, truth="grid")
+    report = replicate(config, workers=1)
+    assert report.reduction_pct > 0
+    errors = {name: np.sum((np.array(getattr(report, name).estimates) - report.truth) ** 2, axis=1)
+              for name in ("paim", "ipc")}
+    diff = errors["ipc"] - errors["paim"]
+    assert diff.mean() > 2 * diff.std(ddof=1) / math.sqrt(diff.size)
