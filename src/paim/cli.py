@@ -186,7 +186,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        # A MemoryError raised by Python itself carries no text.
+        reason = str(exc) or "an allocation failed; a smaller study or grid needs less"
+        print(f"error: out of memory: {reason}", file=sys.stderr)
         return 2
 
 

@@ -123,7 +123,15 @@ def _number(value, name: str) -> float:
     # float() would accept true and "30".
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"bad config value: {name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _beyond_a_double(name) from None
+
+
+def _beyond_a_double(name: str) -> ConfigError:
+    # float() and np.asarray(..., dtype=float) raise OverflowError for such an integer.
+    return ConfigError(f"bad config value: {name} must be within the range of a double, got an integer beyond it")
 
 
 def _numbers(value, name: str) -> np.ndarray:
@@ -142,6 +150,8 @@ def _numbers(value, name: str) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except ValueError:  # lists of unequal lengths
         raise ConfigError(f"bad config value: {name} must not be a ragged list, got {value!r}") from None
+    except OverflowError:
+        raise _beyond_a_double(name) from None
 
 
 def _string(value, name: str) -> str:

@@ -36,8 +36,12 @@ in :func:`run_ipc`), each chain is a plain independence sampler whose
 candidates do not depend on its state. The run then advances in blocks
 of many steps, up to :data:`BLOCK` chain-iterations per
 :meth:`ChainEnsemble.advance` call, with the same records as step by
-step. An ``on_step`` observer sees each block once, so attaching one
-does not change which calls the run makes.
+step. A block draws chain by chain, two Generator calls per candidate:
+its normals, then two uniforms in one call, its acceptance uniform and
+the next candidate's component uniform. Those are the values, in the
+order, that three scalar calls per candidate would give. An
+``on_step`` observer sees each block once, so attaching one does not
+change which calls the run makes.
 
 Without a finite ``t_stop`` the proposals adapt for the whole run, and
 nothing guarantees that the chains are ergodic for the target: the
@@ -173,10 +177,22 @@ class ChainEnsemble:
         ``mean + L @ z``, and the acceptance uniform. The proposals stay
         fixed within the call, so the draws do not depend on
         accept/reject outcomes or on which other chains run: all
-        ``steps`` iterations of a chain are drawn up front, and its
-        results are bit-identical to ``steps`` one-step calls, whether
-        it is advanced alone or with others. One
-        ``target.log_density_batch`` call scores the candidates and
+        ``steps`` iterations of a chain are drawn up front, chain by
+        chain, and its results are bit-identical to ``steps`` one-step
+        calls, whether it is advanced alone or with others.
+
+        The draws are grouped into two Generator calls per iteration,
+        with the values and their order unchanged. The chain's first
+        component uniform is drawn alone. Each iteration then writes its
+        normals in place, into its row of the normals array, and one
+        ``random`` call fills a two-value buffer with adjacent uniforms
+        of the stream, as ``random(2)`` would: this iteration's
+        acceptance uniform and the next one's component uniform. The
+        last iteration draws its acceptance uniform alone, so each
+        stream ends where the scalar calls would leave it: no value is
+        drawn ahead or carried to the next call.
+
+        One ``target.log_density_batch`` call scores the candidates and
         nothing else, the states' values being in ``log_target``. One
         :func:`stacked_mixture_log_pdf` call scores the states of
         ``run`` and the candidates under the chains' current proposals,
@@ -193,11 +209,21 @@ class ChainEnsemble:
         rows = np.repeat(run, steps)
         comp = []
         z = np.empty((m * steps, d))
-        uniforms = []
-        for k, j in enumerate(rows.tolist()):
+        pair = np.empty(2)
+        uniforms = []  # the acceptance uniforms
+        for r, j in enumerate(chains):
             rng = self.rngs[j]
-            comp.append(0 if rng.random() < 0.5 else 1)
-            z[k] = rng.standard_normal(d)
+            last = (r + 1) * steps - 1
+            c = rng.random()
+            for k in range(r * steps, last):
+                comp.append(0 if c < 0.5 else 1)
+                rng.standard_normal(out=z[k])
+                # This iteration's acceptance uniform and the next one's component uniform.
+                rng.random(out=pair)
+                u, c = pair.tolist()
+                uniforms.append(u)
+            comp.append(0 if c < 0.5 else 1)
+            rng.standard_normal(out=z[last])
             uniforms.append(rng.random())
         # A stacked matmul gives each row the bits of ``L @ z`` alone;
         # np.vecdot over the rows of L would not.
@@ -212,20 +238,23 @@ class ChainEnsemble:
         ).tolist()
 
         log_target = self.log_target
+        # math.log, not np.log: the two differ in the last bit for some u.
+        log = math.log
         accepted = []
         held = []  # the row of ``pool`` holding the chain's state after each iteration
         for r, j in enumerate(chains):
-            row = r
+            # The chain's row of ``pool``, target and mixture values as it moves.
+            row, target_cur, mixture_cur = r, log_target[j], log_mixture[r]
             for k in range(r * steps, (r + 1) * steps):
-                log_alpha = log_accept_ratio(log_target_new[k], log_target[j], log_mixture[m + k], log_mixture[row])
+                target_new, mixture_new = log_target_new[k], log_mixture[m + k]
+                log_alpha = log_accept_ratio(target_new, target_cur, mixture_new, mixture_cur)
                 u = uniforms[k]
-                # math.log, not np.log: the two differ in the last bit for some u.
-                ok = (math.log(u) if u > 0.0 else -math.inf) < log_alpha
+                ok = (log(u) if u > 0.0 else -math.inf) < log_alpha
                 if ok:
-                    log_target[j] = log_target_new[k]
-                    row = m + k
+                    row, target_cur, mixture_cur = m + k, target_new, mixture_new
                 accepted.append(ok)
                 held.append(row)
+            log_target[j] = target_cur
         states = pool[held].reshape(m, steps, d).swapaxes(0, 1)
         self.current[run] = states[-1]
         return states, np.array(accepted, dtype=bool).reshape(m, steps).T

@@ -71,8 +71,13 @@ class BananaParams:
     def __post_init__(self):
         for name in ("b", "eta1", "eta2", "eta3"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            shown = repr(value)
+            try:
+                finite = not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+            except OverflowError:  # an integer beyond a double's range
+                finite, shown = False, "an integer beyond the range of a double"
+            if not finite:
+                raise ValueError(f"{name} must be a finite real number, got {shown}")
         if min(self.eta1, self.eta2, self.eta3) <= 0.0:
             raise ValueError("eta1, eta2, eta3 must all be positive")
 

@@ -618,6 +618,48 @@ BAD_INPUTS = {
 }
 
 
+# An integer beyond a double's range; JSON keeps every digit.
+HUGE = 10**400
+
+
+def beyond(path):
+    """The message of a config number beyond a double's range at ``path``."""
+    return f"bad config value: {path} must be within the range of a double, got an integer beyond it"
+
+
+# The banana's parameters are checked by BananaParams, which the oracle's
+# --params reaches too, and named as make_target names them.
+BANANA_BEYOND = ("bad parameters for target 'banana': b must be a finite real number, "
+                 "got an integer beyond the range of a double")
+
+# HUGE at each place a config number is read as a double: the whole line.
+BAD_INPUTS.update({
+    "beyond-a-double-sampler.t_stop": (
+        run_argv(lambda c: c["sampler"].update(t_stop=HUGE)),
+        beyond("sampler.t_stop"),
+    ),
+    "beyond-a-double-sampler.epsilon": (
+        run_argv(lambda c: c["sampler"].update(epsilon=HUGE)),
+        beyond("sampler.epsilon"),
+    ),
+    "beyond-a-double-init.sigma": (run_argv(lambda c: c["init"].update(sigma=HUGE)), beyond("init.sigma")),
+    "beyond-a-double-init.box_lower": (
+        run_argv(lambda c: c["init"].update(box_lower=[-HUGE, -5.0])),
+        beyond("init.box_lower"),
+    ),
+    "beyond-a-double-init.box_upper": (
+        run_argv(lambda c: c["init"].update(box_upper=[5.0, HUGE])),
+        beyond("init.box_upper"),
+    ),
+    "beyond-a-double-truth": (run_argv(lambda c: c.update(truth=[HUGE, 0.0])), beyond("truth")),
+    "beyond-a-double-target.params.sigma": (run_argv(gaussian(sigma=HUGE)), beyond("target.params.sigma")),
+    "beyond-a-double-target.params.mean": (run_argv(gaussian(mean=[HUGE, 0.0])), beyond("target.params.mean")),
+    "beyond-a-double-target.params.weights": (run_argv(mixture(weights=[HUGE, 1])), beyond("target.params.weights")),
+    "beyond-a-double-target.params.b": (run_argv(banana(b=HUGE)), BANANA_BEYOND),
+    "beyond-a-double-oracle-params-b": (lambda _: ["oracle", "--params", json.dumps({"b": HUGE})], BANANA_BEYOND),
+})
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     argv, message = BAD_INPUTS[case]
@@ -628,6 +670,21 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     assert len(err) == 1, err
     assert err[0].startswith("error: " + message), err[0]
     assert "Traceback" not in captured.err
+
+
+def test_a_memory_error_without_text_still_says_what_failed(tmp_path, capsys, monkeypatch):
+    # Python's own MemoryError, such as a failed list allocation, has no text.
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(paim.cli, "replicate", exhausted)
+    argv = ["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: out of memory: an allocation failed; a smaller study or grid needs less"
+    ]
 
 
 # Box and init.sigma 1e150 dwarf epsilon 0.4: the states' second moments

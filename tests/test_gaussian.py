@@ -129,22 +129,30 @@ class TestStackedCholesky:
 class TestSampleGaussian:
     def test_zero_noise_passthrough(self):
         class ZeroRng:
-            def random(self):
-                return 0.0
+            def random(self, size=None, out=None):
+                if out is None:
+                    return 0.0 if size is None else np.zeros(size)
+                out.fill(0.0)
+                return out
 
-            def standard_normal(self, n):
-                return np.zeros(n)
+            standard_normal = random
 
         out = proposal_draws(np.array([5.0, 5.0]), np.eye(2), [ZeroRng()])[0, 0]
         assert np.array_equal(out, np.array([5.0, 5.0]))
 
     def test_linear_map(self):
         class OnesRng:
-            def random(self):
-                return 0.0
+            def random(self, size=None, out=None):
+                if out is None:
+                    return 0.0 if size is None else np.zeros(size)
+                out.fill(0.0)
+                return out
 
-            def standard_normal(self, n):
-                return np.ones(n)
+            def standard_normal(self, size=None, out=None):
+                if out is None:
+                    return 1.0 if size is None else np.ones(size)
+                out.fill(1.0)
+                return out
 
         out = proposal_draws(np.zeros(2), np.diag([4.0, 9.0]), [OnesRng()])[0, 0]
         assert np.array_equal(out, np.array([2.0, 3.0]))

@@ -28,20 +28,32 @@ from test_golden import spread_config
 
 
 class ScriptedRng:
-    """Duck-typed generator returning pre-scripted draws."""
+    """Duck-typed generator returning pre-scripted draws, with numpy's call
+    signatures. ``calls`` logs the draws, not the calls: one "random" per
+    uniform, so a call for two uniforms logs two, and one
+    "standard_normal(n)" per scripted vector of n normals."""
 
     def __init__(self, uniforms=(), normals=()):
         self.uniforms = list(uniforms)
         self.normals = list(normals)
         self.calls = []
 
-    def random(self):
-        self.calls.append("random")
-        return self.uniforms.pop(0)
+    def random(self, size=None, out=None):
+        n = out.size if out is not None else 1 if size is None else size
+        values = [self.uniforms.pop(0) for _ in range(n)]
+        self.calls += ["random"] * n
+        if out is not None:
+            out[...] = values
+            return out
+        return values[0] if size is None else np.array(values)
 
-    def standard_normal(self, n):
-        self.calls.append(f"standard_normal({n})")
-        return np.asarray(self.normals.pop(0), dtype=float)
+    def standard_normal(self, size=None, out=None):
+        values = np.asarray(self.normals.pop(0), dtype=float)
+        self.calls.append(f"standard_normal({values.size})")
+        if out is None:
+            return values
+        out[...] = values
+        return out
 
 
 class Proposal:
@@ -344,21 +356,26 @@ class TestAdvanceTogether:
 class ZeroEvery:
     """A generator whose every third acceptance uniform reads 0.0.
 
-    Calls alternate component uniform, ``d`` normals, acceptance uniform,
-    so every sixth ``random()`` call is an acceptance uniform; it still
-    consumes the underlying draw."""
+    A chain's uniforms alternate component, acceptance, so every sixth
+    uniform drawn is an acceptance uniform. It counts uniforms, not calls,
+    so that one reads 0.0 whether drawn alone or with another; it still
+    consumes the underlying draw. The signatures are numpy's."""
 
     def __init__(self, rng):
         self.rng = rng
         self.uniforms = 0
 
-    def random(self):
-        self.uniforms += 1
-        u = self.rng.random()
-        return 0.0 if self.uniforms % 6 == 0 else u
+    def random(self, size=None, out=None):
+        scalar = size is None and out is None
+        values = self.rng.random(1 if scalar else size, out=out)
+        for i in range(values.size):
+            self.uniforms += 1
+            if self.uniforms % 6 == 0:
+                values[i] = 0.0
+        return float(values[0]) if scalar else values
 
-    def standard_normal(self, n):
-        return self.rng.standard_normal(n)
+    def standard_normal(self, size=None, out=None):
+        return self.rng.standard_normal(size, out=out)
 
     def stream_state(self):
         return self.uniforms, self.rng.bit_generator.state
@@ -414,6 +431,33 @@ class TestAdvanceBlock:
         assert sum(r.uniforms // 6 for r in block.rngs) > 0  # some acceptance uniforms were 0.0
         if value is not None:
             assert block.log_target == [value] * n
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 7, 102])
+    def test_a_block_draws_what_the_scalar_calls_draw(self, steps, d):
+        # A block groups each chain's draws into fewer Generator calls. Its
+        # streams must end where `steps` rounds of the scalar calls leave
+        # them, with nothing drawn ahead, and its results must use the
+        # values in the scalar order: those of one-step calls.
+        n = 8
+        rng = np.random.default_rng(97 + d)
+        proposals = random_proposals(rng, n, d)
+        starts = rng.uniform(-6, 6, (n, d))
+        run = np.array([0, 1, 2, 4, 5, 7])
+        block = ensemble(starts, proposals, chain_streams(15, n), half_space_target(d))
+        single = ensemble(starts, proposals, chain_streams(15, n), half_space_target(d))
+        states, accepted = block.advance(run, steps)
+        for i in range(steps):
+            (one_states,), (one_accepted,) = single.advance(run)
+            np.testing.assert_array_equal(states[i], one_states)
+            np.testing.assert_array_equal(accepted[i], one_accepted)
+        scalar = chain_streams(15, n)
+        for j in run.tolist():
+            for _ in range(steps):
+                scalar[j].random()
+                scalar[j].standard_normal(d)
+                scalar[j].random()
+        assert [r.bit_generator.state for r in block.rngs] == [r.bit_generator.state for r in scalar]
 
     def test_nan_target_raises(self):
         d = 2
