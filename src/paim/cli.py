@@ -37,7 +37,7 @@ from .harness import (
     usable_workers,
     write_json,
 )
-from .targets import AllZeroMass, grid_expectation
+from .targets import AllZeroMass, check_points, grid_expectation
 
 
 def _comma_ints(text: str) -> list[int]:
@@ -168,6 +168,7 @@ def cmd_oracle(args) -> int:
     if args.bounds is not None:
         grid = replace(grid, lower=np.full(target.dim, args.bounds[0]), upper=np.full(target.dim, args.bounds[1]))
     if args.points is not None:
+        check_points("--points", args.points)
         grid = replace(grid, points_per_axis=args.points)
     value = grid_expectation(target, grid.lower, grid.upper, grid.points_per_axis)
     print("E[X]: " + " ".join(f"{v:.17g}" for v in value))

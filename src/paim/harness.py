@@ -23,11 +23,13 @@ import numpy as np
 
 from .gaussian import NotPositiveDefinite, check_sigma
 from .moments import mean_square_error
-from .sampler import PaimConfig, RunRecord, check_settings, run_ipc, run_paim
+from .sampler import PaimConfig, RunRecord, RunSettings, run_ipc, run_paim
 from .targets import (
+    MAX_DOUBLES,
     BananaParams,
     TargetDensity,
     check_box,
+    check_points,
     grid_expectation,
     make_banana_target,
     make_gaussian_mixture_target,
@@ -185,10 +187,15 @@ def _truth(value, name: str) -> Union[np.ndarray, GridSpec, str, None]:
         _check_fields(grid, keys, f"{name}.grid.", required=keys)
         value = GridSpec(**grid)
     if isinstance(value, GridSpec):
+        points = _integer(value.points_per_axis, f"{name}.grid.points_per_axis")
+        try:
+            check_points(f"{name}.grid.points_per_axis", points)
+        except ValueError as exc:
+            raise ConfigError(f"bad config value: {exc}") from None
         return GridSpec(
             lower=_numbers(value.lower, f"{name}.grid.lower"),
             upper=_numbers(value.upper, f"{name}.grid.upper"),
-            points_per_axis=_integer(value.points_per_axis, f"{name}.grid.points_per_axis"),
+            points_per_axis=points,
         )
     return _numbers(value, name)
 
@@ -215,8 +222,8 @@ CONFIG_KEYS = {
 }
 
 
-@dataclass(kw_only=True)
-class ExperimentConfig:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(RunSettings):
     """One study's settings, read from a config file or built directly.
 
     A config file (``paim run --config FILE``, :meth:`load`) holds one
@@ -243,21 +250,17 @@ class ExperimentConfig:
     oracle on that grid (a :class:`GridSpec` when built directly), or
     absent, which :func:`replicate` rejects.
 
-    A config file, a direct build and ``dataclasses.replace`` all go
-    through the same checks, each error naming the key's path.
+    The sampler settings and their checks are declared on
+    :class:`~paim.sampler.RunSettings`. A config file, a direct build and
+    ``dataclasses.replace`` go through the same checks, and a built
+    config is immutable: ``dataclasses.replace`` derives a changed one.
     """
 
     algorithm: str = "both"         # "paim", "ipc", or "both"
     target_name: str
     target_params: Optional[dict] = None
-    n_chains: int
-    total_samples: int
-    t_train: int
     box_lower: np.ndarray
     box_upper: np.ndarray
-    sigma: float
-    t_stop: float = PaimConfig.t_stop
-    epsilon: float = PaimConfig.epsilon
     replications: int = 1
     base_seed: int = 0
     output_dir: str = "out"
@@ -265,7 +268,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for path, (name, check) in CONFIG_KEYS.items():
-            setattr(self, name, check(getattr(self, name), path))
+            object.__setattr__(self, name, check(getattr(self, name), path))
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if self.base_seed < 0:
@@ -273,10 +276,13 @@ class ExperimentConfig:
         # Checked once per study, before the grid oracle runs.
         try:
             check_box("initialization box", self.box_lower, self.box_upper)
-            check_settings(self.n_chains, self.total_samples, self.t_train, self.t_stop, self.epsilon, self.sigma,
-                           sigma_name="sigma")
+            super().__post_init__()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        dim = self.box_lower.size
+        if self.total_samples * dim > MAX_DOUBLES:  # numpy could not even try to allocate the samples
+            raise ConfigError(f"bad config value: sampler.total_samples must be at most {MAX_DOUBLES // dim}, "
+                              f"the most {dim}-D samples one array can hold, got {self.total_samples}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -402,14 +408,9 @@ def replication_config(config: ExperimentConfig, rep: int) -> PaimConfig:
         config.n_chains, config.box_lower, config.box_upper, np.random.default_rng(init_ss)
     )
     return PaimConfig(
-        n_chains=config.n_chains,
-        total_samples=config.total_samples,
-        t_train=config.t_train,
-        t_stop=config.t_stop,
-        epsilon=config.epsilon,
+        **{f.name: getattr(config, f.name) for f in fields(RunSettings)},
         init_means=init_means,
         init_states=init_states,
-        init_sigma=config.sigma,
         seed=int(sample_ss.generate_state(1, dtype=np.uint64)[0]),
     )
 

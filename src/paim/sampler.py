@@ -66,6 +66,11 @@ scatter increments in one stacked product. A refresh computes the
 covariances of every row in one stacked step and factors them with one
 stacked :func:`cholesky` call, writing the results straight into the
 ensemble.
+
+The run settings are declared and checked once, on :class:`RunSettings`,
+which :class:`PaimConfig` and :class:`~paim.harness.ExperimentConfig`
+extend. Configs are immutable: ``dataclasses.replace`` derives a changed
+one and checks it again.
 """
 
 from __future__ import annotations
@@ -308,67 +313,63 @@ def activation(counts) -> np.ndarray:
 
 # ----------------------------- run driver -----------------------------
 
-def check_settings(n_chains: int, total_samples: int, t_train: int, t_stop: float, epsilon: float,
-                   init_sigma: float, sigma_name: str = "init_sigma") -> None:
-    """Raise ValueError unless the scalar settings of a run are usable.
+@dataclass(frozen=True, kw_only=True)
+class RunSettings:
+    """The scalar settings of a run, checked when built.
 
-    At least one chain and one sample per chain, training strictly
-    before the stop, an ``epsilon`` that lifts a pivot above
-    ``PIVOT_FLOOR``, and an initial covariance scale that passes
-    :func:`~paim.gaussian.check_sigma` (reported as ``sigma_name``).
-    None of these needs the target, so a study checks them before any
-    oracle runs.
-    """
-    if n_chains < 1:
-        raise ValueError("n_chains must be at least 1")
-    if total_samples < n_chains:
-        raise ValueError("total_samples must be at least n_chains")
-    if not t_train < t_stop:
-        raise ValueError("t_train must be strictly below t_stop")
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if not epsilon > PIVOT_FLOOR:
-        raise ValueError(f"epsilon must be above {PIVOT_FLOOR:.0e}, got {epsilon}")
-    check_sigma(sigma_name, init_sigma)
+    A run has at least one chain and one sample per chain, trains
+    strictly before it stops adapting, and has an ``epsilon`` that lifts
+    a pivot above ``PIVOT_FLOOR`` and an initial covariance scale
+    ``sigma`` that passes :func:`~paim.gaussian.check_sigma`. None of
+    these needs the target, so a study checks them before any oracle runs.
 
-
-@dataclass
-class PaimConfig:
-    """Run settings for the adaptive parallel sampler.
-
-    ``init_means`` has shape (n_chains, 2, dim): per chain, the initial
-    global and local component means. Initial covariances are
-    ``init_sigma**2 * I`` for every component. ``t_stop`` may be
-    ``math.inf`` to never stop adapting; ``t_train`` counts the leading
-    steps that only collect assignments (use ``t_train=-1`` with
-    ``t_stop=0`` to disable adaptation entirely).
-
-    The default ``t_stop=math.inf`` is Table 1's setting, but it carries
-    no ergodicity guarantee: adaptation that never stops need not
-    diminish (Roberts & Rosenthal 2007). A finite ``t_stop`` makes every
-    chain a valid independence sampler from that step on.
+    ``t_stop`` may be ``math.inf`` to never stop adapting; ``t_train``
+    counts the leading steps that only collect assignments (use
+    ``t_train=-1`` with ``t_stop=0`` to disable adaptation entirely). The
+    default ``t_stop=math.inf`` is Table 1's setting, but it carries no
+    ergodicity guarantee: adaptation that never stops need not diminish
+    (Roberts & Rosenthal 2007). A finite ``t_stop`` makes every chain a
+    valid independence sampler from that step on.
     """
 
     n_chains: int
     total_samples: int
     t_train: int
-    init_means: np.ndarray
-    init_states: np.ndarray
-    init_sigma: float
+    sigma: float
     t_stop: float = math.inf
     epsilon: float = 0.4
+
+    def __post_init__(self):
+        if self.n_chains < 1:
+            raise ValueError("n_chains must be at least 1")
+        if self.total_samples < self.n_chains:
+            raise ValueError("total_samples must be at least n_chains")
+        if not self.t_train < self.t_stop:
+            raise ValueError("t_train must be strictly below t_stop")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not self.epsilon > PIVOT_FLOOR:
+            raise ValueError(f"epsilon must be above {PIVOT_FLOOR:.0e}, got {self.epsilon}")
+        check_sigma("sigma", self.sigma)
+
+
+@dataclass(frozen=True, kw_only=True)
+class PaimConfig(RunSettings):
+    """Run settings for the adaptive parallel sampler.
+
+    ``init_means`` has shape (n_chains, 2, dim): per chain, the initial
+    global and local component means; ``init_states`` (n_chains, dim)
+    holds the first states. Initial covariances are ``sigma**2 * I``.
+    """
+
+    init_means: np.ndarray
+    init_states: np.ndarray
     seed: int = 0
 
     def __post_init__(self):
-        self.init_means = np.asarray(self.init_means, dtype=float)
-        self.init_states = np.asarray(self.init_states, dtype=float)
-
-    @property
-    def dim(self) -> int:
-        return self.init_states.shape[1]
-
-    def validate(self) -> None:
-        check_settings(self.n_chains, self.total_samples, self.t_train, self.t_stop, self.epsilon, self.init_sigma)
+        object.__setattr__(self, "init_means", np.asarray(self.init_means, dtype=float))
+        object.__setattr__(self, "init_states", np.asarray(self.init_states, dtype=float))
+        super().__post_init__()
         if self.init_means.shape != (self.n_chains, 2, self.dim):
             raise ValueError(
                 f"init_means must have shape ({self.n_chains}, 2, {self.dim}), got {self.init_means.shape}"
@@ -377,6 +378,10 @@ class PaimConfig:
             raise ValueError(
                 f"init_states must have shape ({self.n_chains}, {self.dim}), got {self.init_states.shape}"
             )
+
+    @property
+    def dim(self) -> int:
+        return self.init_states.shape[1]
 
 
 @dataclass
@@ -502,7 +507,6 @@ def run_paim(
     invoked after each block but the last, once assignment and any
     adaptation are done; it does not change the blocks.
     """
-    config.validate()
     if target.dim != config.dim:
         raise ValueError(f"target dim {target.dim} does not match config dim {config.dim}")
 
@@ -510,7 +514,7 @@ def run_paim(
     total = config.total_samples
     dim = config.dim
 
-    cov = config.init_sigma**2 * np.eye(dim)
+    cov = config.sigma**2 * np.eye(dim)
     chains = ChainEnsemble(config.init_states, config.init_means, cov, chain_streams(config.seed, n), target)
     # Row j accumulates chain j's cluster and row n every new state, the
     # global fit. The initial state seeds chain j's cluster, so every

@@ -24,6 +24,14 @@ import numpy as np
 from .gaussian import check_symmetric, cholesky, log_gaussian_pdf_stacked
 
 
+# The most doubles one array can hold: numpy caps an array's bytes at the
+# largest np.intp.
+MAX_DOUBLES = np.iinfo(np.intp).max // np.dtype(float).itemsize
+# The most points one grid axis can hold. np.linspace counts its points
+# in a double, which must round to no more than MAX_DOUBLES.
+MAX_AXIS_POINTS = int(np.nextafter(float(MAX_DOUBLES), 0.0))
+
+
 class AllZeroMass(Exception):
     """Every grid point had zero density; the bounds miss the support."""
 
@@ -159,6 +167,14 @@ def check_box(name: str, lower: np.ndarray, upper: np.ndarray) -> None:
         raise ValueError(f"{name} is too wide: upper - lower overflows a double")
 
 
+def check_points(name: str, points_per_axis: int) -> None:
+    """Raise ValueError unless one grid axis of ``points_per_axis`` doubles
+    fits in an array; ``name`` starts the message."""
+    if points_per_axis > MAX_AXIS_POINTS:
+        raise ValueError(f"{name} must be at most {MAX_AXIS_POINTS}, the most points one axis can hold, "
+                         f"got {points_per_axis}")
+
+
 def grid_expectation(target: TargetDensity, lower, upper, points_per_axis: int) -> np.ndarray:
     """E[X] over a uniform tensor grid, normalized against the grid mass.
 
@@ -177,6 +193,7 @@ def grid_expectation(target: TargetDensity, lower, upper, points_per_axis: int) 
         raise ValueError(f"grid bounds must have shape ({d},)")
     if points_per_axis < 2:
         raise ValueError("need at least two points per axis")
+    check_points("points_per_axis", points_per_axis)
 
     axes = [np.linspace(lower[i], upper[i], points_per_axis) for i in range(d)]
     if d == 1:

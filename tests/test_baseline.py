@@ -16,7 +16,7 @@ def random_inits(n, seed):
 def ipc_config(n, total, means, states, sigma, seed=0, t_train=1):
     """A config for ``run_ipc``; it runs with adaptation off whatever ``t_train`` is."""
     return PaimConfig(n_chains=n, total_samples=total, t_train=t_train, init_means=means,
-                      init_states=states, init_sigma=sigma, seed=seed)
+                      init_states=states, sigma=sigma, seed=seed)
 
 
 def baseline_budgets(total, n):
@@ -95,7 +95,7 @@ class TestRunIpc:
         for n, total in ((4, 200), (4, 10), (5, 6), (50, 52), (3, 100)):
             means, states = random_inits(n, 15 + n)
             paim_cfg = PaimConfig(n_chains=n, total_samples=total, t_train=-1, t_stop=0.0,
-                                  init_means=means, init_states=states, init_sigma=10.0, seed=17)
+                                  init_means=means, init_states=states, sigma=10.0, seed=17)
             a = run_paim(paim_cfg, target)
             b = run_ipc(ipc_config(n, total, means, states, 10.0, seed=17, t_train=5), target)
             for name in ("samples", "sample_step", "sample_chain", "sample_iteration", "sample_accepted",

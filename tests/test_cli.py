@@ -324,6 +324,12 @@ def mixture(**params):
     return lambda c: c.update(target={"name": "gaussian_mixture", "params": params})
 
 
+# The most doubles one array holds (2**63 - 1 bytes), and the most points
+# of one grid axis: np.linspace rounds the count to a double.
+ARRAY_DOUBLES = 2**60 - 1
+AXIS_POINTS = 2**60 - 128
+
+
 # id -> (argv builder, the start of the message after "error: ")
 BAD_INPUTS = {
     "unknown-target": (run_argv(lambda c: c["target"].update(name="donut")), "unknown target 'donut'"),
@@ -614,6 +620,36 @@ BAD_INPUTS = {
     "total-samples-unallocatable": (
         run_argv(lambda c: c["sampler"].update(total_samples=10**17)),
         "out of memory: Unable to allocate",
+    ),
+    # More points than one axis of doubles can hold: np.linspace would
+    # fail with an IndexError at 2**63 and numpy's own text below it.
+    **{
+        f"grid-points-beyond-an-axis-{points}": (
+            run_argv(lambda c, p=points: c.update(truth={"grid": {"lower": [0, 0], "upper": [1, 1],
+                                                                  "points_per_axis": p}})),
+            f"bad config value: truth.grid.points_per_axis must be at most {AXIS_POINTS}, "
+            f"the most points one axis can hold, got {points}",
+        )
+        for points in (2**62, 2**63 - 1, 2**63)
+    },
+    **{
+        f"oracle-points-beyond-an-axis-{points}": (
+            lambda _, p=points: ["oracle", "--points", str(p)],
+            f"--points must be at most {AXIS_POINTS}, the most points one axis can hold, got {points}",
+        )
+        for points in (AXIS_POINTS + 1, 2**62, 2**63 - 1, 2**63, 10**30)
+    },
+    # More samples than one array of doubles can hold, which numpy refuses
+    # with "Maximum allowed dimension exceeded".
+    "total-samples-beyond-an-array": (
+        run_argv(lambda c: c["sampler"].update(total_samples=10**30)),
+        f"bad config value: sampler.total_samples must be at most {ARRAY_DOUBLES // 2}, "
+        f"the most 2-D samples one array can hold, got {10**30}",
+    ),
+    "benchmark-samples-beyond-an-array": (
+        lambda _: ["benchmark", "table1", "--n", "5", "--ttrain", "1", "--reps", "1", "--samples", str(10**30)],
+        f"bad config value: sampler.total_samples must be at most {ARRAY_DOUBLES // 2}, "
+        f"the most 2-D samples one array can hold, got {10**30}",
     ),
 }
 

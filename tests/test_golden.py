@@ -52,7 +52,7 @@ def spread_config(n, total, t_train, init_seed, dim=2, **overrides):
         t_train=t_train,
         init_means=rng.uniform(-15, 15, (n, 2, dim)),
         init_states=rng.uniform(-15, 15, (n, dim)),
-        init_sigma=10.0,
+        sigma=10.0,
         **overrides,
     )
 

@@ -56,7 +56,7 @@ def test_csvs_match_row_by_row_formatting_for_a_run(tmp_path):
         t_train=2,
         init_means=rng.uniform(-5, 5, (n, 2, d)),
         init_states=rng.uniform(-5, 5, (n, d)),
-        init_sigma=3.0,
+        sigma=3.0,
         seed=8,
     )
     record = run_paim(config, make_gaussian_target([1.0, -2.0, 0.5], np.diag([1.0, 2.0, 0.5])))
@@ -98,7 +98,7 @@ def test_csvs_match_row_by_row_formatting_for_a_frozen_tail(tmp_path, monkeypatc
         t_stop=t_stop,
         init_means=rng.uniform(-8, 8, (n, 2, d)),
         init_states=rng.uniform(-8, 8, (n, d)),
-        init_sigma=4.0,
+        sigma=4.0,
         seed=1,
     )
     target = make_gaussian_mixture_target(np.array([[-4.0, -4.0], [4.0, 3.0]]), np.array([np.eye(2)] * 2), None)
@@ -268,8 +268,7 @@ def kept_records(monkeypatch, config):
 
 
 def test_replicate_keeps_only_the_first_replications_records(monkeypatch):
-    config = experiment_with_truth([0.2, 0.2], 2)
-    config.replications = 4
+    config = dataclasses.replace(experiment_with_truth([0.2, 0.2], 2), replications=4)
     made, live_at_start, _ = kept_records(monkeypatch, config)
     report = replicate(config, workers=1)
     gc.collect()
@@ -284,8 +283,7 @@ def test_replicate_keeps_only_the_first_replications_records(monkeypatch):
 def test_replicate_in_workers_keeps_only_the_first_replications_records(monkeypatch, two_cpus):
     # This process makes replication 0's PAIM run and the runs that the
     # worker has not started; the worker's records reach it only pickled.
-    config = experiment_with_truth([0.2, 0.2], 2)
-    config.replications = 6
+    config = dataclasses.replace(experiment_with_truth([0.2, 0.2], 2), replications=6)
     made, live_at_start, sent_back = kept_records(monkeypatch, config)
     report = replicate(config, workers=2)
     gc.collect()
@@ -313,9 +311,7 @@ def test_pool_forks_one_process_fewer_than_workers_and_none_outlives_replicate(
     monkeypatch, forks, cpus, workers, replications, algorithm, expected
 ):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    config = experiment_with_truth([0.2, 0.2], 2)
-    config.replications = replications
-    config.algorithm = algorithm
+    config = dataclasses.replace(experiment_with_truth([0.2, 0.2], 2), replications=replications, algorithm=algorithm)
     report = replicate(config, workers=workers)
     assert forks[0] == expected
     assert multiprocessing.active_children() == []
@@ -335,8 +331,7 @@ def test_bad_worker_count_is_rejected_before_any_run(monkeypatch, two_cpus, fork
 
 
 def test_without_fork_the_runs_go_in_this_process(monkeypatch, two_cpus):
-    config = experiment_with_truth([0.2, 0.2], 2)
-    config.replications = 2
+    config = dataclasses.replace(experiment_with_truth([0.2, 0.2], 2), replications=2)
     expected = replicate(config, workers=1).to_dict()
     monkeypatch.delattr(os, "fork")
     assert replicate(config, workers=2).to_dict() == expected
@@ -427,6 +422,29 @@ def test_checking_a_checked_config_changes_nothing():
     again = dataclasses.replace(config)
     assert again.box_lower is config.box_lower and again.truth.lower is config.truth.lower
     assert repr(again) == repr(config)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_a_built_config_cannot_be_changed(name):
+    # Only dataclasses.replace derives a changed config, and it checks it again.
+    config = direct_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, name, getattr(config, name))
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("replications", 0, "replications must be at least 1"),
+    ("algorithm", "bogus", "unknown algorithm 'bogus' (expected paim, ipc, or both)"),
+    ("total_samples", 10**30, "bad config value: sampler.total_samples must be at most 576460752303423487, "
+                              "the most 2-D samples one array can hold, got 10" + "0" * 29),
+])
+def test_a_replaced_config_fails_as_its_config_file_does(name, value, message):
+    (path,) = [path for path, (field, _) in CONFIG_KEYS.items() if field == name]
+    with pytest.raises(ConfigError) as from_file:
+        ExperimentConfig.from_dict(with_key(base_config(), path, value))
+    with pytest.raises(ConfigError) as replaced:
+        dataclasses.replace(direct_config(), **{name: value})
+    assert str(from_file.value) == str(replaced.value) == message
 
 
 def test_a_directly_built_config_stores_numpy_scalars_as_python_numbers():

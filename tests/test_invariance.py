@@ -67,7 +67,7 @@ def final_states_advance(target, init_states, proposal_means, proposal_covs):
 
 def final_states_ipc(target, init_states, proposal_means, proposal_covs):
     """The states after ``STEPS`` steps of the fixed-proposal baseline,
-    whose two components share the covariance ``init_sigma**2 * I``."""
+    whose two components share the covariance ``sigma**2 * I``."""
     config = PaimConfig(
         n_chains=CHAINS,
         total_samples=CHAINS * STEPS,
@@ -75,7 +75,7 @@ def final_states_ipc(target, init_states, proposal_means, proposal_covs):
         t_stop=0,
         init_means=np.broadcast_to(proposal_means, (CHAINS, 2, 2)),
         init_states=init_states,
-        init_sigma=float(np.sqrt(proposal_covs[0, 0, 0])),
+        sigma=float(np.sqrt(proposal_covs[0, 0, 0])),
         seed=7,
     )
     record = run_ipc(config, target)

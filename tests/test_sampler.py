@@ -705,7 +705,7 @@ def small_config(**overrides):
         t_train=1,
         init_means=np.zeros((4, 2, 2)),
         init_states=np.zeros((4, 2)),
-        init_sigma=10.0,
+        sigma=10.0,
         epsilon=0.4,
         seed=99,
     )
@@ -717,40 +717,50 @@ def small_config(**overrides):
     return PaimConfig(**defaults)
 
 
+# The test ids name sigma by its former name, init_sigma.
+SIGMA = pytest.param("sigma", id="init_sigma")
+
+
 class TestPaimConfig:
     def test_train_must_precede_stop(self):
         with pytest.raises(ValueError, match="t_train"):
-            small_config(t_train=5, t_stop=5).validate()
+            small_config(t_train=5, t_stop=5)
 
     def test_epsilon_positive(self):
         with pytest.raises(ValueError, match="epsilon"):
-            small_config(epsilon=0.0).validate()
+            small_config(epsilon=0.0)
 
-    @pytest.mark.parametrize("field", ["epsilon", "init_sigma"])
+    @pytest.mark.parametrize("field", ["epsilon", SIGMA])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_positive_and_finite(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
-            small_config(**{field: value}).validate()
+            small_config(**{field: value})
 
-    @pytest.mark.parametrize("field, value", [("epsilon", 1e-320), ("init_sigma", 1e-160), ("init_sigma", 1e200)])
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", 1e-320),
+        pytest.param("sigma", 1e-160, id="init_sigma-1e-160"),
+        pytest.param("sigma", 1e200, id="init_sigma-1e+200"),
+    ])
     def test_covariance_scale_passes_the_pivot_floor(self, field, value):
         # each would end in NotPositiveDefinite or OverflowError mid-run
         with pytest.raises(ValueError, match=f"^{field} must be .*above 1e-300"):
-            small_config(**{field: value}).validate()
+            small_config(**{field: value})
 
     def test_budget_at_least_one_per_chain(self):
         with pytest.raises(ValueError, match="total_samples"):
-            small_config(total_samples=3).validate()
+            small_config(total_samples=3)
 
     def test_shape_checks(self):
-        cfg = small_config()
-        cfg.init_means = np.zeros((4, 2, 3))
         with pytest.raises(ValueError, match="init_means"):
-            cfg.validate()
-        cfg = small_config()
-        cfg.init_states = np.zeros((3, 2))
+            small_config(init_means=np.zeros((4, 2, 3)))
         with pytest.raises(ValueError, match=r"^init_states must have shape \(4, 2\), got \(3, 2\)$"):
-            cfg.validate()
+            small_config(init_states=np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(PaimConfig)])
+    def test_a_built_config_cannot_be_changed(self, field):
+        config = small_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, getattr(config, field))
 
 
 class InvariantProbe:

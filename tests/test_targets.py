@@ -208,7 +208,7 @@ class TestTargetBoundary:
             t_train=1,
             init_means=rng.uniform(-5, 5, (4, 2, 2)),
             init_states=-rng.uniform(1, 5, (4, 2)),
-            init_sigma=5.0,
+            sigma=5.0,
         )
         with pytest.raises(ValueError, match="NaN at"):
             run_paim(cfg, nan_right_half())
