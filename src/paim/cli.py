@@ -96,39 +96,50 @@ def cmd_run(args) -> int:
         config = replace(config, base_seed=args.seed)
     if args.out is not None:
         config = replace(config, output_dir=args.out)
-    report = replicate(config, args.workers)
-    if len(report.records) == 1:
-        (record,) = report.records.values()
-        written = emit_outputs(record, report, config.output_dir)
+    workers = usable_workers(args.workers)
+    # Both algorithms write a directory each. Every one is made before
+    # any run, so a place that cannot hold it fails at once.
+    if config.algorithm == "both":
+        out_dirs = {name: os.path.join(config.output_dir, name) for name in ("paim", "ipc")}
     else:
-        written = []
-        for name, record in sorted(report.records.items()):
-            written += emit_outputs(record, report, os.path.join(config.output_dir, name))
+        out_dirs = {config.algorithm: config.output_dir}
+    for out_dir in out_dirs.values():
+        os.makedirs(out_dir, exist_ok=True)
+    report = replicate(config, workers)
+    written = []
+    for name, record in sorted(report.records.items()):
+        written += emit_outputs(record, report, out_dirs[name])
     for path in written:
         print(path)
     return 0
 
 
 def cmd_benchmark(args) -> int:
-    # The workers and every cell's config are checked before the grid oracle runs.
+    # The workers, every cell's config and every cell's output directory
+    # are checked before the grid oracle runs. The base config is the
+    # first cell's.
     workers = usable_workers(args.workers)
+    base = ExperimentConfig(
+        algorithm="both",
+        target_name="banana",
+        target_params={},
+        n_chains=args.n[0],
+        total_samples=args.samples,
+        t_train=args.ttrain[0],
+        box_lower=[-15.0, -15.0],
+        box_upper=[15.0, 15.0],
+        sigma=10.0,
+        replications=args.reps,
+        base_seed=args.seed,
+    )
     configs = {
-        (t_train, n): ExperimentConfig(
-            algorithm="both",
-            target_name="banana",
-            target_params={},
-            n_chains=n,
-            total_samples=args.samples,
-            t_train=t_train,
-            box_lower=[-15.0, -15.0],
-            box_upper=[15.0, 15.0],
-            sigma=10.0,
-            replications=args.reps,
-            base_seed=args.seed,
-        )
-        for t_train in args.ttrain
-        for n in args.n
+        (t_train, n): replace(base, n_chains=n, t_train=t_train) for t_train in args.ttrain for n in args.n
     }
+    cell_dirs = {}
+    if args.out is not None:
+        cell_dirs = {(t_train, n): os.path.join(args.out, f"ttrain{t_train}_n{n}") for t_train, n in configs}
+        for cell_dir in cell_dirs.values():
+            os.makedirs(cell_dir, exist_ok=True)
     grid = default_grid(2)
     truth = grid_expectation(make_target("banana"), grid.lower, grid.upper, grid.points_per_axis)
     cells: dict[tuple[int, int], float] = {}
@@ -137,10 +148,8 @@ def cmd_benchmark(args) -> int:
     for (t_train, n), config in configs.items():
         report = replicate(replace(config, truth=truth), workers)
         cells[(t_train, n)] = report.reduction_pct
-        if args.out is not None:
-            cell_dir = os.path.join(args.out, f"ttrain{t_train}_n{n}")
-            os.makedirs(cell_dir, exist_ok=True)
-            write_json(os.path.join(cell_dir, "summary.json"), report.to_dict())
+        if cell_dirs:
+            write_json(os.path.join(cell_dirs[(t_train, n)], "summary.json"), report.to_dict())
         print(f"cell t_train={t_train} n={n}: reduction {report.reduction_pct:.2f}%", flush=True)
         # Progress goes to stderr, so that stdout holds only the results.
         # The ETA assumes each cell left costs the mean of those done.

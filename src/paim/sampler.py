@@ -50,13 +50,16 @@ Roberts & Rosenthal (2007). The default ``t_stop=inf``, Table 1's
 setting, is therefore an empirical choice; a finite ``t_stop`` leaves a
 plain independence sampler after the freeze.
 
-The proposals are arrays, not objects. :class:`ChainEnsemble` holds
-every chain's mixture as stacked means (n, 2, d), covariances
-(n, 2, d, d) and their Cholesky factors, column 0 the global component
-and column 1 the local one; the run record and the ``on_step`` view
-read those arrays. The adaptation state is stacked the same way: the N
-clusters and the global fit are rows 0..N-1 and N of the arrays of one
+The proposals are arrays, not objects, and each fitted component is
+held once. The adaptation state stacks the N clusters and the global
+fit as rows 0..N-1 and N of the arrays of one
 :class:`~paim.moments.MomentStack`, which ``on_step`` observers get too.
+:class:`ChainEnsemble` holds the proposal components in that row
+layout: stacked means, covariances and their Cholesky factors, one row
+per component, with a fixed table from chain j to its global and local
+rows. A refresh installs the refitted rows as they are, and a step
+gathers each candidate's mixture through the table; the run record
+reads every chain's two components through it as well.
 Every adaptive step, the last one included, finds each new state's
 nearest local mean with one distance matrix (:func:`assign`) and makes
 one batched push: every new state into the global row and into its
@@ -64,8 +67,8 @@ cluster, each row in generation order. The push runs the Welford mean
 recurrence over Python floats, one coordinate at a time, and forms the
 scatter increments in one stacked product. A refresh computes the
 covariances of every row in one stacked step and factors them with one
-stacked :func:`cholesky` call, writing the results straight into the
-ensemble.
+stacked :func:`cholesky` call, and the ensemble takes the rows as its
+components: no row is copied out per chain.
 
 The run settings are declared and checked once, on :class:`RunSettings`,
 which :class:`PaimConfig` and :class:`~paim.harness.ExperimentConfig`
@@ -99,7 +102,8 @@ def stacked_mixture_log_pdf(xs, means, lowers, log_det_halves) -> np.ndarray:
     """Mixture log-density of each row of ``xs`` (m, d) under its own proposal.
 
     Row r's proposal is ``means[r]`` (2, d), ``lowers[r]`` (2, d, d) and
-    ``log_det_halves[r]`` (2,), as laid out in :class:`ChainEnsemble`.
+    ``log_det_halves[r]`` (2,), global component first: the stacks of
+    :class:`ChainEnsemble` gathered through a row of its ``rows`` table.
     Each value is log(0.5*q1(x) + 0.5*q2(x)), evaluated without leaving
     log space, and is bit-identical to the value its row gets alone.
     """
@@ -137,41 +141,52 @@ class ChainEnsemble:
     density at a state is not cached, because an adaptive step refits
     every proposal; :meth:`advance` rescores the states it runs.
 
-    The ensemble is the only holder of the proposal parameters: means
-    ``means`` (n, 2, d), covariances ``covs`` (n, 2, d, d), their
-    Cholesky factors ``lowers`` (n, 2, d, d) and half log-determinants
-    ``log_det_halves`` (n, 2), with column 0 the global component and
-    column 1 the local one. :meth:`refit` replaces them.
+    The ensemble is the only holder of the proposal parameters, each
+    fitted component held once. ``means`` (k, d), ``covs`` (k, d, d),
+    their Cholesky factors ``lowers`` (k, d, d) and half log-determinants
+    ``log_det_halves`` (k,) stack the components, and row j of the int
+    table ``rows`` (n, 2) names chain j's global and local component
+    rows, in that order. Row j < n is always chain j's local component.
+    Until the first :meth:`refit`, k = 2n and row n + j holds chain j's
+    initial global component; from it on, the stacks take the layout of
+    the :class:`~paim.moments.MomentStack`, k = n + 1 with the one
+    global component at row n. ``means[rows]`` gives every chain's
+    mixture as (n, 2, d), global first.
     """
 
     def __init__(self, init_states, means, covs, rngs: Sequence[np.random.Generator], target: TargetDensity):
-        """``means`` and ``covs`` broadcast to (n, 2, d) and (n, 2, d, d)."""
+        """``means`` and ``covs`` broadcast to (n, 2, d) and (n, 2, d, d):
+        per chain, the initial global and local component."""
         self.current = np.array(init_states, dtype=float)
         n, d = self.current.shape
         self.rngs = list(rngs)
         self.target = target
         self.log_target: list[float] = target.log_density_batch(self.current).tolist()
-        self.means = np.array(np.broadcast_to(means, (n, 2, d)), dtype=float)
-        self.covs = np.array(np.broadcast_to(covs, (n, 2, d, d)), dtype=float)
+        means = np.broadcast_to(means, (n, 2, d))
+        covs = np.broadcast_to(covs, (n, 2, d, d))
+        self.means = np.concatenate((means[:, 1], means[:, 0]), dtype=float)
+        self.covs = np.concatenate((covs[:, 1], covs[:, 0]), dtype=float)
         self.lowers, self.log_det_halves = cholesky(self.covs)
+        local = np.arange(n)
+        self.rows = np.stack((n + local, local), axis=1)
+        # Every chain's global row is row n once refitted; built here,
+        # not per refit, because a refit runs at every adaptive step.
+        self._refitted_rows = np.stack((np.full(n, n), local), axis=1)
 
     def refit(self, means: np.ndarray, covs: np.ndarray) -> None:
-        """Install new proposals for every chain.
+        """Install new proposals for every chain, in the layout of the
+        :class:`~paim.moments.MomentStack`.
 
         Row j of ``means`` (n+1, d) and ``covs`` (n+1, d, d) is chain j's
         local component; the last row is the global component, which
-        every chain receives. All n+1 covariances are factored by one
-        stacked :func:`cholesky` call.
+        every chain shares. ``means`` is copied, since the accumulator's
+        means change in place; ``covs`` is held as given. All n+1
+        covariances are factored by one stacked :func:`cholesky` call.
         """
-        lowers, log_det_halves = cholesky(covs)
-        for held, values in (
-            (self.means, means),
-            (self.covs, covs),
-            (self.lowers, lowers),
-            (self.log_det_halves, log_det_halves),
-        ):
-            held[:, 0] = values[-1]
-            held[:, 1] = values[:-1]
+        self.means = np.array(means, dtype=float)
+        self.covs = np.asarray(covs, dtype=float)
+        self.lowers, self.log_det_halves = cholesky(self.covs)
+        self.rows = self._refitted_rows
 
     def advance(self, run: np.ndarray, steps: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """``steps`` independence-MH iterations for each chain in ``run``, together.
@@ -179,12 +194,13 @@ class ChainEnsemble:
         ``run`` holds chain indices. Per iteration, chain j draws from
         ``rngs[j]``, in this order: a uniform that picks the component
         (global below 0.5), ``d`` standard normals for the candidate
-        ``mean + L @ z``, and the acceptance uniform. The proposals stay
-        fixed within the call, so the draws do not depend on
-        accept/reject outcomes or on which other chains run: all
-        ``steps`` iterations of a chain are drawn up front, chain by
-        chain, and its results are bit-identical to ``steps`` one-step
-        calls, whether it is advanced alone or with others.
+        ``mean + L @ z`` from that component's row of the stacks, and
+        the acceptance uniform. The proposals stay fixed within the
+        call, so the draws do not depend on accept/reject outcomes or on
+        which other chains run: all ``steps`` iterations of a chain are
+        drawn up front, chain by chain, and its results are
+        bit-identical to ``steps`` one-step calls, whether it is advanced
+        alone or with others.
 
         The draws are grouped into two Generator calls per iteration,
         with the values and their order unchanged. The chain's first
@@ -211,7 +227,7 @@ class ChainEnsemble:
         chains = run.tolist()
         m, d = len(chains), self.current.shape[1]
         # The chain of each candidate, chain-major: chain r's iteration i is row r * steps + i.
-        rows = np.repeat(run, steps)
+        owner = np.repeat(run, steps)
         comp = []
         z = np.empty((m * steps, d))
         pair = np.empty(2)
@@ -232,12 +248,14 @@ class ChainEnsemble:
             uniforms.append(rng.random())
         # A stacked matmul gives each row the bits of ``L @ z`` alone;
         # np.vecdot over the rows of L would not.
-        candidates = self.means[rows, comp] + (self.lowers[rows, comp] @ z[..., None])[..., 0]
+        picked = self.rows[owner, comp]
+        candidates = self.means[picked] + (self.lowers[picked] @ z[..., None])[..., 0]
         log_target_new = self.target.log_density_batch(candidates).tolist()
         # Row r < m of ``pool`` is chain run[r]'s state before the call and
         # row m + k is candidate k; ``log_mixture`` holds their mixture values.
         pool = np.concatenate((self.current[run], candidates))
-        owners = np.concatenate((run, rows))
+        # The global and local component rows of each row of ``pool``.
+        owners = self.rows[np.concatenate((run, owner))]
         log_mixture = stacked_mixture_log_pdf(
             pool, self.means[owners], self.lowers[owners], self.log_det_halves[owners]
         ).tolist()
@@ -287,10 +305,12 @@ def refreshed_proposals(moments: MomentStack, epsilon: float, chains: ChainEnsem
     """Refit every chain's proposal to the accumulators, in place.
 
     Row j of ``moments`` is chain j's cluster and its last row the
-    global fit, the layout :meth:`ChainEnsemble.refit` takes. Every row
-    goes through one stacked covariance step and one stacked Cholesky
-    factorization; a row whose accumulator has not changed gets the same
-    bits again.
+    global fit. :meth:`ChainEnsemble.refit` holds the fitted components
+    in that same row layout, so chain j's local component is row j of
+    ``chains.means`` and the one global component, shared by every
+    chain, row n. Every row goes through one stacked covariance step and
+    one stacked Cholesky factorization; a row whose accumulator has not
+    changed gets the same bits again.
     """
     chains.refit(moments.mean, stacked_covariance(moments.count, moments.scatter, epsilon))
 
@@ -395,8 +415,12 @@ class SchedulerState:
     (adaptation replaces it at the end of a step). ``moments`` is the
     live :class:`~paim.moments.MomentStack`: row j < n is chain j's
     cluster and row n the global fit. ``clusters`` holds row views of its
-    first n rows. ``chains.means`` and ``chains.covs`` are the live
-    proposal parameters. Copy what must outlive the callback.
+    first n rows. ``chains.means`` and ``chains.covs`` stack the live
+    proposal components: row j < n is chain j's local component, and
+    ``chains.rows[j]`` names its global and local rows. Once refitted,
+    they have the rows of ``moments``, the one global component at row
+    n; before, row n + j is chain j's initial global component. Copy
+    what must outlive the callback.
     """
 
     step: int
@@ -560,7 +584,7 @@ def run_paim(
         if t < config.t_stop:
             # One push per step: every new state into the global row and
             # into the cluster of its nearest local mean.
-            chosen = assign(new, chains.means[:, 1]).tolist()
+            chosen = assign(new, chains.means[:n]).tolist()
             moments.push([n] * run.size + chosen, np.concatenate((new, new)))
         if drawn == total:
             break
@@ -581,8 +605,8 @@ def run_paim(
         samples=samples,
         sample_accepted=sample_accepted,
         activity=np.repeat(np.stack(activity_rows), activity_steps, axis=0),
-        proposal_means=chains.means,
-        proposal_covs=chains.covs,
+        proposal_means=chains.means[chains.rows],
+        proposal_covs=chains.covs[chains.rows],
         global_mean=moments.mean[n].copy() if fitted else None,
         global_cov=stacked_covariance(moments.count[n:], moments.scatter[n:], config.epsilon)[0] if fitted else None,
     )

@@ -723,6 +723,37 @@ def test_a_memory_error_without_text_still_says_what_failed(tmp_path, capsys, mo
     ]
 
 
+@pytest.mark.parametrize("entries, options, blocked, place", [
+    ({}, ["--out", "out"], "out", "out/paim"),
+    ({"algorithm": "ipc"}, ["--out", "out"], "out", "out"),
+    ({"algorithm": "ipc", "output_dir": ""}, [], None, ""),
+    (None, ["--out", "out"], "out", "out/ttrain1_n5"),
+    (None, ["--out", "."], "ttrain10_n10", "./ttrain10_n10"),
+], ids=["run both", "run ipc", "run ipc into ''", "benchmark", "benchmark cell"])
+def test_an_output_directory_that_cannot_be_made_fails_before_any_run(
+    tmp_path, capsys, monkeypatch, entries, options, blocked, place
+):
+    # A file stands where an output directory belongs, or an empty
+    # output_dir names none for the one algorithm's files.
+    def started(*args, **kwargs):
+        raise AssertionError("a run or the grid oracle started")
+
+    monkeypatch.setattr(paim.cli, "replicate", started)
+    monkeypatch.setattr(paim.cli, "grid_expectation", started)
+    monkeypatch.chdir(tmp_path)
+    if blocked is not None:
+        (tmp_path / blocked).write_text("", encoding="utf-8")
+    if entries is None:
+        argv = ["benchmark", "table1", "--n", "5,10", "--ttrain", "1,10", "--reps", "1", "--samples", "200"]
+    else:
+        argv = ["run", "--config", str(write_config(tmp_path, small_config(**entries)))]
+    assert main(argv + options) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert re.fullmatch(rf"error: \[Errno \d+\] [^:]+: {re.escape(repr(place))}", line), line
+
+
 # Box and init.sigma 1e150 dwarf epsilon 0.4: the states' second moments
 # round off by far more than epsilon can lift, and the line says so. With
 # two workers this process makes the PAIM run that fails, while a forked
@@ -766,7 +797,8 @@ def test_a_config_error_in_a_worker_reaches_the_cli_as_the_same_line(tmp_path, c
     ]
     assert forks[0] == 1
     assert multiprocessing.active_children() == []
-    assert not (tmp_path / "out").exists()
+    # The output directories are made before the runs, and stay empty.
+    assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
 
 
 @pytest.mark.parametrize("workers", ["0", "-1", "3"])

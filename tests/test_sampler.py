@@ -278,10 +278,14 @@ class TestAdvanceTogether:
                     covs = np.array([q.covs[1] for q in kept] + [shared.covs[0]])
                     together.refit(means, covs)
                     alone.refit(means, covs)
-                    np.testing.assert_array_equal(together.means, [p.means for p in proposals])
-                    np.testing.assert_array_equal(together.lowers, [p.lowers for p in proposals])
-                    np.testing.assert_array_equal(together.log_det_halves, [p.log_det_halves for p in proposals])
-                    np.testing.assert_array_equal(together.covs, [p.covs for p in proposals])
+                    # The stacks hold each component once, the shared one last,
+                    # and chain j's rows are (n, j).
+                    assert together.rows.tolist() == [[n, j] for j in range(n)]
+                    for name in ("means", "covs", "lowers", "log_det_halves"):
+                        stack = [getattr(q, name)[1] for q in kept] + [getattr(shared, name)[0]]
+                        held = getattr(together, name)
+                        np.testing.assert_array_equal(held, stack)
+                        np.testing.assert_array_equal(held[together.rows], [getattr(p, name) for p in proposals])
                 np.testing.assert_array_equal(together.current, alone.current)
                 assert together.log_target == alone.log_target
 
@@ -553,7 +557,7 @@ class TestAssign:
                 np.testing.assert_array_equal(stack.mean[j], mean)
                 np.testing.assert_array_equal(stack.scatter[j], scatter)
             held["active"] = state.active.copy()
-            held["means"] = state.chains.means[:, 1].copy()
+            held["means"] = state.chains.means[:n].copy()
             steps.append(len(new))
 
         run_paim(cfg, make_banana_target(), on_step=watch)
@@ -576,15 +580,28 @@ def refit_ensemble(moments, epsilon, chains=None) -> ChainEnsemble:
 class TestRefreshedProposals:
     def test_global_component_shared_exactly(self):
         rng = np.random.default_rng(50)
-        moments = MomentStack(5, 2)
-        moments.push([4] * 40, rng.standard_normal((40, 2)))
-        for i in range(4):
-            moments.push([i] * (i + 1), rng.standard_normal((i + 1, 2)))
-        chains = refit_ensemble(moments, 0.4)
-        for j in range(1, 4):
-            assert all(np.array_equal(held[j, 0], held[0, 0]) for held in (chains.means, chains.covs))
+        n, d = 4, 2
+        init_means = rng.uniform(-5, 5, (n, 2, d))
+        init_covs = np.array([[(j + 1.0) * np.eye(d), (j + 0.5) * np.eye(d)] for j in range(n)])
+        target = make_gaussian_target(np.zeros(d), np.eye(d))
+        chains = ChainEnsemble(np.zeros((n, d)), init_means, init_covs, chain_streams(0, n), target)
+        # Before a refit, each chain has a global row of its own: row n + j.
+        assert chains.rows.tolist() == [[n + j, j] for j in range(n)]
+        for held, init in ((chains.means, init_means), (chains.covs, init_covs)):
+            assert len(held) == 2 * n
+            for j in range(n):
+                np.testing.assert_array_equal(held[n + j], init[j, 0])
+                np.testing.assert_array_equal(held[j], init[j, 1])
+        moments = MomentStack(n + 1, d)
+        moments.push([n] * 40, rng.standard_normal((40, d)))
+        for i in range(n):
+            moments.push([i] * (i + 1), rng.standard_normal((i + 1, d)))
+        refit_ensemble(moments, 0.4, chains)
+        # After one, every chain shares the global row n.
         for held in (chains.means, chains.covs, chains.lowers, chains.log_det_halves):
-            assert (held[:, 0] == held[0, 0]).all()
+            assert len(held) == n + 1
+        assert chains.rows[:, 0].tolist() == [n] * n
+        assert chains.rows[:, 1].tolist() == list(range(n))
 
     def test_single_point_cluster(self):
         moments = MomentStack(2, 2)
@@ -592,8 +609,8 @@ class TestRefreshedProposals:
         s = np.array([7.0, -7.0])
         moments.push([0], [s])
         chains = refit_ensemble(moments, 0.4)
-        np.testing.assert_array_equal(chains.means[0, 1], s)
-        np.testing.assert_allclose(chains.covs[0, 1], 0.4 * np.eye(2))
+        np.testing.assert_array_equal(chains.means[0], s)
+        np.testing.assert_allclose(chains.covs[0], 0.4 * np.eye(2))
 
     def test_matches_block_recomputation(self):
         rng = np.random.default_rng(51)
@@ -609,14 +626,16 @@ class TestRefreshedProposals:
         g_dev = states - g_mean
         g_cov = g_dev.T @ g_dev / (len(states) - 1) + eps * np.eye(2)
         for j in range(3):
-            np.testing.assert_allclose(chains.means[j, 0], g_mean, rtol=1e-10)
-            np.testing.assert_allclose(chains.covs[j, 0], g_cov, rtol=1e-10)
+            g = chains.rows[j, 0]
+            np.testing.assert_allclose(chains.means[g], g_mean, rtol=1e-10)
+            np.testing.assert_allclose(chains.covs[g], g_cov, rtol=1e-10)
         for lab in range(3):
             sub = states[labels == lab]
-            np.testing.assert_allclose(chains.means[lab, 1], sub.mean(axis=0), rtol=1e-10)
+            local = chains.rows[lab, 1]
+            np.testing.assert_allclose(chains.means[local], sub.mean(axis=0), rtol=1e-10)
             dev = sub - sub.mean(axis=0)
             np.testing.assert_allclose(
-                chains.covs[lab, 1], dev.T @ dev / (len(sub) - 1) + eps * np.eye(2), rtol=1e-10
+                chains.covs[local], dev.T @ dev / (len(sub) - 1) + eps * np.eye(2), rtol=1e-10
             )
 
     def test_refit_without_pushes_leaves_every_row_bit_equal(self):
@@ -633,14 +652,14 @@ class TestRefreshedProposals:
             refit_ensemble(moments, 0.4, chains)
             for name, before in zip(names, first):
                 np.testing.assert_array_equal(getattr(chains, name), before)
-            # A push into some rows leaves the components of the others as they were.
+            # A push into some rows leaves the components of the others as
+            # they were: the global row 5 and the local rows 0, 2 and 4.
             moments.push([1, 3, 3], rng.standard_normal((3, d)))
             refit_ensemble(moments, 0.4, chains)
             for name, before in zip(names, first):
                 held = getattr(chains, name)
-                np.testing.assert_array_equal(held[:, 0], before[:, 0])
-                np.testing.assert_array_equal(held[[0, 2, 4], 1], before[[0, 2, 4], 1])
-                assert not np.array_equal(held[[1, 3], 1], before[[1, 3], 1])
+                np.testing.assert_array_equal(held[[0, 2, 4, 5]], before[[0, 2, 4, 5]])
+                assert not np.array_equal(held[[1, 3]], before[[1, 3]])
 
     def test_refit_components_match_make_component(self):
         rng = np.random.default_rng(53)
@@ -661,21 +680,24 @@ class TestRefreshedProposals:
                 fresh = fit(j)
                 for c, (mean, cov) in enumerate((shared, fresh)):
                     lower, log_det_half = cholesky(cov)
-                    np.testing.assert_array_equal(chains.means[j, c], mean)
-                    np.testing.assert_array_equal(chains.covs[j, c], cov)
-                    np.testing.assert_array_equal(chains.lowers[j, c], lower)
-                    assert chains.log_det_halves[j, c] == log_det_half
+                    row = chains.rows[j, c]
+                    np.testing.assert_array_equal(chains.means[row], mean)
+                    np.testing.assert_array_equal(chains.covs[row], cov)
+                    np.testing.assert_array_equal(chains.lowers[row], lower)
+                    assert chains.log_det_halves[row] == log_det_half
 
     def test_accumulator_mutation_does_not_leak(self):
         moments = MomentStack(2, 2)
         moments.push([1, 1, 0, 0], [np.zeros(2), np.ones(2), np.zeros(2), np.ones(2)])
         chains = refit_ensemble(moments, 0.1)
-        before = chains.means[0, 0].copy()
-        cov_before = chains.covs[0, 0].copy()
+        names = ("means", "covs", "lowers", "log_det_halves")
+        before = [getattr(chains, name).copy() for name in names]
+        # The global and the local row were fitted to the same points.
+        for held in before:
+            np.testing.assert_array_equal(held[0], held[1])
         moments.push([1, 0], [np.array([100.0, 100.0])] * 2)
-        np.testing.assert_array_equal(chains.covs[0], [cov_before, cov_before])
-        np.testing.assert_array_equal(chains.means[0, 0], before)
-        np.testing.assert_array_equal(chains.means[0, 1], before)
+        for name, held in zip(names, before):
+            np.testing.assert_array_equal(getattr(chains, name), held)
 
 
 class TestActivation:
@@ -784,11 +806,12 @@ class InvariantProbe:
         # ``clusters`` are live views of the first n rows
         assert [c.count for c in state.clusters] == counts[:-1].tolist()
         if self.config.t_train < state.step < self.config.t_stop:
-            means, covs = state.chains.means, state.chains.covs
-            for j in range(self.config.n_chains):
-                assert np.array_equal(means[j, 0], means[0, 0]) and np.array_equal(covs[j, 0], covs[0, 0])
-                for c in (0, 1):
-                    assert np.linalg.eigvalsh(covs[j, c]).min() > 0.0
+            # Every chain shares the one global row, n, after a refresh.
+            n = self.config.n_chains
+            chains = state.chains
+            assert len(chains.means) == len(chains.covs) == n + 1
+            assert chains.rows[:, 0].tolist() == [n] * n
+            assert all(np.linalg.eigvalsh(cov).min() > 0.0 for cov in chains.covs)
 
 
 class TestRunPaim:
@@ -922,9 +945,10 @@ class TestRunPaim:
         untouched = [j for j, count in enumerate(first["counts"]) if count == 1]
         assert untouched, "some cluster should still hold only its initial state"
         for j in untouched:
-            np.testing.assert_array_equal(first["means"][j, 1], cfg.init_states[j])
-            assert not np.array_equal(first["means"][j, 1], cfg.init_means[j, 1])
-            np.testing.assert_array_equal(first["covs"][j, 1], cfg.epsilon * np.eye(2))
+            # Row j is chain j's local component.
+            np.testing.assert_array_equal(first["means"][j], cfg.init_states[j])
+            assert not np.array_equal(first["means"][j], cfg.init_means[j, 1])
+            np.testing.assert_array_equal(first["covs"][j], cfg.epsilon * np.eye(2))
 
     def test_mismatched_target_dim(self):
         with pytest.raises(ValueError, match="dim"):
