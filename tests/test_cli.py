@@ -2,7 +2,10 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -801,6 +804,45 @@ def test_a_config_error_in_a_worker_reaches_the_cli_as_the_same_line(tmp_path, c
     assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
 
 
+# 10**12 replications could never run: the child's third run fails. The
+# child may use 2 GiB of address space, so a study that listed its runs
+# before the first one starts would end in "error: out of memory" rather
+# than exhaust the host.
+HUGE_STUDY = """
+import os, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import paim.cli, paim.harness
+
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host
+calls = 0
+run_one = paim.harness.run_one
+
+
+def failing_third(*args):
+    global calls  # a forked worker counts its own calls
+    calls += 1
+    if calls == 3:
+        raise paim.harness.ConfigError("the third run failed")
+    return run_one(*args)
+
+
+paim.harness.run_one = failing_third
+sys.exit(paim.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", [
+    lambda config: ["run", "--config", str(config), "--out", str(config.parent / "out")],
+    lambda _: ["benchmark", "table1", "--n", "5", "--ttrain", "1", "--reps", str(10**12), "--samples", "20"],
+], ids=["run", "benchmark"])
+def test_a_huge_replication_count_starts_its_runs_at_once(tmp_path, command, workers):
+    argv = command(write_config(tmp_path, small_config(replications=10**12))) + ["--workers", workers]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(paim.cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", HUGE_STUDY, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: the third run failed\n")
+
+
 @pytest.mark.parametrize("workers", ["0", "-1", "3"])
 @pytest.mark.parametrize("command", [
     lambda config: ["run", "--config", str(config)],
@@ -847,11 +889,11 @@ def frozen_mixture_config():
     )
 
 
-def run_files_digest(tmp_path, capsys, config) -> str:
-    """SHA-256 over the names and bytes of the files ``paim run`` writes
-    for ``config``, an ``algorithm: both`` study."""
+def run_files_digest(tmp_path, capsys, config, workers) -> str:
+    """SHA-256 over the names and bytes of the files ``paim run --workers
+    WORKERS`` writes for ``config``, an ``algorithm: both`` study."""
     out = tmp_path / "out"
-    assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out), "--workers", workers]) == 0
     capsys.readouterr()
     h = hashlib.sha256()
     for name in ("paim", "ipc"):
@@ -876,12 +918,14 @@ def test_run_seed_overrides_the_config_base_seed(tmp_path, capsys):
     assert flag != written("default", small_config(base_seed=0))
 
 
-def test_run_output_files_match_golden_digest(tmp_path, capsys):
-    assert run_files_digest(tmp_path, capsys, banana_config()) == GOLDEN_RUN_FILES
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_output_files_match_golden_digest(tmp_path, capsys, two_cpus, workers):
+    assert run_files_digest(tmp_path, capsys, banana_config(), workers) == GOLDEN_RUN_FILES
 
 
-def test_frozen_run_output_files_match_golden_digest(tmp_path, capsys):
-    assert run_files_digest(tmp_path, capsys, frozen_mixture_config()) == GOLDEN_FROZEN_RUN_FILES
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_frozen_run_output_files_match_golden_digest(tmp_path, capsys, two_cpus, workers):
+    assert run_files_digest(tmp_path, capsys, frozen_mixture_config(), workers) == GOLDEN_FROZEN_RUN_FILES
 
 
 # SHA-256 over the names and bytes of the ten files of each run above. The

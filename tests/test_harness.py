@@ -225,11 +225,32 @@ def test_every_config_field_has_one_key():
 def test_ellipse_radius_holds_the_chi_square_mass():
     import mpmath
 
-    for dim in range(1, 7):
+    # Up to dims where the series has thousands of terms and exp(-x / 2)
+    # alone would underflow.
+    for dim in [*range(1, 21), 2000, 5000]:
         r = mpmath.mpf(ellipse_radius(dim))
         with mpmath.workdps(40):
             mass = mpmath.gammainc(mpmath.mpf(dim) / 2, 0, r * r / 2, regularized=True)
         assert abs(float(mass) - ELLIPSE_MASS) < 1e-13, dim
+
+
+@pytest.mark.parametrize("dim", range(1, 21))
+def test_ellipse_radius_is_within_two_ulp_of_the_exact_quantile(dim):
+    import mpmath
+
+    r = ellipse_radius(dim)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(dim) / 2
+        y = mpmath.findroot(lambda y: mpmath.gammainc(a, 0, y, regularized=True) - ELLIPSE_MASS, r * r / 2)
+        exact = mpmath.sqrt(2 * y)
+        assert abs(r - exact) <= 2 * math.ulp(r)
+
+
+def test_ellipse_radius_keeps_the_bits_of_the_golden_runs():
+    # sqrt(2 * scipy.special.gammaincinv(dim / 2, 0.9)) with scipy 1.17.1,
+    # which wrote the ellipses.csv files that the golden digests pin
+    assert ellipse_radius(2) == 2.145966026289347
+    assert ellipse_radius(4) == 2.789164810428896
 
 
 def kept_records(monkeypatch, config):

@@ -1,6 +1,9 @@
+import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import paim
 
@@ -41,11 +44,40 @@ def test_exported_names_are_the_public_api():
     }
 
 
-def test_importing_paim_loads_no_scipy():
-    # scipy costs more start-up time and memory than the rest of paim;
-    # only the ellipse radius of the file outputs needs it, and imports it there
-    code = "import sys, paim, paim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(paim.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_importing_paim_loads_no_scipy():
+    # scipy is not a dependency of paim: importing it would cost more
+    # start-up time and memory than the rest of paim
+    out = run_python(f"import sys, paim, paim.cli; print({SCIPY_MODULES})")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_whole_run_loads_no_scipy(tmp_path, workers):
+    # Both algorithms, and all five output files of each, ellipses.csv too.
+    config = {
+        "target": {"name": "banana"},
+        "sampler": {"n_chains": 4, "total_samples": 200, "t_train": 2},
+        "init": {"box_lower": [-5, -5], "box_upper": [5, 5], "sigma": 3},
+        "truth": [0.0, 0.0],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = ("import os, sys, paim.cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host\n"
+            "status = paim.cli.main(sys.argv[1:])\n"
+            f"print({SCIPY_MODULES})\n"
+            "sys.exit(status)")
+    out = run_python(code, "run", "--config", str(path), "--out", str(tmp_path / "out"), "--workers", workers)
+    assert out.returncode == 0, out.stderr
+    *written, modules = out.stdout.splitlines()
+    assert len(written) == 10 and written[-1].endswith("ellipses.csv")
+    assert modules == "[]"
