@@ -11,8 +11,20 @@ example, on :class:`paim.harness.ExperimentConfig`.
 at once, in this process and K - 1 forked ones; the default is every
 CPU this process may use, and ``--workers 1`` runs them one after
 another in this process.
-The output is the same for every K. ``paim benchmark`` reports each
-cell's seconds and an ETA on stderr; stdout holds only the results.
+The output is the same for every K.
+
+``paim run`` writes each algorithm's ``samples.csv``, ``activity.csv``,
+``params.json`` and ``ellipses.csv`` in the process that made its first
+replication's run: with two workers PAIM's in this one and IPC's in the
+forked one, at the same time. They go into a hidden staging directory
+of the algorithm's output directory. Once every run has succeeded, this
+process moves them into place and writes each ``summary.json``, which
+needs both algorithms. So the files appear only after the whole study
+has succeeded: a failed run writes none, and leaves those of an earlier
+run as they were.
+
+``paim benchmark`` reports each cell's seconds and an ETA on stderr;
+stdout holds only the results.
 """
 
 from __future__ import annotations
@@ -28,10 +40,11 @@ from dataclasses import replace
 import numpy as np
 
 from .harness import (
+    OUTPUT_FILES,
+    STAGING_DIR,
     ConfigError,
     ExperimentConfig,
     default_grid,
-    emit_outputs,
     make_target,
     replicate,
     usable_workers,
@@ -90,6 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
+    import shutil  # here, so that importing paim does not pay for it
+
     config = ExperimentConfig.load(args.config)
     # replace() runs the config's checks again, on the overridden value.
     if args.seed is not None:
@@ -105,10 +120,24 @@ def cmd_run(args) -> int:
         out_dirs = {config.algorithm: config.output_dir}
     for out_dir in out_dirs.values():
         os.makedirs(out_dir, exist_ok=True)
-    report = replicate(config, workers)
-    written = []
-    for name, record in sorted(report.records.items()):
-        written += emit_outputs(record, report, out_dirs[name])
+    # The first replication's runs write their files where they ran, into
+    # staging directories. Only once every run has succeeded are the files
+    # moved into place beside summary.json; a failed run writes none there.
+    try:
+        report = replicate(config, workers, out_dirs)
+        written = []
+        for name, out_dir in sorted(out_dirs.items()):
+            for file in OUTPUT_FILES:
+                path = os.path.join(out_dir, file)
+                if file == "summary.json":
+                    write_json(path, report.to_dict())
+                else:
+                    os.replace(os.path.join(out_dir, STAGING_DIR, file), path)
+                written.append(path)
+    finally:
+        # replicate has stopped every pool worker, so none writes there now.
+        for out_dir in out_dirs.values():
+            shutil.rmtree(os.path.join(out_dir, STAGING_DIR), ignore_errors=True)
     for path in written:
         print(path)
     return 0

@@ -53,7 +53,7 @@ def make_target(name: str, params: Optional[dict] = None) -> TargetDensity:
             _check_fields(params, ("b", "eta1", "eta2", "eta3"), "target.params.")
             return make_banana_target(BananaParams(**params))
         if name == "gaussian":
-            _check_fields(params, ("mean", "cov", "sigma"), "target.params.")
+            _check_fields(params, ("mean", "cov", "sigma"), "target.params.", required=("mean",))
             if "cov" in params and "sigma" in params:
                 raise ValueError("give target.params.cov or target.params.sigma, not both")
             mean = _numbers(params["mean"], "target.params.mean")
@@ -65,14 +65,14 @@ def make_target(name: str, params: Optional[dict] = None) -> TargetDensity:
                 cov = sigma * sigma * np.eye(mean.size)
             return make_gaussian_target(mean, cov)
         if name == "gaussian_mixture":
-            _check_fields(params, ("means", "covs", "weights"), "target.params.")
+            _check_fields(params, ("means", "covs", "weights"), "target.params.", required=("means", "covs"))
             weights = params.get("weights")
             return make_gaussian_mixture_target(
                 _numbers(params["means"], "target.params.means"),
                 _numbers(params["covs"], "target.params.covs"),
                 None if weights is None else _numbers(weights, "target.params.weights"),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for target {name!r}: {exc}") from exc
     raise ConfigError(f"unknown target {name!r} (expected banana, gaussian, or gaussian_mixture)")
 
@@ -415,13 +415,19 @@ def replication_config(config: ExperimentConfig, rep: int) -> PaimConfig:
     )
 
 
-def run_one(config: ExperimentConfig, rep: int, name: str) -> tuple[dict, Optional[RunRecord]]:
+def run_one(
+    config: ExperimentConfig, rep: int, name: str, out_dir: Optional[str] = None
+) -> tuple[dict, Union[RunRecord, list[str], None]]:
     """Run algorithm ``name`` ("paim" or "ipc") on replication ``rep``.
 
-    Returns the run's :func:`summary_row`, and its record for replication
-    0 only (None otherwise), so a worker sends back little more than the
-    row. The target is rebuilt here, since a worker process cannot be sent
-    one. A failure that the config caused is raised as a ConfigError.
+    Returns the run's :func:`summary_row` and, for replication 0 only (None
+    otherwise), its record. Given ``out_dir``, replication 0's run instead
+    writes its files here, in the process that made it: :func:`emit_outputs`
+    puts all but ``summary.json`` into ``out_dir``'s hidden staging
+    directory :data:`STAGING_DIR`, and the written paths come back in place
+    of the record. So a worker sends back little more than the row. The
+    target is rebuilt here, since a worker process cannot be sent one. A
+    failure that the config caused is raised as a ConfigError.
     """
     target = make_target(config.target_name, config.target_params)
     runner = {"paim": run_paim, "ipc": run_ipc}[name]
@@ -451,7 +457,11 @@ def run_one(config: ExperimentConfig, rep: int, name: str) -> tuple[dict, Option
             f"second moments carry rounding errors of ~{rounding:.1e}, "
             f"{'more' if rounding >= config.epsilon else 'less'} than epsilon"
         ) from exc
-    return summary_row(record), (record if rep == 0 else None)
+    if rep != 0:
+        return summary_row(record), None
+    if out_dir is None:
+        return summary_row(record), record
+    return summary_row(record), emit_outputs(record, None, os.path.join(out_dir, STAGING_DIR))
 
 
 def usable_workers(workers: Optional[int] = None) -> int:
@@ -465,9 +475,12 @@ def usable_workers(workers: Optional[int] = None) -> int:
     return workers
 
 
-def run_all(config: ExperimentConfig, runs: Iterable[tuple[int, str]], workers: int) -> list:
-    """``[run_one(config, rep, name) for rep, name in runs]``, with up to
-    ``workers`` runs at once.
+def run_all(
+    config: ExperimentConfig, runs: Iterable[tuple[int, str]], workers: int, out_dirs: Optional[dict] = None
+) -> list:
+    """``[run_one(config, rep, name, out_dirs.get(name)) for rep, name in
+    runs]``, with up to ``workers`` runs at once. ``out_dirs`` maps an
+    algorithm to the directory of its files; without it no run writes any.
 
     This process is one of the workers: it makes the first run itself,
     and hands the next ones to a pool of ``workers - 1`` forked processes.
@@ -477,33 +490,37 @@ def run_all(config: ExperimentConfig, runs: Iterable[tuple[int, str]], workers: 
     collected, so that each pool process has a run queued behind the one
     it makes. So a study of any size starts at once, a study of two runs
     forks one process, and the pool's start-up cost is paid once per
-    call, whatever R is.
+    call, whatever R is. Given ``out_dirs``, the process that makes a run
+    writes its files, so two runs' files are written at once and no record
+    is pickled.
 
     ``fork`` gives each worker the parent's imported modules, numpy among
     them, at no import cost. The pool forks all its workers when it
     starts, before it starts its own thread; the only other threads paim
     starts are those of numpy's OpenBLAS, which stops them before a fork.
     The pool is shut down on return or on a failure, cancelling the runs
-    not yet started, so no worker outlives this call. Its modules are
-    imported here, so that ``import paim`` does not pay for them.
+    not yet started and waiting for those started, so no worker outlives
+    this call or writes a file after it. Its modules are imported here, so
+    that ``import paim`` does not pay for them.
     """
+    out_dirs = out_dirs or {}
+    runs = ((rep, name, out_dirs.get(name)) for rep, name in runs)
     if workers == 1:
-        return [run_one(config, rep, name) for rep, name in runs]
+        return [run_one(config, *run) for run in runs]
     import multiprocessing
     from collections import deque
     from concurrent.futures import ProcessPoolExecutor
 
-    runs = iter(runs)
     pool = ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"))
     try:
-        taken = deque((rep, name, None) for rep, name in islice(runs, 1))  # None: made here
+        taken = deque((run, None) for run in islice(runs, 1))  # None: made here
         results = []
         while taken:
-            for rep, name in islice(runs, 2 * workers - len(taken)):
-                taken.append((rep, name, pool.submit(run_one, config, rep, name)))
-            rep, name, future = taken.popleft()
+            for run in islice(runs, 2 * workers - len(taken)):
+                taken.append((run, pool.submit(run_one, config, *run)))
+            run, future = taken.popleft()
             if future is None or future.cancel():  # no worker has started it
-                results.append(run_one(config, rep, name))
+                results.append(run_one(config, *run))
             else:
                 results.append(future.result())
         return results
@@ -511,11 +528,14 @@ def run_all(config: ExperimentConfig, runs: Iterable[tuple[int, str]], workers: 
         pool.shutdown(cancel_futures=True)
 
 
-def replicate(config: ExperimentConfig, workers: Optional[int] = None) -> SummaryReport:
+def replicate(
+    config: ExperimentConfig, workers: Optional[int] = None, out_dirs: Optional[dict] = None
+) -> SummaryReport:
     """Run R seeded replications of the requested algorithm(s).
 
         replicate(config)             # every usable CPU, at most one per run
         replicate(config, workers=1)  # one run after another, in this process
+        replicate(config, out_dirs={"paim": "out/paim", "ipc": "out/ipc"})
 
     Within a replication the adaptive and baseline samplers run the
     same :class:`PaimConfig` (:func:`replication_config`), so they share
@@ -529,6 +549,13 @@ def replicate(config: ExperimentConfig, workers: Optional[int] = None) -> Summar
     every ``workers``. Only the first replication's full records come back
     too, kept on the report (``records``) for file emission, so memory does
     not grow with R.
+
+    Given ``out_dirs``, an algorithm's directory by its name, the first
+    replication's runs write their files instead, each in the process that
+    made it, into the :data:`STAGING_DIR` of its directory
+    (:func:`run_one`), and ``records`` stays empty. Moving the files into
+    place and writing ``summary.json`` is left to the caller, once this
+    returns; ``paim run`` does both.
     """
     names = ("paim", "ipc") if config.algorithm == "both" else (config.algorithm,)
     # Without fork, a pool would re-import paim in every worker: run here.
@@ -541,10 +568,10 @@ def replicate(config: ExperimentConfig, workers: Optional[int] = None) -> Summar
     rows: dict[str, list[dict]] = {name: [] for name in names}
     records: dict[str, RunRecord] = {}
     runs = ((rep, name) for rep in range(config.replications) for name in names)
-    for name, (row, record) in zip(cycle(names), run_all(config, runs, workers)):
+    for name, (row, kept) in zip(cycle(names), run_all(config, runs, workers, out_dirs)):
         rows[name].append(row)
-        if record is not None:
-            records[name] = record
+        if isinstance(kept, RunRecord):  # not the paths of its written files
+            records[name] = kept
     summaries = {}
     for name, named_rows in rows.items():
         columns = {key: [row[key] for row in named_rows] for key in named_rows[0]}
@@ -567,6 +594,14 @@ FLOAT_FORMAT = "%.17g"
 # Rows formatted per string operation; bounds the memory of one block's
 # text and temporaries.
 ROWS_PER_BLOCK = 1024
+
+# The files of one run's output directory, in the order that emit_outputs
+# writes them and paim run lists them.
+OUTPUT_FILES = ("samples.csv", "activity.csv", "params.json", "summary.json", "ellipses.csv")
+
+# The hidden directory, inside an output directory, where a run's files
+# wait until every run of the study has succeeded (see replicate).
+STAGING_DIR = ".part"
 
 
 def _fmt(value: float) -> str:
@@ -633,6 +668,11 @@ def emit_outputs(record: RunRecord, report: Optional[SummaryReport], out_dir: st
     ``_write_samples`` formats each distinct coordinate of a block once,
     and ``_write_activity`` builds one row template per run of equal
     active sets.
+
+    This is the one writer of a run's files. ``paim run`` calls it without
+    a report in the process that made the run (:func:`run_one`), into a
+    staging directory, and writes ``summary.json``, which needs every run,
+    once the study is done.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []

@@ -609,6 +609,24 @@ BAD_INPUTS = {
         run_argv(mixture(means=[[math.nan, -4.0], [4.0, 3.0]])),
         "bad parameters for target 'gaussian_mixture': means must be finite",
     ),
+    # A required target parameter is named by its path, from a config
+    # and from the oracle's --params alike.
+    "gaussian-mean-missing": (
+        run_argv(lambda c: c.update(target={"name": "gaussian", "params": {"sigma": 1.0}})),
+        "missing config field: target.params.mean",
+    ),
+    "mixture-covs-missing": (
+        run_argv(lambda c: c.update(target={"name": "gaussian_mixture", "params": {"means": [[-4, -4], [4, 3]]}})),
+        "missing config field: target.params.covs",
+    ),
+    "oracle-gaussian-mean-missing": (
+        lambda _: ["oracle", "--target", "gaussian"],
+        "missing config field: target.params.mean",
+    ),
+    "oracle-mixture-means-missing": (
+        lambda _: ["oracle", "--target", "gaussian_mixture", "--params", json.dumps({"covs": [np.eye(2).tolist()]})],
+        "missing config field: target.params.means",
+    ),
     "base-seed-negative": (run_argv(lambda c: c.update(base_seed=-1)), "base_seed must be non-negative, got -1"),
     "run-seed-negative": (
         lambda tmp_path: run_argv(lambda c: None)(tmp_path) + ["--seed", "-3"],
@@ -901,6 +919,59 @@ def run_files_digest(tmp_path, capsys, config, workers) -> str:
             h.update(f"{name}/{f}\n".encode("utf-8"))
             h.update((out / name / f).read_bytes())
     return h.hexdigest()
+
+
+def listing(out) -> list[str]:
+    """Every path under ``out``, directories included, relative to it."""
+    return sorted(str(p.relative_to(out)) for p in out.rglob("*"))
+
+
+# A successful `algorithm: both` run's output directory: no staging
+# directory or other file is left beside the ten files.
+RUN_LISTING = sorted(["ipc", "paim", *(f"{name}/{f}" for name in ("paim", "ipc") for f in OUTPUT_FILES)])
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_run_leaves_exactly_its_files(tmp_path, capsys, two_cpus, forks, workers):
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(out), "--workers", workers]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.split() == [str(out / name / f) for name in ("ipc", "paim") for f in OUTPUT_FILES]
+    assert listing(out) == RUN_LISTING
+    assert forks[0] == (0 if workers == "1" else 1)
+
+
+# With two workers this process makes the PAIM run and a forked worker
+# the IPC run, and each writes its own files; either may fail.
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("failing", ["run_paim", "run_ipc"])
+def test_a_failed_run_leaves_the_output_directories_as_it_found_them(
+    tmp_path, capsys, monkeypatch, two_cpus, forks, failing, workers
+):
+    def overflowing(*args):
+        raise FloatingPointError("overflow encountered in multiply")
+
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(out), "--workers", workers]
+
+    def fails(*options):
+        with monkeypatch.context() as m:
+            m.setattr(paim.harness, failing, overflowing)
+            assert main(argv + list(options)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: initialization box width 10 and init.sigma 3 are too large")
+
+    fails()
+    assert listing(out) == ["ipc", "paim"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    earlier = {path: (out / path).read_bytes() for path in listing(out) if (out / path).is_file()}
+    fails("--seed", "4")  # a seed whose files would differ
+    assert listing(out) == RUN_LISTING
+    assert {path: (out / path).read_bytes() for path in earlier} == earlier
+    assert forks[0] == (0 if workers == "1" else 3)
+    assert multiprocessing.active_children() == []
 
 
 def test_run_seed_overrides_the_config_base_seed(tmp_path, capsys):

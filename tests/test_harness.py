@@ -318,6 +318,38 @@ def test_replicate_in_workers_keeps_only_the_first_replications_records(monkeypa
     assert report.to_dict() == replicate(config, workers=1).to_dict()
 
 
+def test_replicate_into_out_dirs_writes_each_run_where_it_ran_and_sends_back_no_record(
+    monkeypatch, tmp_path, two_cpus
+):
+    # One replication: this process makes the PAIM run, a forked worker
+    # the IPC run, and each writes its own files into a staging directory.
+    config = dataclasses.replace(experiment_with_truth([0.2, 0.2], 2), total_samples=2000)
+    expected = replicate(config, workers=2)
+    assert sorted(expected.records) == ["ipc", "paim"]
+    _, _, sent_back = kept_records(monkeypatch, config)
+    writers = tmp_path / "writers"
+    emit = harness.emit_outputs
+
+    def emitting(record, report, out_dir):
+        with open(writers, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {out_dir}\n")
+        return emit(record, report, out_dir)
+
+    monkeypatch.setattr(harness, "emit_outputs", emitting)
+    out_dirs = {name: str(tmp_path / name) for name in ("paim", "ipc")}
+    report = replicate(config, 2, out_dirs)
+    assert report.records == {}
+    assert sent_back == []
+    assert report.to_dict() == expected.to_dict()
+    written = dict(reversed(line.split()) for line in writers.read_text(encoding="utf-8").splitlines())
+    staging = {name: os.path.join(out_dir, harness.STAGING_DIR) for name, out_dir in out_dirs.items()}
+    assert sorted(written) == sorted(staging.values())
+    assert written[staging["paim"]] == str(os.getpid()) != written[staging["ipc"]]
+    for out_dir in staging.values():
+        assert sorted(os.listdir(out_dir)) == sorted(f for f in harness.OUTPUT_FILES if f != "summary.json")
+    assert multiprocessing.active_children() == []
+
+
 # This process is one of the workers, so a pool of k forks k - 1.
 @pytest.mark.parametrize("cpus, workers, replications, algorithm, expected", [
     (2, 1, 3, "both", 0),     # one after another, in this process
