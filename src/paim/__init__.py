@@ -20,7 +20,7 @@ from .harness import (
     replicate,
     resolve_truth,
 )
-from .sampler import PaimConfig, RunRecord, SchedulerState, run_ipc, run_paim
+from .sampler import PaimConfig, PaimRun, RunRecord, run_ipc, run_paim
 from .targets import (
     AllZeroMass,
     BananaParams,
@@ -39,8 +39,8 @@ __all__ = [
     "GridSpec",
     "NotPositiveDefinite",
     "PaimConfig",
+    "PaimRun",
     "RunRecord",
-    "SchedulerState",
     "SummaryReport",
     "TargetDensity",
     "emit_outputs",

@@ -41,7 +41,6 @@ import numpy as np
 
 from .harness import (
     OUTPUT_FILES,
-    STAGING_DIR,
     ConfigError,
     ExperimentConfig,
     default_grid,
@@ -53,6 +52,11 @@ from .harness import (
 from .targets import AllZeroMass, check_points, grid_expectation
 
 
+# The hidden directory, inside an output directory, where paim run's files
+# wait until every run of the study has succeeded.
+STAGING_DIR = ".part"
+
+
 def _comma_ints(text: str) -> list[int]:
     try:
         values = [int(v) for v in text.split(",") if v.strip()]
@@ -60,6 +64,9 @@ def _comma_ints(text: str) -> list[int]:
         values = []
     if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    # A repeated value would run its cells once but print them twice.
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"expected distinct comma-separated integers, got {text!r}")
     return values
 
 
@@ -123,8 +130,9 @@ def cmd_run(args) -> int:
     # The first replication's runs write their files where they ran, into
     # staging directories. Only once every run has succeeded are the files
     # moved into place beside summary.json; a failed run writes none there.
+    staging = {name: os.path.join(out_dir, STAGING_DIR) for name, out_dir in out_dirs.items()}
     try:
-        report = replicate(config, workers, out_dirs)
+        report = replicate(config, workers, staging)
         written = []
         for name, out_dir in sorted(out_dirs.items()):
             for file in OUTPUT_FILES:
@@ -132,12 +140,12 @@ def cmd_run(args) -> int:
                 if file == "summary.json":
                     write_json(path, report.to_dict())
                 else:
-                    os.replace(os.path.join(out_dir, STAGING_DIR, file), path)
+                    os.replace(os.path.join(staging[name], file), path)
                 written.append(path)
     finally:
         # replicate has stopped every pool worker, so none writes there now.
-        for out_dir in out_dirs.values():
-            shutil.rmtree(os.path.join(out_dir, STAGING_DIR), ignore_errors=True)
+        for staged in staging.values():
+            shutil.rmtree(staged, ignore_errors=True)
     for path in written:
         print(path)
     return 0

@@ -417,17 +417,16 @@ def replication_config(config: ExperimentConfig, rep: int) -> PaimConfig:
 
 def run_one(
     config: ExperimentConfig, rep: int, name: str, out_dir: Optional[str] = None
-) -> tuple[dict, Union[RunRecord, list[str], None]]:
+) -> tuple[dict, Optional[RunRecord]]:
     """Run algorithm ``name`` ("paim" or "ipc") on replication ``rep``.
 
     Returns the run's :func:`summary_row` and, for replication 0 only (None
     otherwise), its record. Given ``out_dir``, replication 0's run instead
-    writes its files here, in the process that made it: :func:`emit_outputs`
-    puts all but ``summary.json`` into ``out_dir``'s hidden staging
-    directory :data:`STAGING_DIR`, and the written paths come back in place
-    of the record. So a worker sends back little more than the row. The
-    target is rebuilt here, since a worker process cannot be sent one. A
-    failure that the config caused is raised as a ConfigError.
+    writes its files into it, in the process that made it
+    (:func:`emit_outputs`), and sends back no record. So a worker sends
+    back little more than the row. The target is rebuilt here, since a
+    worker process cannot be sent one. A failure that the config caused is
+    raised as a ConfigError.
     """
     target = make_target(config.target_name, config.target_params)
     runner = {"paim": run_paim, "ipc": run_ipc}[name]
@@ -461,7 +460,8 @@ def run_one(
         return summary_row(record), None
     if out_dir is None:
         return summary_row(record), record
-    return summary_row(record), emit_outputs(record, None, os.path.join(out_dir, STAGING_DIR))
+    emit_outputs(record, out_dir)
+    return summary_row(record), None
 
 
 def usable_workers(workers: Optional[int] = None) -> int:
@@ -551,11 +551,11 @@ def replicate(
     not grow with R.
 
     Given ``out_dirs``, an algorithm's directory by its name, the first
-    replication's runs write their files instead, each in the process that
-    made it, into the :data:`STAGING_DIR` of its directory
-    (:func:`run_one`), and ``records`` stays empty. Moving the files into
-    place and writing ``summary.json`` is left to the caller, once this
-    returns; ``paim run`` does both.
+    replication's runs write their files there instead, each in the
+    process that made it (:func:`run_one`), and ``records`` stays empty.
+    ``summary.json``, which needs every run, is left to the caller; ``paim
+    run`` writes the files into staging directories and moves them into
+    place once this returns.
     """
     names = ("paim", "ipc") if config.algorithm == "both" else (config.algorithm,)
     # Without fork, a pool would re-import paim in every worker: run here.
@@ -570,7 +570,7 @@ def replicate(
     runs = ((rep, name) for rep in range(config.replications) for name in names)
     for name, (row, kept) in zip(cycle(names), run_all(config, runs, workers, out_dirs)):
         rows[name].append(row)
-        if isinstance(kept, RunRecord):  # not the paths of its written files
+        if kept is not None:
             records[name] = kept
     summaries = {}
     for name, named_rows in rows.items():
@@ -595,13 +595,9 @@ FLOAT_FORMAT = "%.17g"
 # text and temporaries.
 ROWS_PER_BLOCK = 1024
 
-# The files of one run's output directory, in the order that emit_outputs
-# writes them and paim run lists them.
+# The files of one run's output directory, in the order that paim run lists
+# them: emit_outputs writes all but summary.json, in this order.
 OUTPUT_FILES = ("samples.csv", "activity.csv", "params.json", "summary.json", "ellipses.csv")
-
-# The hidden directory, inside an output directory, where a run's files
-# wait until every run of the study has succeeded (see replicate).
-STAGING_DIR = ".part"
 
 
 def _fmt(value: float) -> str:
@@ -655,13 +651,12 @@ def _write_activity(fh, record: RunRecord) -> None:
             fh.write("".join([str(t).join(pieces) for t in range(start, min(start + steps_per_block, end))]))
 
 
-def emit_outputs(record: RunRecord, report: Optional[SummaryReport], out_dir: str) -> list[str]:
+def emit_outputs(record: RunRecord, out_dir: str) -> list[str]:
     """Write one run's data files into ``out_dir``; returns the paths.
 
     samples.csv   one row per recorded sample
     activity.csv  one row per (step, chain) with the active flag
     params.json   final proposal parameters per chain plus the shared fit
-    summary.json  the aggregated report (skipped when report is None)
     ellipses.csv  90%-mass ellipses of the final active chains
 
     The two CSV writers cost per distinct value, not per row:
@@ -669,10 +664,9 @@ def emit_outputs(record: RunRecord, report: Optional[SummaryReport], out_dir: st
     and ``_write_activity`` builds one row template per run of equal
     active sets.
 
-    This is the one writer of a run's files. ``paim run`` calls it without
-    a report in the process that made the run (:func:`run_one`), into a
-    staging directory, and writes ``summary.json``, which needs every run,
-    once the study is done.
+    This is the one writer of a run's files. ``paim run`` calls it in the
+    process that made the run (:func:`run_one`), and writes
+    ``summary.json``, which needs every run, once the study is done.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -693,11 +687,6 @@ def emit_outputs(record: RunRecord, report: Optional[SummaryReport], out_dir: st
     path = os.path.join(out_dir, "params.json")
     write_json(path, _params_payload(record))
     written.append(path)
-
-    if report is not None:
-        path = os.path.join(out_dir, "summary.json")
-        write_json(path, report.to_dict())
-        written.append(path)
 
     path = os.path.join(out_dir, "ellipses.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:

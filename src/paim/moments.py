@@ -94,8 +94,9 @@ class MomentStack:
 
 class RunningMoments:
     """A live view of one row of a :class:`MomentStack`: ``count``,
-    ``mean`` and ``scatter`` read the row as it is now. The sampler hands
-    observers one per cluster, as ``SchedulerState.clusters``."""
+    ``mean`` and ``scatter`` read the row as it is now. An observer of a
+    run gets one per cluster from ``PaimRun.clusters``, which builds them
+    when read."""
 
     __slots__ = ("stack", "row")
 

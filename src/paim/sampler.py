@@ -39,8 +39,11 @@ of many steps, up to :data:`BLOCK` chain-iterations per
 step. A block draws chain by chain, two Generator calls per candidate:
 its normals, then two uniforms in one call, its acceptance uniform and
 the next candidate's component uniform. Those are the values, in the
-order, that three scalar calls per candidate would give. An
-``on_step`` observer sees each block once, so attaching one does not
+order, that three scalar calls per candidate would give.
+
+The loop's state is one :class:`PaimRun`, which :func:`run_paim` steps
+and hands, itself, to an ``on_step`` observer after each block but the
+last. An observer sees each block once, so attaching one does not
 change which calls the run makes.
 
 Without a finite ``t_stop`` the proposals adapt for the whole run, and
@@ -53,7 +56,7 @@ plain independence sampler after the freeze.
 The proposals are arrays, not objects, and each fitted component is
 held once. The adaptation state stacks the N clusters and the global
 fit as rows 0..N-1 and N of the arrays of one
-:class:`~paim.moments.MomentStack`, which ``on_step`` observers get too.
+:class:`~paim.moments.MomentStack`, the run's ``moments``.
 :class:`ChainEnsemble` holds the proposal components in that row
 layout: stacked means, covariances and their Cholesky factors, one row
 per component, with a fixed table from chain j to its global and local
@@ -79,7 +82,7 @@ one and checks it again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -405,31 +408,38 @@ class PaimConfig(RunSettings):
 
 
 @dataclass
-class SchedulerState:
-    """Mutable view of one run, handed to the ``on_step`` callback.
+class PaimRun:
+    """The live state of one run, which :func:`run_paim` steps and hands
+    to ``on_step`` after each block but the last.
 
-    The callback runs once per block: ``steps`` is the block's length
-    and ``step`` its last step. While adapting, a block is one step;
-    once frozen, it is as many steps as one :meth:`ChainEnsemble.advance`
-    call ran. ``active`` holds the set that the *next* block will use
-    (adaptation replaces it at the end of a step). ``moments`` is the
-    live :class:`~paim.moments.MomentStack`: row j < n is chain j's
-    cluster and row n the global fit. ``clusters`` holds row views of its
-    first n rows. ``chains.means`` and ``chains.covs`` stack the live
-    proposal components: row j < n is chain j's local component, and
-    ``chains.rows[j]`` names its global and local rows. Once refitted,
-    they have the rows of ``moments``, the one global component at row
-    n; before, row n + j is chain j's initial global component. Copy
-    what must outlive the callback.
+    ``step`` is the block's last step and ``steps`` its length: one step
+    while adapting, one :meth:`ChainEnsemble.advance` call once frozen.
+    The first ``total_drawn`` rows of ``samples`` and ``sample_accepted``
+    are the samples so far. ``active`` is the set of the *next* block;
+    block i ran ``activity_rows[i]`` for ``activity_steps[i]`` steps.
+    Row j < n of ``moments`` is chain j's cluster and row n the global
+    fit; once refitted, ``chains.means`` and ``chains.covs`` stack the
+    proposal components in that layout (:class:`ChainEnsemble`).
+
+    An observer may read any field and writes none. The fields change in
+    place as the run goes on, so it copies what must outlive the call.
     """
 
-    step: int
-    steps: int
-    total_drawn: int
-    moments: MomentStack
-    clusters: list[RunningMoments]
-    active: np.ndarray
     chains: ChainEnsemble
+    moments: MomentStack
+    active: np.ndarray
+    samples: np.ndarray
+    sample_accepted: np.ndarray
+    activity_rows: list[np.ndarray] = field(default_factory=list)
+    activity_steps: list[int] = field(default_factory=list)
+    step: int = -1
+    steps: int = 0
+    total_drawn: int = 0
+
+    @property
+    def clusters(self) -> list[RunningMoments]:
+        """Live views of the first n rows of ``moments``, one per cluster."""
+        return [RunningMoments(self.moments, j) for j in range(self.active.size)]
 
 
 @dataclass
@@ -513,7 +523,7 @@ def chain_streams(seed: int, n_chains: int) -> list[np.random.Generator]:
 def run_paim(
     config: PaimConfig,
     target: TargetDensity,
-    on_step: Optional[Callable[[SchedulerState], None]] = None,
+    on_step: Optional[Callable[[PaimRun], None]] = None,
 ) -> RunRecord:
     """Run the adaptive parallel sampler until ``total_samples`` states exist.
 
@@ -527,8 +537,9 @@ def run_paim(
     ``t_stop`` on, the active set no longer changes, so a block is as
     many full steps as fit in :data:`BLOCK` chain-iterations (at least
     one); the last, partial step is a block of its own. The records are
-    bit-identical to advancing step by step. ``on_step`` (if given) is
-    invoked after each block but the last, once assignment and any
+    bit-identical to advancing step by step. The loop reads and writes
+    the fields of one :class:`PaimRun`. ``on_step`` (if given) is handed
+    that run after each block but the last, once assignment and any
     adaptation are done; it does not change the blocks.
     """
     if target.dim != config.dim:
@@ -539,72 +550,55 @@ def run_paim(
     dim = config.dim
 
     cov = config.sigma**2 * np.eye(dim)
-    chains = ChainEnsemble(config.init_states, config.init_means, cov, chain_streams(config.seed, n), target)
-    # Row j accumulates chain j's cluster and row n every new state, the
-    # global fit. The initial state seeds chain j's cluster, so every
-    # local mean is defined before the first assignment.
-    moments = MomentStack(n + 1, dim)
-    moments.push(range(n), config.init_states)
-    active = np.ones(n, dtype=bool)
-
-    samples = np.empty((total, dim))
-    sample_accepted = np.empty(total, dtype=bool)
-    # Row i of ``activity_rows`` is the active set of the next ``activity_steps[i]`` steps.
-    activity_rows: list[np.ndarray] = []
-    activity_steps: list[int] = []
-
-    state = SchedulerState(
-        step=-1,
-        steps=0,
-        total_drawn=0,
-        moments=moments,
-        clusters=[RunningMoments(moments, j) for j in range(n)],
-        active=active,
-        chains=chains,
+    # Row j of the moments accumulates chain j's cluster and row n every
+    # new state, the global fit. The initial state seeds chain j's
+    # cluster, so every local mean is defined before the first assignment.
+    run = PaimRun(
+        chains=ChainEnsemble(config.init_states, config.init_means, cov, chain_streams(config.seed, n), target),
+        moments=MomentStack(n + 1, dim),
+        active=np.ones(n, dtype=bool),
+        samples=np.empty((total, dim)),
+        sample_accepted=np.empty(total, dtype=bool),
     )
+    run.moments.push(range(n), config.init_states)
 
-    drawn = 0
-    t = -1
     while True:
         # The last step runs only as many chains as samples are missing.
-        run = np.flatnonzero(active)[: total - drawn]
-        steps = 1
-        if t + 1 >= config.t_stop:
+        running = np.flatnonzero(run.active)[: total - run.total_drawn]
+        run.steps = 1
+        if run.step + 1 >= config.t_stop:
             # Frozen: take as many full steps as fit in a block.
-            steps = max(1, min(BLOCK, total - drawn) // run.size)
-        activity_rows.append(active.copy())
-        activity_steps.append(steps)
-        states, accepted = chains.advance(run, steps)
-        t += steps
+            run.steps = max(1, min(BLOCK, total - run.total_drawn) // running.size)
+        run.activity_rows.append(run.active.copy())
+        run.activity_steps.append(run.steps)
+        states, accepted = run.chains.advance(running, run.steps)
+        run.step += run.steps
         new = states[-1]
-        end = drawn + run.size * steps
-        samples[drawn:end] = states.reshape(-1, dim)
-        sample_accepted[drawn:end] = accepted.ravel()
-        drawn = end
-        if t < config.t_stop:
+        drawn = run.total_drawn
+        run.total_drawn += running.size * run.steps
+        run.samples[drawn : run.total_drawn] = states.reshape(-1, dim)
+        run.sample_accepted[drawn : run.total_drawn] = accepted.ravel()
+        if run.step < config.t_stop:
             # One push per step: every new state into the global row and
             # into the cluster of its nearest local mean.
-            chosen = assign(new, chains.means[:n]).tolist()
-            moments.push([n] * run.size + chosen, np.concatenate((new, new)))
-        if drawn == total:
+            chosen = assign(new, run.chains.means[:n]).tolist()
+            run.moments.push([n] * running.size + chosen, np.concatenate((new, new)))
+        if run.total_drawn == total:
             break
 
-        if config.t_train < t < config.t_stop:
-            refreshed_proposals(moments, config.epsilon, chains)
-            active = activation(moments.count[:n])
+        if config.t_train < run.step < config.t_stop:
+            refreshed_proposals(run.moments, config.epsilon, run.chains)
+            run.active = activation(run.moments.count[:n])
 
         if on_step is not None:
-            state.step = t
-            state.steps = steps
-            state.total_drawn = drawn
-            state.active = active
-            on_step(state)
+            on_step(run)
 
+    chains, moments = run.chains, run.moments
     fitted = moments.count[n] > 0  # the global row; a run that never adapts leaves it empty
     return RunRecord(
-        samples=samples,
-        sample_accepted=sample_accepted,
-        activity=np.repeat(np.stack(activity_rows), activity_steps, axis=0),
+        samples=run.samples,
+        sample_accepted=run.sample_accepted,
+        activity=np.repeat(np.stack(run.activity_rows), run.activity_steps, axis=0),
         proposal_means=chains.means[chains.rows],
         proposal_covs=chains.covs[chains.rows],
         global_mean=moments.mean[n].copy() if fitted else None,

@@ -263,6 +263,23 @@ def test_benchmark_table1_without_a_list_exits_2(capsys, option, value):
     assert err[-1] == f"paim benchmark: error: argument {option}: expected comma-separated integers, got {value!r}"
 
 
+@pytest.mark.parametrize("option", ["--n", "--ttrain"])
+@pytest.mark.parametrize("value", ["5,5", "1,5,1", "5, 5"])
+def test_benchmark_table1_with_a_repeated_value_exits_2(capsys, option, value):
+    # A repeated value would run its cells once but print their column twice.
+    with pytest.raises(SystemExit) as exc:
+        main(["benchmark", "table1", option, value, "--reps", "1", "--samples", "20"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert err[0].startswith("usage: paim benchmark")
+    assert [line for line in err if "error:" in line] == [err[-1]]
+    assert err[-1] == (
+        f"paim benchmark: error: argument {option}: expected distinct comma-separated integers, got {value!r}"
+    )
+
+
 @pytest.mark.parametrize("bounds", [["-1e1", "10"], ["-10", "10"], ["-1E+1", "1e1"]], ids=" ".join)
 def test_oracle_takes_negative_bounds(capsys, bounds):
     params = json.dumps({"mean": [0.0, 0.0], "sigma": 1.0})

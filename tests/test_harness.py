@@ -42,7 +42,7 @@ def row_by_row_csvs(record) -> dict[str, str]:
 
 
 def assert_csvs_match_row_by_row(record, out_dir):
-    emit_outputs(record, None, str(out_dir))
+    emit_outputs(record, str(out_dir))
     for name, text in row_by_row_csvs(record).items():
         assert (out_dir / name).read_bytes() == text.encode("utf-8"), name
 
@@ -322,7 +322,7 @@ def test_replicate_into_out_dirs_writes_each_run_where_it_ran_and_sends_back_no_
     monkeypatch, tmp_path, two_cpus
 ):
     # One replication: this process makes the PAIM run, a forked worker
-    # the IPC run, and each writes its own files into a staging directory.
+    # the IPC run, and each writes its own files into the directory given.
     config = dataclasses.replace(experiment_with_truth([0.2, 0.2], 2), total_samples=2000)
     expected = replicate(config, workers=2)
     assert sorted(expected.records) == ["ipc", "paim"]
@@ -330,10 +330,10 @@ def test_replicate_into_out_dirs_writes_each_run_where_it_ran_and_sends_back_no_
     writers = tmp_path / "writers"
     emit = harness.emit_outputs
 
-    def emitting(record, report, out_dir):
+    def emitting(record, out_dir):
         with open(writers, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()} {out_dir}\n")
-        return emit(record, report, out_dir)
+        return emit(record, out_dir)
 
     monkeypatch.setattr(harness, "emit_outputs", emitting)
     out_dirs = {name: str(tmp_path / name) for name in ("paim", "ipc")}
@@ -342,11 +342,15 @@ def test_replicate_into_out_dirs_writes_each_run_where_it_ran_and_sends_back_no_
     assert sent_back == []
     assert report.to_dict() == expected.to_dict()
     written = dict(reversed(line.split()) for line in writers.read_text(encoding="utf-8").splitlines())
-    staging = {name: os.path.join(out_dir, harness.STAGING_DIR) for name, out_dir in out_dirs.items()}
-    assert sorted(written) == sorted(staging.values())
-    assert written[staging["paim"]] == str(os.getpid()) != written[staging["ipc"]]
-    for out_dir in staging.values():
-        assert sorted(os.listdir(out_dir)) == sorted(f for f in harness.OUTPUT_FILES if f != "summary.json")
+    assert sorted(written) == sorted(out_dirs.values())
+    assert written[out_dirs["paim"]] == str(os.getpid()) != written[out_dirs["ipc"]]
+    for name, out_dir in out_dirs.items():
+        files = sorted(os.listdir(out_dir))
+        assert files == sorted(f for f in harness.OUTPUT_FILES if f != "summary.json")
+        # The same files as the record that a run without out_dirs sends back.
+        emit(expected.records[name], str(tmp_path / "expected" / name))
+        for file in files:
+            assert (tmp_path / name / file).read_bytes() == (tmp_path / "expected" / name / file).read_bytes()
     assert multiprocessing.active_children() == []
 
 

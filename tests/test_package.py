@@ -27,8 +27,8 @@ def test_exported_names_are_the_public_api():
         "GridSpec",
         "NotPositiveDefinite",
         "PaimConfig",
+        "PaimRun",
         "RunRecord",
-        "SchedulerState",
         "SummaryReport",
         "TargetDensity",
         "emit_outputs",

@@ -924,6 +924,34 @@ class TestRunPaim:
             # the final partial step may schedule a chain that never runs
             assert record.budgets[j] in (ran, ran - 1)
 
+    @pytest.mark.parametrize("t_train, t_stop", [(2, math.inf), (2, 8), (-1, 0)],
+                             ids=["adaptive", "finite-t_stop", "frozen"])
+    def test_observer_reads_the_live_run(self, t_train, t_stop):
+        # The observer is handed the run itself: the samples drawn so far
+        # are the record's, bit for bit, and its step is their last one's.
+        rng = np.random.default_rng(77)
+        cfg = small_config(
+            n_chains=6,
+            total_samples=3 * BLOCK + 5,
+            t_train=t_train,
+            t_stop=t_stop,
+            init_means=rng.uniform(-15, 15, (6, 2, 2)),
+            init_states=rng.uniform(-15, 15, (6, 2)),
+        )
+        record = run_paim(cfg, self.banana())
+        seen = []
+
+        def watch(run):
+            drawn = run.total_drawn
+            assert run.samples[:drawn].tobytes() == record.samples[:drawn].tobytes()
+            assert run.sample_accepted[:drawn].tobytes() == record.sample_accepted[:drawn].tobytes()
+            assert run.step == record.sample_step[drawn - 1]
+            seen.append(drawn)
+
+        observed = run_paim(cfg, self.banana(), on_step=watch)
+        assert observed.samples.tobytes() == record.samples.tobytes()
+        assert len(seen) >= 3 and seen == sorted(set(seen)) and seen[-1] < cfg.total_samples
+
     def test_first_refresh_replaces_initial_local_components(self):
         rng = np.random.default_rng(74)
         cfg = small_config(
