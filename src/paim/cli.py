@@ -8,20 +8,20 @@ The format of ``paim run``'s config file is described, with an
 example, on :class:`paim.harness.ExperimentConfig`.
 
 ``--workers K`` runs up to K of a study's (replication, algorithm) runs
-at once, in this process and K - 1 forked ones; the default is every
-CPU this process may use, and ``--workers 1`` runs them one after
-another in this process.
+at once, in K forked processes; the default is every CPU this process
+may use, and ``--workers 1`` runs them one after another in this
+process.
 The output is the same for every K.
 
 ``paim run`` writes each algorithm's ``samples.csv``, ``activity.csv``,
 ``params.json`` and ``ellipses.csv`` in the process that made its first
-replication's run: with two workers PAIM's in this one and IPC's in the
-forked one, at the same time. They go into a hidden staging directory
-of the algorithm's output directory. Once every run has succeeded, this
-process moves them into place and writes each ``summary.json``, which
-needs both algorithms. So the files appear only after the whole study
-has succeeded: a failed run writes none, and leaves those of an earlier
-run as they were.
+replication's run, a forked one when K > 1, so that with two workers
+PAIM's and IPC's are written at the same time. They go into a hidden
+staging directory of the algorithm's output directory. Once every run
+has succeeded, this process moves them into place and writes each
+``summary.json``, which needs both algorithms. So the files appear only
+after the whole study has succeeded: a failed run writes none, and
+leaves those of an earlier run as they were.
 
 ``paim benchmark`` reports each cell's seconds and an ETA on stderr;
 stdout holds only the results.
@@ -75,7 +75,7 @@ def _comma_ints(text: str) -> list[int]:
 # an option "-1e1" and reports "expected 2 arguments".
 NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
-WORKERS_HELP = "processes making runs at once, this one included (default: every usable CPU; 1: only this one)"
+WORKERS_HELP = "forked processes making runs at once (default: every usable CPU; 1: only this process)"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ import json
 import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from itertools import chain, cycle, islice
+from itertools import chain, cycle
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -420,13 +420,13 @@ def run_one(
 ) -> tuple[dict, Optional[RunRecord]]:
     """Run algorithm ``name`` ("paim" or "ipc") on replication ``rep``.
 
-    Returns the run's :func:`summary_row` and, for replication 0 only (None
-    otherwise), its record. Given ``out_dir``, replication 0's run instead
-    writes its files into it, in the process that made it
-    (:func:`emit_outputs`), and sends back no record. So a worker sends
-    back little more than the row. The target is rebuilt here, since a
-    worker process cannot be sent one. A failure that the config caused is
-    raised as a ConfigError.
+    Returns the run's :func:`summary_row` and, for replication 0 without
+    ``out_dir`` only (None otherwise), its record. Given ``out_dir``,
+    replication 0's run writes its files into it instead, in the process
+    that made it (:func:`emit_outputs`). So a pool process sends back
+    little more than the row. The target is rebuilt here, since a pool
+    process cannot be sent one. A failure that the config caused is raised
+    as a ConfigError.
     """
     target = make_target(config.target_name, config.target_params)
     runner = {"paim": run_paim, "ipc": run_ipc}[name]
@@ -456,12 +456,9 @@ def run_one(
             f"second moments carry rounding errors of ~{rounding:.1e}, "
             f"{'more' if rounding >= config.epsilon else 'less'} than epsilon"
         ) from exc
-    if rep != 0:
-        return summary_row(record), None
-    if out_dir is None:
-        return summary_row(record), record
-    emit_outputs(record, out_dir)
-    return summary_row(record), None
+    if rep == 0 and out_dir is not None:
+        emit_outputs(record, out_dir)
+    return summary_row(record), (record if rep == 0 and out_dir is None else None)
 
 
 def usable_workers(workers: Optional[int] = None) -> int:
@@ -482,17 +479,15 @@ def run_all(
     runs]``, with up to ``workers`` runs at once. ``out_dirs`` maps an
     algorithm to the directory of its files; without it no run writes any.
 
-    This process is one of the workers: it makes the first run itself,
-    and hands the next ones to a pool of ``workers - 1`` forked processes.
-    Then, in order, it collects each run, making it here if no pool
-    process has started it yet (its future cancels). ``runs`` is taken
-    lazily, and at most ``2 * workers`` runs are taken and not yet
-    collected, so that each pool process has a run queued behind the one
-    it makes. So a study of any size starts at once, a study of two runs
-    forks one process, and the pool's start-up cost is paid once per
-    call, whatever R is. Given ``out_dirs``, the process that makes a run
-    writes its files, so two runs' files are written at once and no record
-    is pickled.
+    With one worker the runs are made one after another, in this process.
+    Otherwise a pool of ``workers`` forked processes makes every run, and
+    this process only hands them out and collects them in order. ``runs``
+    is taken lazily, and at most ``2 * workers`` runs are taken and not
+    yet collected, so that each pool process has a run queued behind the
+    one it makes. So a study of any size starts at once, and the pool's
+    start-up cost is paid once per call, whatever R is. Given
+    ``out_dirs``, the process that makes a run writes its files, so two
+    runs' files are written at once and no record is pickled.
 
     ``fork`` gives each worker the parent's imported modules, numpy among
     them, at no import cost. The pool forks all its workers when it
@@ -511,18 +506,14 @@ def run_all(
     from collections import deque
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        taken = deque((run, None) for run in islice(runs, 1))  # None: made here
-        results = []
-        while taken:
-            for run in islice(runs, 2 * workers - len(taken)):
-                taken.append((run, pool.submit(run_one, config, *run)))
-            run, future = taken.popleft()
-            if future is None or future.cancel():  # no worker has started it
-                results.append(run_one(config, *run))
-            else:
-                results.append(future.result())
+        taken, results = deque(), []
+        for run in runs:
+            taken.append(pool.submit(run_one, config, *run))
+            if len(taken) == 2 * workers:
+                results.append(taken.popleft().result())
+        results.extend(future.result() for future in taken)
         return results
     finally:
         pool.shutdown(cancel_futures=True)
@@ -542,13 +533,13 @@ def replicate(
     the initialization draw and the sampling seed, and the only thing
     separating them is the adaptation itself. Each (replication,
     algorithm) run depends on nothing else, so up to ``workers`` of them
-    run at once, this process and ``workers - 1`` forked ones
-    (:func:`usable_workers`, :func:`run_all`). Each run comes back as its
-    named :func:`summary_row`, and each algorithm's summary is built whole
-    from its rows in replication order, so the report is the same for
-    every ``workers``. Only the first replication's full records come back
-    too, kept on the report (``records``) for file emission, so memory does
-    not grow with R.
+    run at once, each in a forked pool process, or all in this process
+    when ``workers`` is 1 (:func:`usable_workers`, :func:`run_all`). Each
+    run comes back as its named :func:`summary_row`, and each algorithm's
+    summary is built whole from its rows in replication order, so the
+    report is the same for every ``workers``. Only the first replication's
+    full records come back too, kept on the report (``records``) for the
+    caller to inspect, so memory does not grow with R.
 
     Given ``out_dirs``, an algorithm's directory by its name, the first
     replication's runs write their files there instead, each in the

@@ -794,8 +794,8 @@ def test_an_output_directory_that_cannot_be_made_fails_before_any_run(
 
 # Box and init.sigma 1e150 dwarf epsilon 0.4: the states' second moments
 # round off by far more than epsilon can lift, and the line says so. With
-# two workers this process makes the PAIM run that fails, while a forked
-# worker makes the IPC run.
+# two workers a pool process makes the PAIM run that fails, while another
+# makes the IPC run.
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_a_refresh_broken_by_the_init_scale_names_the_scale(tmp_path, capsys, two_cpus, forks, workers):
     config = small_config(
@@ -811,12 +811,12 @@ def test_a_refresh_broken_by_the_init_scale_names_the_scale(tmp_path, capsys, tw
         "(floor 1e-300); at the initialization scale (box width 2e+150, init.sigma 1e+150) the states' second "
         "moments carry rounding errors of ~8.9e+284, more than epsilon"
     ]
-    assert forks[0] == (0 if workers == "1" else 1)
+    assert forks[0] == (0 if workers == "1" else 2)
     assert multiprocessing.active_children() == []
 
 
 def test_a_config_error_in_a_worker_reaches_the_cli_as_the_same_line(tmp_path, capsys, monkeypatch, two_cpus, forks):
-    # With two workers and one replication the forked worker makes the IPC
+    # With two workers and one replication a pool process makes the IPC
     # run, and only that run fails.
     def overflowing(*args):
         raise FloatingPointError("overflow encountered in multiply")
@@ -833,7 +833,7 @@ def test_a_config_error_in_a_worker_reaches_the_cli_as_the_same_line(tmp_path, c
         "error: initialization box width 10 and init.sigma 3 are too large for the target's scale: "
         "the run overflowed a double (overflow encountered in multiply)"
     ]
-    assert forks[0] == 1
+    assert forks[0] == 2
     assert multiprocessing.active_children() == []
     # The output directories are made before the runs, and stay empty.
     assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
@@ -955,11 +955,11 @@ def test_a_run_leaves_exactly_its_files(tmp_path, capsys, two_cpus, forks, worke
     assert main(argv) == 0
     assert capsys.readouterr().out.split() == [str(out / name / f) for name in ("ipc", "paim") for f in OUTPUT_FILES]
     assert listing(out) == RUN_LISTING
-    assert forks[0] == (0 if workers == "1" else 1)
+    assert forks[0] == (0 if workers == "1" else 2)
 
 
-# With two workers this process makes the PAIM run and a forked worker
-# the IPC run, and each writes its own files; either may fail.
+# With two workers pool processes make the PAIM and IPC runs, and each
+# writes its own files; either may fail.
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("failing", ["run_paim", "run_ipc"])
 def test_a_failed_run_leaves_the_output_directories_as_it_found_them(
@@ -987,7 +987,7 @@ def test_a_failed_run_leaves_the_output_directories_as_it_found_them(
     fails("--seed", "4")  # a seed whose files would differ
     assert listing(out) == RUN_LISTING
     assert {path: (out / path).read_bytes() for path in earlier} == earlier
-    assert forks[0] == (0 if workers == "1" else 3)
+    assert forks[0] == (0 if workers == "1" else 6)
     assert multiprocessing.active_children() == []
 
 

@@ -302,16 +302,14 @@ def test_replicate_keeps_only_the_first_replications_records(monkeypatch):
 
 
 def test_replicate_in_workers_keeps_only_the_first_replications_records(monkeypatch, two_cpus):
-    # This process makes replication 0's PAIM run and the runs that the
-    # worker has not started; the worker's records reach it only pickled.
+    # The pool makes every run, so this process makes none, and replication
+    # 0's two records reach it only pickled.
     config = dataclasses.replace(experiment_with_truth([0.2, 0.2], 2), replications=6)
     made, live_at_start, sent_back = kept_records(monkeypatch, config)
     report = replicate(config, workers=2)
     gc.collect()
-    # The worker may send replication 0's IPC record back before or while
-    # this process makes any run, so only which records live can be fixed.
-    assert all(reps in ([], [0], [0, 0]) for reps in live_at_start), live_at_start
-    assert set(sent_back) <= {0}, sent_back
+    assert live_at_start == []
+    assert sent_back == [0, 0]
     alive = [ref() for ref in made if ref() is not None]
     assert len(alive) == 2
     assert {id(record) for record in alive} == {id(report.records["paim"]), id(report.records["ipc"])}
@@ -321,8 +319,8 @@ def test_replicate_in_workers_keeps_only_the_first_replications_records(monkeypa
 def test_replicate_into_out_dirs_writes_each_run_where_it_ran_and_sends_back_no_record(
     monkeypatch, tmp_path, two_cpus
 ):
-    # One replication: this process makes the PAIM run, a forked worker
-    # the IPC run, and each writes its own files into the directory given.
+    # One replication: pool processes make the PAIM and IPC runs, and each
+    # writes its own files into the directory given.
     config = dataclasses.replace(experiment_with_truth([0.2, 0.2], 2), total_samples=2000)
     expected = replicate(config, workers=2)
     assert sorted(expected.records) == ["ipc", "paim"]
@@ -343,7 +341,7 @@ def test_replicate_into_out_dirs_writes_each_run_where_it_ran_and_sends_back_no_
     assert report.to_dict() == expected.to_dict()
     written = dict(reversed(line.split()) for line in writers.read_text(encoding="utf-8").splitlines())
     assert sorted(written) == sorted(out_dirs.values())
-    assert written[out_dirs["paim"]] == str(os.getpid()) != written[out_dirs["ipc"]]
+    assert str(os.getpid()) not in (written[out_dirs["paim"]], written[out_dirs["ipc"]])
     for name, out_dir in out_dirs.items():
         files = sorted(os.listdir(out_dir))
         assert files == sorted(f for f in harness.OUTPUT_FILES if f != "summary.json")
@@ -354,17 +352,17 @@ def test_replicate_into_out_dirs_writes_each_run_where_it_ran_and_sends_back_no_
     assert multiprocessing.active_children() == []
 
 
-# This process is one of the workers, so a pool of k forks k - 1.
+# The pool makes every run, so a pool of k workers forks k processes.
 @pytest.mark.parametrize("cpus, workers, replications, algorithm, expected", [
     (2, 1, 3, "both", 0),     # one after another, in this process
     (2, 2, 1, "paim", 0),     # a single run needs no pool
-    (2, 2, 1, "both", 1),     # PAIM here, IPC beside it
-    (2, 2, 3, "both", 1),
-    (2, None, 3, "ipc", 1),   # the default: every usable CPU
-    (3, 3, 1, "both", 1),     # at most one worker per run
-    (3, None, 2, "both", 2),
+    (2, 2, 1, "both", 2),     # PAIM and IPC side by side
+    (2, 2, 3, "both", 2),
+    (2, None, 3, "ipc", 2),   # the default: every usable CPU
+    (3, 3, 1, "both", 2),     # at most one worker per run
+    (3, None, 2, "both", 3),
 ])
-def test_pool_forks_one_process_fewer_than_workers_and_none_outlives_replicate(
+def test_pool_forks_one_process_per_worker_and_none_outlives_replicate(
     monkeypatch, forks, cpus, workers, replications, algorithm, expected
 ):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -374,6 +372,26 @@ def test_pool_forks_one_process_fewer_than_workers_and_none_outlives_replicate(
     assert multiprocessing.active_children() == []
     assert sorted(report.records) == sorted(["paim", "ipc"] if algorithm == "both" else [algorithm])
     assert report.to_dict() == replicate(config, workers=1).to_dict()
+
+
+def test_two_workers_make_two_runs_at_once(monkeypatch, two_cpus):
+    # Every run waits until another run has reached the barrier too, which
+    # only a run made at the same time in another process can do.
+    barrier = multiprocessing.get_context("fork").Barrier(2, timeout=5)
+
+    def in_step(runner):
+        def run(*args):
+            barrier.wait()
+            return runner(*args)
+
+        return run
+
+    monkeypatch.setattr(harness, "run_paim", in_step(harness.run_paim))
+    monkeypatch.setattr(harness, "run_ipc", in_step(harness.run_ipc))
+    config = dataclasses.replace(experiment_with_truth([0.2, 0.2], 2), replications=4)
+    report = replicate(config, workers=2)
+    assert len(report.paim.estimates) == len(report.ipc.estimates) == 4
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", [0, -1, 3, 2.0, True])
